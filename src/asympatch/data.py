@@ -10,7 +10,10 @@ usual photometric ops, and crucially returns the :class:`~asympatch.geometry.Cro
 alongside the pixels: patch-overlap geometry depends only on the crop rect
 and flip flag, never on color ops. Crop coordinates are continuous
 (sub-pixel); the identity configuration (full-image crop at native size, all
-probabilities zero) reproduces the source pixels exactly.
+probabilities zero) reproduces the source pixels exactly. ``augment_batch``
+makes many views at once: it takes the same draws in the same order as
+repeated ``augment`` calls, then does the pixel work in array ops over all
+views.
 """
 
 from __future__ import annotations
@@ -188,15 +191,37 @@ def augment(record: ImageRecord, params: AugmentParams,
     rect in source coordinates, the flip flag, and the view size — exactly
     what the sampler needs to evaluate patch-overlap geometry.
     """
-    src = np.asarray(record.pixels, dtype=float)
-    h_img, w_img = src.shape[:2]
-    rect = _sample_crop_rect(w_img, h_img, params, rng)
-    flip = bool(rng.random() < params.flip_prob)
-    view = _resize_bilinear(src, rect, params.view_size, flip)
-    view = _color_ops(view, params, rng)
-    box = CropBox(rect=rect, flip=flip, view_size=params.view_size,
-                  source_size=(float(w_img), float(h_img)))
-    return view, box
+    views, boxes = augment_batch([record], params, rng)
+    return views[0], boxes[0]
+
+
+def augment_batch(sources, params: AugmentParams,
+                  rng: np.random.Generator) -> tuple[np.ndarray, list[CropBox]]:
+    """One augmented view of each source record, as ``(N, S, S, 3)`` pixels
+    plus one crop box per view.
+
+    The draws are taken view by view, in source order, exactly as N calls
+    of :func:`augment` would take them: crop rect, flip, then the colour-op
+    gates and factors. No draw depends on pixel values, so the pixel work
+    then runs once for all views: one bilinear gather, and each colour op
+    applied to the views whose gate fired. Batching changes no bit: each
+    view equals what a one-view call with the same generator state gives.
+    All sources must share one image shape.
+    """
+    src = np.stack([np.asarray(r.pixels, dtype=float) for r in sources])
+    n, h_img, w_img = src.shape[:3]
+    size = params.view_size
+    rects, flips, ops = [], [], []
+    for _ in range(n):
+        rects.append(_sample_crop_rect(w_img, h_img, params, rng))
+        flips.append(bool(rng.random() < params.flip_prob))
+        ops.append(_draw_color_ops(params, rng))
+    x = _resize_bilinear_batch(src, rects, flips, size)
+    x = _apply_color_ops(x, ops, params)
+    source_size = (float(w_img), float(h_img))
+    boxes = [CropBox(rect=r, flip=f, view_size=size, source_size=source_size)
+             for r, f in zip(rects, flips)]
+    return x, boxes
 
 
 def _sample_crop_rect(w_img, h_img, params, rng) -> Rect:
@@ -222,24 +247,25 @@ def _sample_crop_rect(w_img, h_img, params, rng) -> Rect:
     return Rect(x0, y0, x0 + w, y0 + h)
 
 
-def _resize_bilinear(src: np.ndarray, rect: Rect, view_size: int,
-                     flip: bool) -> np.ndarray:
-    """Sample the crop rect onto a view_size grid with bilinear weights.
+def _resize_bilinear_batch(src: np.ndarray, rects, flips,
+                           view_size: int) -> np.ndarray:
+    """Sample each crop rect of ``src`` (N, H, W, 3) onto a view_size grid
+    with bilinear weights.
 
     View pixel (u, v) shows source coordinate
     ``x = x0 + (u + 0.5) * sx`` (mirrored when flipped), which makes the
     identity configuration land exactly on pixel centers and reproduce the
     source bit-for-bit.
     """
-    h_img, w_img = src.shape[:2]
-    sx = (rect.x1 - rect.x0) / view_size
-    sy = (rect.y1 - rect.y0) / view_size
+    n, h_img, w_img = src.shape[:3]
+    box = np.array([(r.x0, r.y0, r.x1, r.y1) for r in rects]).reshape(n, 4, 1)
+    rx0, ry0, rx1, ry1 = box[:, 0], box[:, 1], box[:, 2], box[:, 3]
+    sx = (rx1 - rx0) / view_size
+    sy = (ry1 - ry0) / view_size
     u = np.arange(view_size) + 0.5
-    if flip:
-        xs = rect.x0 + (view_size - u) * sx
-    else:
-        xs = rect.x0 + u * sx
-    ys = rect.y0 + u * sy
+    xs = np.where(np.array(flips)[:, None],
+                  rx0 + (view_size - u) * sx, rx0 + u * sx)
+    ys = ry0 + u * sy
     # continuous coords -> pixel-index space, clamped at the borders
     xi = np.clip(xs - 0.5, 0.0, w_img - 1.0)
     yi = np.clip(ys - 0.5, 0.0, h_img - 1.0)
@@ -247,47 +273,93 @@ def _resize_bilinear(src: np.ndarray, rect: Rect, view_size: int,
     y0 = np.floor(yi).astype(int)
     x1 = np.minimum(x0 + 1, w_img - 1)
     y1 = np.minimum(y0 + 1, h_img - 1)
-    fx = (xi - x0)[None, :, None]
-    fy = (yi - y0)[:, None, None]
-    top = src[y0][:, x0] * (1.0 - fx) + src[y0][:, x1] * fx
-    bot = src[y1][:, x0] * (1.0 - fx) + src[y1][:, x1] * fx
-    return top * (1.0 - fy) + bot * fy
+    # blend on (v, u * channel) rows: the x weights repeat per channel
+    fx = np.repeat(xi - x0, 3, axis=1)[:, None, :]
+    fy = (yi - y0)[:, :, None]
+    # one gather of all four corners: (N, y0|y1, v, x0|x1, u * channel)
+    rows = np.stack([y0, y1], axis=1) * w_img \
+        + (np.arange(n) * (h_img * w_img))[:, None, None]
+    cols = np.stack([x0, x1], axis=1)
+    flat = rows[:, :, :, None, None] + cols[:, None, None, :, :]
+    corner = np.take(src.reshape(-1, 3), flat, axis=0)
+    corner = corner.reshape(n, 2, view_size, 2, view_size * 3)
+    top = corner[:, 0, :, 0] * (1.0 - fx)
+    top += corner[:, 0, :, 1] * fx
+    bot = corner[:, 1, :, 0] * (1.0 - fx)
+    bot += corner[:, 1, :, 1] * fx
+    top *= 1.0 - fy
+    bot *= fy
+    top += bot
+    return top.reshape(n, view_size, view_size, 3)
 
 
 def _luma(x: np.ndarray) -> np.ndarray:
     return 0.299 * x[..., 0] + 0.587 * x[..., 1] + 0.114 * x[..., 2]
 
 
-def _color_ops(view: np.ndarray, params: AugmentParams,
-               rng: np.random.Generator) -> np.ndarray:
-    """Photometric ops in a fixed order: brightness, contrast, saturation,
-    hue (each gated independently), then grayscale, blur, solarize."""
-    x = view
+# photometric ops in application order; the four jitter ops share one gate
+# probability and draw a factor around 1 (a hue shift around 0)
+_JITTER_OPS = ("brightness", "contrast", "saturation", "hue")
+_COLOR_OPS = _JITTER_OPS + ("grayscale", "blur", "solarize")
+
+
+def _draw_color_ops(params: AugmentParams, rng: np.random.Generator) -> dict:
+    """The colour draws of one view: op name -> factor for each op whose
+    gate fired. Draw order: brightness, contrast, saturation, hue (each
+    gated independently), then grayscale, blur, solarize."""
+    fired = {}
     if params.jitter_prob > 0.0:
-        if rng.random() < params.jitter_prob and params.brightness > 0.0:
-            f = rng.uniform(1.0 - params.brightness, 1.0 + params.brightness)
-            x = np.clip(x * f, 0.0, 1.0)
-        if rng.random() < params.jitter_prob and params.contrast > 0.0:
-            f = rng.uniform(1.0 - params.contrast, 1.0 + params.contrast)
-            mean = _luma(x).mean()
-            x = np.clip((x - mean) * f + mean, 0.0, 1.0)
-        if rng.random() < params.jitter_prob and params.saturation > 0.0:
-            f = rng.uniform(1.0 - params.saturation, 1.0 + params.saturation)
-            l = _luma(x)[..., None]
-            x = np.clip((x - l) * f + l, 0.0, 1.0)
-        if rng.random() < params.jitter_prob and params.hue > 0.0:
-            shift = rng.uniform(-params.hue, params.hue)
-            x = _shift_hue(x, shift)
+        for op in _JITTER_OPS:
+            amount = getattr(params, op)
+            if rng.random() < params.jitter_prob and amount > 0.0:
+                centre = 0.0 if op == "hue" else 1.0
+                fired[op] = rng.uniform(centre - amount, centre + amount)
     if params.grayscale_prob > 0.0 and rng.random() < params.grayscale_prob:
-        x = np.repeat(_luma(x)[..., None], 3, axis=2)
+        fired["grayscale"] = 1.0
     if params.blur_prob > 0.0 and rng.random() < params.blur_prob:
-        sigma = rng.uniform(*params.blur_sigma)
-        x = np.stack([ndimage.gaussian_filter(x[..., c], sigma)
-                      for c in range(3)], axis=2)
-        x = np.clip(x, 0.0, 1.0)
+        fired["blur"] = rng.uniform(*params.blur_sigma)
     if params.solarize_prob > 0.0 and rng.random() < params.solarize_prob:
-        x = np.where(x >= params.solarize_threshold, 1.0 - x, x)
+        fired["solarize"] = 1.0
+    return fired
+
+
+def _apply_color_ops(x: np.ndarray, draws, params: AugmentParams) -> np.ndarray:
+    """Apply each op, in order, to the views of ``x`` (N, S, S, 3) whose
+    draw fired."""
+    for op in _COLOR_OPS:
+        fired = [i for i, d in enumerate(draws) if op in d]
+        if fired:
+            amount = np.array([draws[i][op] for i in fired])[:, None, None, None]
+            x[fired] = _color_op(op, x[fired], amount, params)
     return x
+
+
+def _color_op(op: str, x: np.ndarray, a: np.ndarray,
+              params: AugmentParams) -> np.ndarray:
+    if op == "brightness":
+        return np.clip(x * a, 0.0, 1.0)
+    if op == "contrast":
+        # sum each view's luma column by column: the order a one-view
+        # bilinear resize's column-major result is summed in, so batched and
+        # one-view augmentation stay bit-identical
+        mean = _luma(x).transpose(0, 2, 1).reshape(len(x), -1).mean(axis=1)
+        mean = mean[:, None, None, None]
+        return np.clip((x - mean) * a + mean, 0.0, 1.0)
+    if op == "saturation":
+        l = _luma(x)[..., None]
+        return np.clip((x - l) * a + l, 0.0, 1.0)
+    if op == "hue":
+        return _shift_hue(x, a[..., 0])
+    if op == "grayscale":
+        return np.repeat(_luma(x)[..., None], 3, axis=-1)
+    if op == "blur":
+        out = np.stack([
+            np.stack([ndimage.gaussian_filter(v[..., c], sigma)
+                      for c in range(3)], axis=-1)
+            for v, sigma in zip(x, a.ravel())
+        ])
+        return np.clip(out, 0.0, 1.0)
+    return np.where(x >= params.solarize_threshold, 1.0 - x, x)   # solarize
 
 
 def _shift_hue(x: np.ndarray, shift: float) -> np.ndarray:

@@ -9,9 +9,12 @@ test suite.
 
 Token sequences are ``(B, L, D)`` with ``L = sampled patch count + 1``: a
 learned class token is prepended and the class-token output of the final
-normalization is the representation. Positional codes are indexed by the
-patch's position in the *full* grid, so the same patch receives the same
-code no matter which other patches were sampled alongside it.
+normalization is the representation. Since nothing else is kept, the last
+block queries with the class token only: keys and values use every token,
+but its attention output, MLP and the final norm run on one row per sample.
+Positional codes are indexed by the patch's position in the *full* grid, so
+the same patch receives the same code no matter which other patches were
+sampled alongside it.
 """
 
 from __future__ import annotations
@@ -207,7 +210,9 @@ def _init_head(p: dict, bn: dict, name: str, in_dim: int, dims, rng):
 # primitive layers
 
 def linear_forward(x, w, b):
-    return x @ w + b, (x, w)
+    y = x @ w
+    y += b
+    return y, (x, w)
 
 
 def linear_backward(dy, cache):
@@ -248,14 +253,25 @@ def layernorm_backward(dy, cache):
 
 
 def gelu_forward(x):
-    phi = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    # exact erf form; phi = 0.5 * (1 + erf(x / sqrt 2)), built in one buffer
+    phi = x / math.sqrt(2.0)
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
     return x * phi, (x, phi)
 
 
 def gelu_backward(dy, cache):
+    # dy * (phi + x * pdf(x)), built in one buffer
     x, phi = cache
-    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    return dy * (phi + x * pdf)
+    t = -0.5 * x
+    t *= x
+    np.exp(t, out=t)
+    t /= math.sqrt(2.0 * math.pi)
+    t *= x
+    t += phi
+    t *= dy
+    return t
 
 
 def relu_forward(x):
@@ -313,18 +329,25 @@ def batchnorm_backward(dy, cache):
     return dx, dg, db
 
 
-def attention_forward(x, w_qkv, b_qkv, w_out, b_out, n_heads: int):
+def attention_forward(x, w_qkv, b_qkv, w_out, b_out, n_heads: int,
+                      n_query: int | None = None):
+    """Multi-head self-attention of ``x`` (B, L, D).
+
+    Only the first ``n_query`` rows (all by default) query: the output is
+    (B, n_query, D), while keys and values still come from every token.
+    """
     batch, length, dim = x.shape
+    nq = length if n_query is None else n_query
     dh = dim // n_heads
     qkv = x @ w_qkv + b_qkv                              # (B, L, 3D)
     qkv = qkv.reshape(batch, length, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
-    q, k, v = qkv[0], qkv[1], qkv[2]                     # (B, H, L, dh)
-    scores = q @ np.swapaxes(k, -1, -2) / math.sqrt(dh)  # (B, H, L, L)
+    q, k, v = qkv[0, :, :, :nq], qkv[1], qkv[2]          # (B, H, L|nq, dh)
+    scores = q @ np.swapaxes(k, -1, -2) / math.sqrt(dh)  # (B, H, nq, L)
     scores -= scores.max(axis=-1, keepdims=True)
     ex = np.exp(scores)
     attn = ex / ex.sum(axis=-1, keepdims=True)
-    ctx = attn @ v                                       # (B, H, L, dh)
-    merged = ctx.transpose(0, 2, 1, 3).reshape(batch, length, dim)
+    ctx = attn @ v                                       # (B, H, nq, dh)
+    merged = ctx.transpose(0, 2, 1, 3).reshape(batch, nq, dim)
     out = merged @ w_out + b_out
     return out, (x, w_qkv, w_out, q, k, v, attn, merged)
 
@@ -332,19 +355,24 @@ def attention_forward(x, w_qkv, b_qkv, w_out, b_out, n_heads: int):
 def attention_backward(dout, cache, n_heads: int):
     x, w_qkv, w_out, q, k, v, attn, merged = cache
     batch, length, dim = x.shape
+    nq = q.shape[2]
     dh = dim // n_heads
     dw_out = merged.reshape(-1, dim).T @ dout.reshape(-1, dim)
     db_out = dout.reshape(-1, dim).sum(axis=0)
     dmerged = dout @ w_out.T
-    dctx = dmerged.reshape(batch, length, n_heads, dh).transpose(0, 2, 1, 3)
+    dctx = dmerged.reshape(batch, nq, n_heads, dh).transpose(0, 2, 1, 3)
     dattn = dctx @ np.swapaxes(v, -1, -2)
-    dv = np.swapaxes(attn, -1, -2) @ dctx
     dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
     dscores /= math.sqrt(dh)
-    dq = dscores @ k
-    dk = np.swapaxes(dscores, -1, -2) @ q
-    dqkv = np.stack([dq, dk, dv])                        # (3, B, H, L, dh)
-    dqkv = dqkv.transpose(1, 3, 0, 2, 4).reshape(batch, length, 3 * dim)
+    # dq, dk, dv land straight in their (B, L, 3, H, dh) slots; rows that
+    # did not query get no dq
+    alloc = np.empty if nq == length else np.zeros
+    dqkv = alloc((batch, length, 3, n_heads, dh))
+    slot = dqkv.transpose(2, 0, 3, 1, 4)                 # (3, B, H, L, dh)
+    np.matmul(dscores, k, out=slot[0, :, :, :nq])
+    np.matmul(np.swapaxes(dscores, -1, -2), q, out=slot[1])
+    np.matmul(np.swapaxes(attn, -1, -2), dctx, out=slot[2])
+    dqkv = dqkv.reshape(batch, length, 3 * dim)
     dw_qkv = x.reshape(-1, dim).T @ dqkv.reshape(-1, 3 * dim)
     db_qkv = dqkv.reshape(-1, 3 * dim).sum(axis=0)
     dx = dqkv @ w_qkv.T
@@ -406,13 +434,16 @@ def patchify_backward(cfg: BackboneConfig, dtokens: np.ndarray, cache) -> dict:
     return grads
 
 
-def _block_forward(cfg, params, pre, x):
+def _block_forward(cfg, params, pre, x, n_query=None):
+    """One pre-norm block; with ``n_query`` only the first ``n_query`` rows
+    are computed past the attention, so the output is (B, n_query, D)."""
     a, ln1_c = layernorm_forward(x, params[f"{pre}.ln1.g"], params[f"{pre}.ln1.b"])
     attn_out, attn_c = attention_forward(
         a, params[f"{pre}.attn.w_qkv"], params[f"{pre}.attn.b_qkv"],
         params[f"{pre}.attn.w_out"], params[f"{pre}.attn.b_out"], cfg.n_heads,
+        n_query,
     )
-    x1 = x + attn_out
+    x1 = x[:, :attn_out.shape[1]] + attn_out
     b, ln2_c = layernorm_forward(x1, params[f"{pre}.ln2.g"], params[f"{pre}.ln2.b"])
     h, lin1_c = linear_forward(b, params[f"{pre}.mlp.w1"], params[f"{pre}.mlp.b1"])
     hg, gelu_c = gelu_forward(h)
@@ -441,11 +472,16 @@ def _block_backward(cfg, pre, dy, cache, grads):
     dx, dg1, dbeta1 = layernorm_backward(da, ln1_c)
     grads[f"{pre}.ln1.g"] = dg1
     grads[f"{pre}.ln1.b"] = dbeta1
-    return dx + dx1                              # residual around attention
+    dx[:, :dx1.shape[1]] += dx1                  # residual around attention
+    return dx
 
 
 def encode(cfg: BackboneConfig, params: dict, tokens: np.ndarray):
     """Pre-norm transformer blocks then final norm; class-token output.
+
+    Only the class token's output is kept, so the last block queries with the
+    class token alone: its attention output, MLP and the final norm run on
+    (B, 1, D), while its keys and values still use every token.
 
     Returns ``(rep, cache)`` with rep (B, D). Raises with the offending block
     index if activations go non-finite.
@@ -453,22 +489,21 @@ def encode(cfg: BackboneConfig, params: dict, tokens: np.ndarray):
     x = tokens
     block_caches = []
     for i in range(cfg.n_blocks):
-        x, c = _block_forward(cfg, params, f"blocks.{i}", x)
+        n_query = 1 if i == cfg.n_blocks - 1 else None
+        x, c = _block_forward(cfg, params, f"blocks.{i}", x, n_query)
         if not np.all(np.isfinite(x)):
             raise FloatingPointError(f"non-finite activations after block {i}")
         block_caches.append(c)
     out, ln_c = layernorm_forward(x, params["norm.g"], params["norm.b"])
     rep = out[:, 0, :]
-    return rep, (block_caches, ln_c, tokens.shape)
+    return rep, (block_caches, ln_c)
 
 
 def encode_backward(cfg: BackboneConfig, drep: np.ndarray, cache):
     """Gradients of every encoder parameter plus the token-input gradient."""
-    block_caches, ln_c, tok_shape = cache
-    dout = np.zeros(tok_shape)
-    dout[:, 0, :] = drep
+    block_caches, ln_c = cache
     grads: dict = {}
-    dx, dg, db = layernorm_backward(dout, ln_c)
+    dx, dg, db = layernorm_backward(drep[:, None, :], ln_c)
     grads["norm.g"] = dg
     grads["norm.b"] = db
     for i in reversed(range(cfg.n_blocks)):
@@ -573,6 +608,3 @@ def accumulate_grads(total: dict, part: dict) -> dict:
             total[name] = g.copy()
     return total
 
-
-def zero_grads_like(params: dict) -> dict:
-    return {name: np.zeros_like(p) for name, p in params.items()}

@@ -23,8 +23,9 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import encoder as enc
-from .data import (AugmentParams, ImageRecord, augment, cifar_augment_params,
-                   load_cifar, synth_dataset, synth_manifest)
+from .data import (AugmentParams, ImageRecord, augment_batch,
+                   cifar_augment_params, load_cifar, synth_dataset,
+                   synth_manifest)
 from .geometry import PatchGrid
 from .objective import multiview_loss
 from .optim import (AdamWState, ClipState, EmaSchedule, adamw_step,
@@ -85,15 +86,27 @@ class TrainConfig:
     checkpoint_every: int = 0        # 0: only the final checkpoint
     knn_k: int = 5
 
+    def __post_init__(self):
+        if self.backbone not in enc.BACKBONES:
+            raise ValueError(f"unknown backbone {self.backbone!r}; choose from "
+                             f"{', '.join(enc.BACKBONES)}")
+        if self.heads not in enc.HEADS:
+            raise ValueError(f"unknown heads {self.heads!r}; choose from "
+                             f"{', '.join(enc.HEADS)}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
+        if self.total_steps < 1:
+            raise ValueError(f"total_steps must be >= 1, got {self.total_steps}")
+
     def backbone_config(self) -> enc.BackboneConfig:
         return enc.BACKBONES[self.backbone]
 
     def head_config(self) -> enc.HeadConfig:
         return enc.HEADS[self.heads]
 
-    def augment_params(self) -> tuple[AugmentParams, AugmentParams]:
-        p = cifar_augment_params(view_size=self.backbone_config().image_size)
-        return p, p
+    def augment_params(self) -> AugmentParams:
+        """The augmentation both crop branches share."""
+        return cifar_augment_params(view_size=self.backbone_config().image_size)
 
 
 def smoke_config(**overrides) -> TrainConfig:
@@ -216,18 +229,12 @@ def train_step(state: TrainState, batch_records, dump_path=None) -> float:
     cfg = state.config
     bb = cfg.backbone_config()
     hc = cfg.head_config()
-    t1, t2 = cfg.augment_params()
-    pix1, pix2, grids1, grids2 = [], [], [], []
-    for rec in batch_records:
-        v1, c1 = augment(rec, t1, state.rng)
-        v2, c2 = augment(rec, t2, state.rng)
-        pix1.append(v1)
-        pix2.append(v2)
-        grids1.append(PatchGrid(crop=c1, patch_size=bb.patch_size))
-        grids2.append(PatchGrid(crop=c2, patch_size=bb.patch_size))
-    pix1 = np.stack(pix1)
-    pix2 = np.stack(pix2)
-    views1, views2 = _sample_views(state, grids1, grids2)
+    # record-major: record b's crop-1 view, then its crop-2 view
+    pix, crops = augment_batch([rec for rec in batch_records for _ in (1, 2)],
+                               cfg.augment_params(), state.rng)
+    pix1, pix2 = pix[0::2], pix[1::2]
+    grids = [PatchGrid(crop=c, patch_size=bb.patch_size) for c in crops]
+    views1, views2 = _sample_views(state, grids[0::2], grids[1::2])
 
     branch = []          # (q, z_for_targets, cache, branch_id)
     for idx in views1:

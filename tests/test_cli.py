@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,25 @@ class TestTrainAndProbe:
         run_cli("train", "--config", cfg, "--out", str(out_b), "--seed", "9")
         assert (out_a / "metrics.csv").read_bytes() \
             == (out_b / "metrics.csv").read_bytes()
+
+    @pytest.mark.parametrize("line,message", [
+        ("backbone = bogus", "unknown backbone 'bogus'"),
+        ("heads = bogus", "unknown heads 'bogus'"),
+        ("batch = 0", "batch size must be >= 1"),
+        ("total_steps = 0", "total_steps must be >= 1"),
+    ])
+    def test_bad_train_config_fails_closed(self, tmp_path, capsys, line,
+                                           message):
+        cfg = tmp_path / "bad.ini"
+        key = line.split(" = ")[0]
+        good = open(self.write_train_config(tmp_path)).read()
+        cfg.write_text(re.sub(rf"^{key} = .*$", line, good, flags=re.M))
+        out = tmp_path / "out"
+        assert run_cli("train", "--config", str(cfg), "--out", str(out)) != 0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
 
     def test_probe_without_checkpoint_fails(self, tmp_path):
         assert run_cli("probe", "--out", str(tmp_path / "o")) != 0

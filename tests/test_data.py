@@ -1,10 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
-from asympatch.data import (AugmentParams, augment,
+from asympatch.data import (AugmentParams, _luma, _sample_crop_rect,
+                            _shift_hue, augment, augment_batch,
                             cifar_augment_params, identity_augment_params,
                             imagenet_augment_params, load_cifar,
                             synth_dataset, synth_manifest)
+from asympatch.geometry import CropBox
 
 
 def write_cifar(path, records):
@@ -180,3 +185,130 @@ class TestAugment:
             AugmentParams(view_size=16, area_range=(0.0, 1.0))
         with pytest.raises(ValueError):
             AugmentParams(view_size=16, flip_prob=1.5)
+
+
+# ---------------------------------------------------------------------------
+# one-view reference: the plain per-image augmentation that augment_batch
+# must reproduce bit for bit
+
+def _resize_bilinear(src, rect, view_size, flip):
+    h_img, w_img = src.shape[:2]
+    sx = (rect.x1 - rect.x0) / view_size
+    sy = (rect.y1 - rect.y0) / view_size
+    u = np.arange(view_size) + 0.5
+    if flip:
+        xs = rect.x0 + (view_size - u) * sx
+    else:
+        xs = rect.x0 + u * sx
+    ys = rect.y0 + u * sy
+    xi = np.clip(xs - 0.5, 0.0, w_img - 1.0)
+    yi = np.clip(ys - 0.5, 0.0, h_img - 1.0)
+    x0 = np.floor(xi).astype(int)
+    y0 = np.floor(yi).astype(int)
+    x1 = np.minimum(x0 + 1, w_img - 1)
+    y1 = np.minimum(y0 + 1, h_img - 1)
+    fx = (xi - x0)[None, :, None]
+    fy = (yi - y0)[:, None, None]
+    top = src[y0][:, x0] * (1.0 - fx) + src[y0][:, x1] * fx
+    bot = src[y1][:, x0] * (1.0 - fx) + src[y1][:, x1] * fx
+    return top * (1.0 - fy) + bot * fy
+
+
+def _color_ops(view, params, rng):
+    x = view
+    if params.jitter_prob > 0.0:
+        if rng.random() < params.jitter_prob and params.brightness > 0.0:
+            f = rng.uniform(1.0 - params.brightness, 1.0 + params.brightness)
+            x = np.clip(x * f, 0.0, 1.0)
+        if rng.random() < params.jitter_prob and params.contrast > 0.0:
+            f = rng.uniform(1.0 - params.contrast, 1.0 + params.contrast)
+            mean = _luma(x).mean()
+            x = np.clip((x - mean) * f + mean, 0.0, 1.0)
+        if rng.random() < params.jitter_prob and params.saturation > 0.0:
+            f = rng.uniform(1.0 - params.saturation, 1.0 + params.saturation)
+            l = _luma(x)[..., None]
+            x = np.clip((x - l) * f + l, 0.0, 1.0)
+        if rng.random() < params.jitter_prob and params.hue > 0.0:
+            shift = rng.uniform(-params.hue, params.hue)
+            x = _shift_hue(x, shift)
+    if params.grayscale_prob > 0.0 and rng.random() < params.grayscale_prob:
+        x = np.repeat(_luma(x)[..., None], 3, axis=2)
+    if params.blur_prob > 0.0 and rng.random() < params.blur_prob:
+        sigma = rng.uniform(*params.blur_sigma)
+        x = np.stack([ndimage.gaussian_filter(x[..., c], sigma)
+                      for c in range(3)], axis=2)
+        x = np.clip(x, 0.0, 1.0)
+    if params.solarize_prob > 0.0 and rng.random() < params.solarize_prob:
+        x = np.where(x >= params.solarize_threshold, 1.0 - x, x)
+    return x
+
+
+def reference_augment(record, params, rng):
+    src = np.asarray(record.pixels, dtype=float)
+    h_img, w_img = src.shape[:2]
+    rect = _sample_crop_rect(w_img, h_img, params, rng)
+    flip = bool(rng.random() < params.flip_prob)
+    view = _resize_bilinear(src, rect, params.view_size, flip)
+    view = _color_ops(view, params, rng)
+    box = CropBox(rect=rect, flip=flip, view_size=params.view_size,
+                  source_size=(float(w_img), float(h_img)))
+    return view, box
+
+
+def _every_gate_fires(view_size):
+    t1, _ = imagenet_augment_params(view_size)
+    return replace(t1, jitter_prob=1.0, grayscale_prob=1.0, blur_prob=1.0,
+                   solarize_prob=1.0)
+
+
+BATCH_PRESETS = {
+    "cifar": cifar_augment_params(16),
+    "cifar-down": cifar_augment_params(8),
+    "imagenet-view1": imagenet_augment_params(16)[0],
+    "imagenet-view2": imagenet_augment_params(16)[1],
+    "every-gate": _every_gate_fires(16),
+}
+
+
+class TestAugmentBatch:
+    @pytest.mark.parametrize("name", sorted(BATCH_PRESETS))
+    def test_matches_one_view_reference_bit_for_bit(self, name):
+        params = BATCH_PRESETS[name]
+        records = synth_dataset(12, 2, 16, seed=13)
+        rng_ref = np.random.default_rng(21)
+        rng_batch = np.random.default_rng(21)
+        rng_one = np.random.default_rng(21)
+        ref = [reference_augment(r, params, rng_ref) for r in records]
+        views, boxes = augment_batch(records, params, rng_batch)
+        one = [augment(r, params, rng_one) for r in records]
+        expect = np.stack([v for v, _ in ref])
+        assert views.shape == expect.shape
+        assert views.tobytes() == expect.tobytes()
+        assert boxes == [b for _, b in ref]
+        assert np.stack([v for v, _ in one]).tobytes() == expect.tobytes()
+        assert [b for _, b in one] == boxes
+        state = rng_ref.bit_generator.state
+        assert rng_batch.bit_generator.state == state
+        assert rng_one.bit_generator.state == state
+
+    def test_binary_record_layout_matches_reference(self, tmp_path):
+        # load_cifar pixels are plane-major in memory; the result must not
+        # depend on the source layout
+        rng = np.random.default_rng(3)
+        path = tmp_path / "batch.bin"
+        write_cifar(path, [(i % 10, *rng.integers(0, 256, (3, PLANE)).tolist())
+                           for i in range(6)])
+        records = load_cifar(path)
+        params = _every_gate_fires(32)
+        ref = [reference_augment(r, params, np.random.default_rng(i))
+               for i, r in enumerate(records)]
+        for i, r in enumerate(records):
+            views, boxes = augment_batch([r], params, np.random.default_rng(i))
+            assert views[0].tobytes() == ref[i][0].tobytes()
+            assert boxes[0] == ref[i][1]
+
+    def test_mixed_source_sizes_rejected(self):
+        records = synth_dataset(1, 1, 16, seed=0) + synth_dataset(1, 1, 32, seed=0)
+        with pytest.raises(ValueError):
+            augment_batch(records, cifar_augment_params(16),
+                          np.random.default_rng(0))

@@ -3,10 +3,39 @@ import pytest
 from conftest import fd_gradient, micro_batch, micro_model, rel_err, sample_coords
 
 from asympatch.encoder import (BACKBONES, HEADS, BackboneConfig, HeadConfig,
+                               _block_backward, _block_forward,
+                               attention_backward, attention_forward,
                                backward_branch, encode, encode_backward,
-                               forward_branch, init_params, patchify,
-                               patchify_backward, predict, project,
-                               sincos_position_table)
+                               forward_branch, init_params, layernorm_backward,
+                               layernorm_forward, patchify, patchify_backward,
+                               predict, project, sincos_position_table)
+
+
+def full_block_encode(cfg, params, tokens):
+    """Reference encoder: every token queries in every block, and the final
+    norm runs on all rows before the class token is picked."""
+    x = tokens
+    caches = []
+    for i in range(cfg.n_blocks):
+        x, c = _block_forward(cfg, params, f"blocks.{i}", x)
+        caches.append(c)
+    out, ln_c = layernorm_forward(x, params["norm.g"], params["norm.b"])
+    return out[:, 0, :], (caches, ln_c, tokens.shape)
+
+
+def full_block_encode_backward(cfg, drep, cache):
+    caches, ln_c, shape = cache
+    dout = np.zeros(shape)
+    dout[:, 0, :] = drep
+    grads = {}
+    dx, grads["norm.g"], grads["norm.b"] = layernorm_backward(dout, ln_c)
+    for i in reversed(range(cfg.n_blocks)):
+        dx = _block_backward(cfg, f"blocks.{i}", dx, caches[i], grads)
+    return dx, grads
+
+
+def max_rel(a, b):
+    return float(np.abs(a - b).max() / np.abs(b).max())
 
 
 class TestConfigs:
@@ -117,6 +146,70 @@ class TestEncode:
         tokens, _ = patchify(bb, params, pixels, indices)
         with pytest.raises(FloatingPointError, match="block 2"):
             encode(bb, params, tokens)
+
+
+class TestClassTokenLastBlock:
+    @pytest.mark.parametrize("bb", [
+        BACKBONES["vit-micro"],
+        # the vit-tiny-2 shape, cut to 3 blocks
+        BackboneConfig(patch_size=2, n_blocks=3, n_heads=3, token_dim=192,
+                       image_size=32),
+    ], ids=["vit-micro", "vit-tiny-3-blocks"])
+    def test_matches_full_block_reference(self, bb):
+        params, _ = init_params(bb, HEADS["micro"], np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        tokens = rng.normal(size=(4, 1 + bb.n_patches // 4, bb.token_dim))
+        drep = rng.normal(size=(4, bb.token_dim))
+        rep, cache = encode(bb, params, tokens)
+        rep_ref, cache_ref = full_block_encode(bb, params, tokens)
+        assert max_rel(rep, rep_ref) < 1e-12
+        dtok, grads = encode_backward(bb, drep, cache)
+        dtok_ref, grads_ref = full_block_encode_backward(bb, drep, cache_ref)
+        assert max_rel(dtok, dtok_ref) < 1e-12
+        assert sorted(grads) == sorted(grads_ref)
+        for name in grads_ref:
+            assert max_rel(grads[name], grads_ref[name]) < 1e-12, name
+
+    def test_one_query_row_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(9)
+        batch, length, dim, heads = 3, 5, 8, 2
+        p = {
+            "x": rng.normal(size=(batch, length, dim)),
+            "w_qkv": rng.normal(size=(dim, 3 * dim)) * 0.5,
+            "b_qkv": rng.normal(size=3 * dim) * 0.5,
+            "w_out": rng.normal(size=(dim, dim)) * 0.5,
+            "b_out": rng.normal(size=dim) * 0.5,
+        }
+        probe = rng.normal(size=(batch, 1, dim))
+
+        def run(q):
+            return attention_forward(q["x"], q["w_qkv"], q["b_qkv"],
+                                     q["w_out"], q["b_out"], heads, 1)
+
+        out, cache = run(p)
+        assert out.shape == (batch, 1, dim)
+        dx, dw_qkv, db_qkv, dw_out, db_out = attention_backward(probe, cache,
+                                                                heads)
+        grads = {"x": dx, "w_qkv": dw_qkv, "b_qkv": db_qkv, "w_out": dw_out,
+                 "b_out": db_out}
+        value = lambda q: float((run(q)[0] * probe).sum())
+        coords = {
+            # the querying row and a key/value-only row
+            "x": [(1, 0, 3), (2, 0, 6), (0, 3, 1), (2, 4, 5)],
+            # query, key and value columns
+            "w_qkv": [(2, 1), (5, dim + 3), (7, 2 * dim + 4)],
+            "b_qkv": [(0,), (dim + 6,), (2 * dim + 1,)],
+            "w_out": [(3, 4)],
+            "b_out": [(2,)],
+        }
+        worst = 0.0
+        for name, cs in coords.items():
+            for coord in cs:
+                fd = fd_gradient(value, p, name, coord)
+                worst = max(worst, rel_err(fd, grads[name][coord]))
+        assert worst < 1e-4
+        # rows past the query get gradient only through keys and values
+        assert dx[:, 1:].any()
 
 
 class TestHeads:

@@ -115,6 +115,21 @@ class TestTrainStep:
         assert not np.array_equal(online, target)   # target lags the online
         assert all(np.isfinite(l) for l in losses)
 
+    def test_golden_losses_pin_the_draw_order(self):
+        # criterion 8's tiny run; any change to the order or number of the
+        # generator's draws (batch pick, crops, flips, colour, sampling)
+        # moves these values far beyond float reassociation noise
+        cfg = TrainConfig(
+            backbone="vit-micro", heads="micro",
+            dataset=DatasetSpec(kind="synthetic", n_classes=2, n_per_class=16,
+                                image_size=16, seed=3),
+            sampler=SamplerConfig(), batch_size=8, warmup_steps=1,
+            total_steps=3, seed=21,
+        )
+        _, losses = run_steps(cfg, 3)
+        golden = [2.7506799652145997, 3.169045013736575, 1.3601178431646608]
+        assert losses == pytest.approx(golden, rel=1e-9)
+
     def test_non_finite_loss_aborts_with_dump(self, tmp_path, monkeypatch):
         cfg = tiny_config()
         state = init_train_state(cfg)
