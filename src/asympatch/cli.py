@@ -16,6 +16,7 @@ import argparse
 import configparser
 import os
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -64,7 +65,12 @@ def load_config(path, section: str) -> dict:
     parser = configparser.ConfigParser()
     parser.optionxform = str
     with open(path) as fh:
-        parser.read_file(fh)
+        try:
+            parser.read_file(fh)
+        except configparser.Error as exc:
+            # configparser messages span lines; the CLI prints exactly one
+            raise UsageError(f"bad config file: {' '.join(str(exc).split())}") \
+                from exc
     schema = SCHEMAS[section]
     for sec in parser.sections():
         if sec not in SCHEMAS:
@@ -146,12 +152,15 @@ def cmd_analyze(args) -> int:
         raise UsageError("density_points must be at least 2")
     seed = args.seed if args.seed is not None else 0
 
+    start = time.perf_counter()
     reports = [asymmetry.monte_carlo_overlap(
         "naive", s1, s2, 0.0, "identical", grid, trials, seed=seed)]
     for i, gamma in enumerate(gammas):
         reports.append(asymmetry.monte_carlo_overlap(
             "selective", s1, s2, gamma, crop_model, grid, trials,
             seed=seed + 1 + i))
+    elapsed = time.perf_counter() - start
+    n_trials = trials * len(reports)
 
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "analyze_report.csv"), "w") as fh:
@@ -166,6 +175,9 @@ def cmd_analyze(args) -> int:
             for r, p in zip(rs, dens):
                 fh.write(f"{gamma!r},{s1!r},{r!r},{p!r}\n")
     print(asymmetry.reports_to_table(reports), end="")
+    # wall-clock, so stdout only: the report files stay byte-deterministic
+    print(f"{n_trials} trials in {elapsed:.2f} s "
+          f"({elapsed / n_trials * 1e6:.1f} µs/trial)")
     return 0
 
 

@@ -454,6 +454,10 @@ def checkpoint_load(path) -> TrainState:
     arrays, meta = load_arrays(path)
     if meta.get("kind") != "train_state":
         raise CheckpointError(f"{path} is not a training checkpoint")
+    missing = [k for k in ("config", "step", "opt_step", "clip", "rng_state")
+               if k not in meta]
+    if missing:
+        raise CheckpointError(f"{path}: training checkpoint lacks {missing}")
     config = config_from_meta(meta["config"])
     params = {k[len("params."):]: v for k, v in arrays.items()
               if k.startswith("params.")}

@@ -1,8 +1,15 @@
 """Shared helpers: finite-difference oracles and deterministic fixtures."""
 
 import numpy as np
+from hypothesis import settings
 
 from asympatch.encoder import BACKBONES, HEADS, init_params
+
+# property tests replay the same examples on every run: tier-1 stays
+# deterministic and nothing is written to a local example database
+settings.register_profile("tier1", derandomize=True, database=None,
+                          deadline=None, max_examples=200)
+settings.load_profile("tier1")
 
 
 def rel_err(a, b, floor=1e-6):

@@ -1,12 +1,134 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate
 
-from asympatch.asymmetry import (AsymmetryReport, expected_overlap_naive,
+from asympatch import asymmetry
+from asympatch.asymmetry import (DEFAULT_AREA_RANGE, DEFAULT_ASPECT_RANGE,
+                                 AsymmetryReport, expected_overlap_naive,
                                  expected_overlap_selective,
                                  mechanism_expectation, monte_carlo_overlap,
                                  pdf_normalization, reports_to_csv,
                                  reports_to_table, selective_density)
+from asympatch.sampling import weighted_sample_without_replacement
+
+
+# ---------------------------------------------------------------------------
+# whole-chunk reference: the Monte Carlo kernel before it was tiled. Every
+# intermediate spans the whole chunk; the tiled kernel must match it byte for
+# byte.
+
+def _reference_simulate(strategy, s1, s2, gamma, crop_model, grid_size,
+                        trials, seed, chunk):
+    n = int(grid_size)
+    big_n = n * n
+    k1 = int(np.floor(s1 * big_n + 0.5))
+    k2 = int(np.floor(s2 * big_n + 0.5))
+    seq = np.random.SeedSequence(seed)
+    n_chunks = (trials + chunk - 1) // chunk
+    streams = [np.random.default_rng(s) for s in seq.spawn(n_chunks)]
+    out = np.empty(trials)
+    done = 0
+    for rng in streams:
+        c = min(chunk, trials - done)
+        r = _reference_chunk_profiles(rng, c, n, k1, crop_model)
+        if strategy == "naive":
+            sel = _reference_uniform_masks(rng, c, big_n, k2)
+            vals = (r * sel).sum(axis=1) / big_n
+        elif strategy == "selective":
+            w = np.power(1.0 - r, gamma)
+            keys = np.full((c, big_n), np.inf)
+            pos = w > 0.0
+            keys[pos] = rng.standard_exponential(int(pos.sum())) / w[pos]
+            enough = pos.sum(axis=1) >= k2
+            take = np.argpartition(keys, k2 - 1, axis=1)[:, :k2]
+            vals = np.take_along_axis(r, take, axis=1).sum(axis=1) / big_n
+            for i in np.flatnonzero(~enough):
+                idx = weighted_sample_without_replacement(w[i], k2, rng)
+                vals[i] = r[i, idx].sum() / big_n
+        else:
+            w = np.power(1.0 - r, gamma)
+            vals = k2 * (w * r).sum(axis=1) / w.sum(axis=1) / big_n
+        out[done:done + c] = vals
+        done += c
+    return out
+
+
+def _reference_chunk_profiles(rng, c, n, k1, crop_model):
+    side = 32.0
+    if crop_model == "identical":
+        x0a = np.zeros(c); y0a = np.zeros(c)
+        wa = np.full(c, side); ha = np.full(c, side)
+        x0b, y0b, wb, hb = x0a, y0a, wa, ha
+    else:
+        x0a, y0a, wa, ha = asymmetry._random_crops(
+            rng, c, side, DEFAULT_AREA_RANGE, DEFAULT_ASPECT_RANGE)
+        x0b, y0b, wb, hb = asymmetry._random_crops(
+            rng, c, side, DEFAULT_AREA_RANGE, DEFAULT_ASPECT_RANGE)
+    j = np.arange(n)
+    xs1 = x0a[:, None] + j * (wa[:, None] / n)
+    ys1 = y0a[:, None] + j * (ha[:, None] / n)
+    xs2 = x0b[:, None] + j * (wb[:, None] / n)
+    ys2 = y0b[:, None] + j * (hb[:, None] / n)
+    ox = _reference_pair_overlap(xs2, wb / n, xs1, wa / n)
+    oy = _reference_pair_overlap(ys2, hb / n, ys1, ha / n)
+    m = _reference_uniform_masks(rng, c, n * n, k1).reshape(c, n, n)
+    areas = (oy @ m) @ np.swapaxes(ox, 1, 2)
+    patch2 = (wb / n) * (hb / n)
+    return np.clip(areas / patch2[:, None, None], 0.0, 1.0).reshape(c, n * n)
+
+
+def _reference_pair_overlap(starts2, len2, starts1, len1):
+    lo = np.maximum(starts2[:, :, None], starts1[:, None, :])
+    hi = np.minimum((starts2 + len2[:, None])[:, :, None],
+                    (starts1 + len1[:, None])[:, None, :])
+    return np.clip(hi - lo, 0.0, None)
+
+
+def _reference_uniform_masks(rng, c, big_n, k):
+    u = rng.random((c, big_n))
+    part = np.argpartition(u, k - 1, axis=1)[:, :k]
+    m = np.zeros((c, big_n))
+    np.put_along_axis(m, part, 1.0, axis=1)
+    return m
+
+
+# (strategy, s1, s2, gamma, crop_model, grid, trials, chunk): every strategy
+# and crop model, grids 8/16/32, partial last chunks, a case where every
+# selective row has fewer than k2 positive weights and takes the padding
+# path, and one where about a third of the rows do (a padded row's value
+# does not depend on its draws, but the rows drawn after it do)
+KERNEL_CASES = [
+    ("naive", 0.25, 0.25, 0.0, "identical", 16, 1500, 1024),
+    ("naive", 0.25, 0.25, 0.0, "random", 32, 700, 512),
+    ("selective", 0.25, 0.25, 3.0, "random", 32, 700, 512),
+    ("selective", 0.25, 0.25, 0.0, "random", 8, 5000, 4096),
+    ("selective", 0.3, 0.2, 1.0, "random", 16, 1300, 1024),
+    ("selective", 0.25, 0.25, 3.0, "identical", 16, 600, 512),
+    ("selective", 0.75, 0.5, 3.0, "identical", 8, 300, 256),
+    ("mean-field", 0.25, 0.25, 3.0, "random", 32, 700, 512),
+    ("selective", 1.0, 0.6, 2.0, "random", 8, 700, 512),
+]
+
+
+def _tiled(case, monkeypatch=None, rows=None):
+    strategy, s1, s2, gamma, crop_model, grid, trials, chunk = case
+    if rows is not None:
+        monkeypatch.setattr(asymmetry, "_TILE_CELLS", rows * grid * grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return asymmetry._simulate_pair_overlaps(
+            strategy, s1, s2, gamma, crop_model, grid, trials, 11, chunk,
+            DEFAULT_AREA_RANGE, DEFAULT_ASPECT_RANGE)
+
+
+def _reference(case):
+    strategy, s1, s2, gamma, crop_model, grid, trials, chunk = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return _reference_simulate(strategy, s1, s2, gamma, crop_model, grid,
+                                   trials, 11, chunk)
 
 
 class TestClosedForms:
@@ -154,3 +276,29 @@ class TestMonteCarlo:
             monte_carlo_overlap("naive", 0.25, 0.25, 0.0, "diagonal", 16, 5000)
         with pytest.raises(ValueError):
             monte_carlo_overlap("naive", 0.25, 0.25, 0.0, "identical", 16, 10)
+
+
+class TestTiledKernel:
+    @pytest.mark.parametrize("case", KERNEL_CASES, ids=lambda c: "-".join(
+        str(v) for v in (c[0], c[4], c[5], c[3])))
+    def test_bytes_match_whole_chunk_reference(self, case):
+        assert _tiled(case).tobytes() == _reference(case).tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 100, 4096])
+    @pytest.mark.parametrize("case", [KERNEL_CASES[1], KERNEL_CASES[2],
+                                      KERNEL_CASES[6], KERNEL_CASES[8]],
+                             ids=["naive", "selective", "padded", "some-padded"])
+    def test_tile_height_never_moves_a_value(self, case, rows, monkeypatch):
+        expected = _reference(case).tobytes()
+        assert _tiled(case, monkeypatch, rows).tobytes() == expected
+
+    @pytest.mark.parametrize("case,low,high", [(KERNEL_CASES[6], 1.0, 1.0),
+                                               (KERNEL_CASES[8], 0.2, 0.5)],
+                             ids=["padded", "some-padded"])
+    def test_padded_cases_reach_the_fallback(self, case, low, high):
+        strategy, s1, s2, gamma, crop_model, grid, trials, chunk = case
+        with pytest.warns(RuntimeWarning, match="padding") as record:
+            asymmetry._simulate_pair_overlaps(
+                strategy, s1, s2, gamma, crop_model, grid, trials, 11, chunk,
+                DEFAULT_AREA_RANGE, DEFAULT_ASPECT_RANGE)
+        assert low <= len(record) / trials <= high

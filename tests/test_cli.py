@@ -1,9 +1,24 @@
+import hashlib
 import re
+import struct
 
 import numpy as np
 import pytest
 
 from asympatch.cli import main, read_ppm, write_ppm
+from asympatch.serialize import MAGIC, VERSION
+
+GOLDEN_ANALYZE_CSV = """\
+strategy,crop_model,s1,s2,gamma,grid,trials,analytic,estimate,std_error
+naive,identical,0.25,0.25,0.0,32,8192,0.0625,0.06255447864532471,6.518579410733891e-05
+selective,random,0.25,0.25,0.0,32,8192,0.03125,0.04216327995917135,0.00018238069173739943
+selective,random,0.25,0.25,1.0,32,8192,0.020833333333333332,0.021847613343549448,8.7664684117096e-05
+selective,random,0.25,0.25,2.0,32,8192,0.015625,0.014304021568880453,6.021478573088665e-05
+selective,random,0.25,0.25,3.0,32,8192,0.0125,0.010153294751191989,4.513045029279988e-05
+selective,random,0.25,0.25,4.0,32,8192,0.010416666666666666,0.007654425039064735,3.5064692769352126e-05
+"""
+GOLDEN_ANALYZE_TXT_SHA256 = (
+    "955d7a5a69bf8ded624fa7f7f79572d09387b8506126d44ea1403c2afc53df6f")
 
 
 def run_cli(*argv):
@@ -67,6 +82,33 @@ class TestAnalyze:
         cfg = self.write_config(tmp_path, "[analyze]\nbogus_knob = 3\n")
         assert run_cli("analyze", "--config", cfg,
                        "--out", str(tmp_path / "o")) != 0
+
+    @pytest.mark.parametrize("body", [
+        "trials = 2000\n",
+        "[analyze]\ntrials = 2000\n[analyze]\ngrid = 8\n",
+    ], ids=["no-section-header", "duplicate-section"])
+    def test_malformed_config_one_error_line(self, tmp_path, capsys, body):
+        cfg = self.write_config(tmp_path, body)
+        out = tmp_path / "o"
+        assert run_cli("analyze", "--config", cfg, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad config file") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_golden_default_report(self, tmp_path, capsys):
+        # default analyze at seed 0 with 8192 trials (two full chunks per
+        # configuration); bytes recorded before the kernel was tiled
+        cfg = self.write_config(tmp_path, "[analyze]\ntrials = 8192\n")
+        out = tmp_path / "out"
+        assert run_cli("analyze", "--config", cfg, "--out", str(out),
+                       "--seed", "0") == 0
+        assert (out / "analyze_report.csv").read_text() == GOLDEN_ANALYZE_CSV
+        assert hashlib.sha256((out / "analyze_report.txt").read_bytes()) \
+            .hexdigest() == GOLDEN_ANALYZE_TXT_SHA256
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert re.fullmatch(r"49152 trials in \d+\.\d\d s "
+                            r"\(\d+\.\d µs/trial\)", last)
+        assert "trials in" not in (out / "analyze_report.txt").read_text()
 
     def test_unknown_section_rejected(self, tmp_path):
         cfg = self.write_config(tmp_path, "[mystery]\nx = 1\n")
@@ -180,6 +222,17 @@ class TestTrainAndProbe:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
         assert not out.exists()
+
+    def test_probe_empty_checkpoint_header_fails_closed(self, tmp_path, capsys):
+        header = b"{}"
+        path = tmp_path / "empty.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<I", VERSION)
+                         + struct.pack("<Q", len(header)) + header)
+        assert run_cli("probe", "--checkpoint", str(path),
+                       "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "header" in err
 
     def test_probe_without_checkpoint_fails(self, tmp_path):
         assert run_cli("probe", "--out", str(tmp_path / "o")) != 0

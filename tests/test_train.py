@@ -6,7 +6,7 @@ from asympatch.encoder import forward_branch
 from asympatch.geometry import PatchGrid, full_image_crop
 from asympatch.objective import MultiviewLossResult, contrastive_loss, multiview_loss
 from asympatch.sampling import SamplerConfig, sample_sparse
-from asympatch.serialize import CheckpointError
+from asympatch.serialize import CheckpointError, load_arrays, save_arrays
 from asympatch.train import (DatasetSpec, TrainConfig, checkpoint_load,
                              checkpoint_save, cifar_config, clip_group_of,
                              init_train_state, knn_probe, load_dataset,
@@ -236,6 +236,18 @@ class TestCheckpointing:
         (tmp_path / "junk.ckpt").write_bytes(b"not a checkpoint")
         with pytest.raises(CheckpointError):
             checkpoint_load(tmp_path / "junk.ckpt")
+
+    @pytest.mark.parametrize("key", ["config", "step", "opt_step", "clip",
+                                     "rng_state"])
+    def test_missing_meta_key_fails_closed(self, tmp_path, key):
+        state, _ = run_steps(tiny_config(), 1)
+        path = tmp_path / "x.ckpt"
+        checkpoint_save(state, path)
+        arrays, meta = load_arrays(path)
+        del meta[key]
+        save_arrays(path, arrays, meta)
+        with pytest.raises(CheckpointError, match=key):
+            checkpoint_load(path)
 
     def test_run_training_writes_artifacts(self, tmp_path):
         cfg = tiny_config(total_steps=4, checkpoint_every=2)
