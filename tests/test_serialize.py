@@ -198,7 +198,12 @@ _JSON = st.recursive(
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(max_size=8), inner, max_size=4),
     max_leaves=12)
-_FIELD = st.sampled_from(["name", "dtype", "shape", "offset", "nbytes"])
+# manifest entries whose fields are often plausible and sometimes junk
+_ENTRY = st.dictionaries(
+    st.sampled_from(["name", "dtype", "shape", "offset", "nbytes"]),
+    _JSON | st.sampled_from(["<f8", "|u1", "O", "S0", [2, 3], [0], 48, 0]))
+_HEADER = st.dictionaries(st.sampled_from(["arrays", "meta", "x"]),
+                          st.lists(_ENTRY, max_size=3) | _JSON)
 
 
 class TestUnpackFuzz:
@@ -221,10 +226,6 @@ class TestUnpackFuzz:
         cut = data.draw(st.integers(0, len(blob)))
         _unpack_fails_closed(bytes(blob[:cut]))
 
-    @given(st.dictionaries(st.sampled_from(["arrays", "meta", "x"]),
-                           st.lists(st.dictionaries(_FIELD, _JSON | st.sampled_from(
-                               ["<f8", "|u1", "O", "S0", [2, 3], [0], 48, 0])),
-                               max_size=3) | _JSON),
-           st.binary(max_size=64))
+    @given(_HEADER, st.binary(max_size=64))
     def test_arbitrary_header(self, header, payload):
         _unpack_fails_closed(blob_with_header(header, payload))
