@@ -14,7 +14,7 @@ from .asymmetry import (AsymmetryReport, expected_overlap_naive,
                         selective_density)
 from .data import (AugmentParams, ImageRecord, augment, augment_batch,
                    cifar_augment_params, identity_augment_params,
-                   imagenet_augment_params, load_cifar, synth_dataset)
+                   load_cifar, synth_dataset)
 from .encoder import (BACKBONES, HEADS, BackboneConfig, HeadConfig, encode,
                       forward_branch, backward_branch, init_params, patchify,
                       predict, project)
@@ -26,8 +26,8 @@ from .objective import (LossResult, MultiviewLossResult, contrastive_loss,
 from .optim import (AdamWState, ClipState, EmaSchedule, adamw_step,
                     clip_update, cosine_lr, momentum_encoder_update)
 from .sampling import (PatchIndexSet, SamplerConfig, overlap_profile,
-                       sample_multi_view, sample_selective,
-                       sample_selective_views, sample_sparse,
+                       random_crops, sample_multi_view, sample_selective,
+                       sample_selective_views, sample_sparse, sample_views,
                        selective_weights,
                        weighted_sample_without_replacement)
 from .serialize import CheckpointError, load_arrays, save_arrays

@@ -29,6 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
+from . import sampling
+
 CROP_MODELS = ("identical", "random")
 
 # random-resized-crop distribution used by the simulated views (CIFAR-style):
@@ -222,7 +224,7 @@ def _simulate_pair_overlaps(strategy, s1, s2, gamma, crop_model, grid_size,
         else np.random.SeedSequence(seed)
     n_chunks = (trials + chunk - 1) // chunk
     streams = [np.random.default_rng(s) for s in seq.spawn(n_chunks)]
-    work = _TileWork(max(1, _TILE_CELLS // big_n), n)
+    work = sampling.Workspace(max(1, _TILE_CELLS // big_n), n)
     out = np.empty(trials)
     done = 0
     for rng in streams:
@@ -233,24 +235,6 @@ def _simulate_pair_overlaps(strategy, s1, s2, gamma, crop_model, grid_size,
     return out
 
 
-class _TileWork:
-    """Work arrays for one row tile, reused by every tile of a call.
-
-    Fresh tile-sized arrays would be mapped and page-faulted again on each
-    tile; reusing these keeps the kernel on the same few megabytes.
-    """
-
-    def __init__(self, rows, n):
-        self.rows, self.n = rows, n
-        cells = (rows, n * n)
-        self.r, self.u, self.mask, self.w, self.keys = (
-            np.empty(cells) for _ in range(5))
-        self.ox, self.oy, self.lo, self.oym = (
-            np.empty((rows, n, n)) for _ in range(4))
-        self.pos = np.empty(cells, dtype=bool)
-        self.draws = np.empty(rows * n * n)
-
-
 def _simulate_chunk(out, rng, work, strategy, gamma, crop_model, k1, k2,
                     area_range, aspect_range):
     """Fill ``out`` with one chunk's pair overlaps, one row tile at a time.
@@ -259,7 +243,7 @@ def _simulate_chunk(out, rng, work, strategy, gamma, crop_model, k1, k2,
     depends on the tile height: both views' crops, the view-1 mask uniforms
     (``c * N`` doubles), the view-2 mask uniforms (naive only, another
     ``c * N``), the exponential keys of the positive weights in row-major
-    order (selective only), then the fallback draws of rows with fewer than
+    order (selective only), then the padding draws of rows with fewer than
     ``k2`` positive weights.
     """
     c = out.size
@@ -271,33 +255,27 @@ def _simulate_chunk(out, rng, work, strategy, gamma, crop_model, k1, k2,
     for a in range(0, c, work.rows):
         b = min(a + work.rows, c)
         t = b - a
-        r = _tile_profiles(box1[:, a:b], box2[:, a:b], u1, k1, work)
+        m = _uniform_masks(u1, k1, work, t)
+        r = sampling.overlap_profiles(box1[:, a:b], box2[:, a:b], m, work)
         if strategy == "naive":
-            r *= _uniform_masks(u2, k2, work.u[:t], work.mask[:t])
+            r *= _uniform_masks(u2, k2, work, t)
             out[a:b] = r.sum(axis=1) / big_n
             continue
-        w = np.subtract(1.0, r, out=work.w[:t])
-        np.power(w, gamma, out=w)
+        w = sampling.selective_weights(r, gamma, out=work.w[:t])
         if strategy == "selective":
-            pos = np.greater(w, 0.0, out=work.pos[:t])
-            n_pos = np.count_nonzero(pos, axis=1)
-            keys = work.keys[:t]
-            keys.fill(np.inf)
-            draws = work.draws[:int(n_pos.sum())]
-            np.place(keys, pos, rng.standard_exponential(out=draws))
-            np.divide(keys, w, out=keys, where=pos)
-            take = np.argpartition(keys, k2 - 1, axis=1)[:, :k2]
+            keys, n_pos = sampling.race_keys(w, rng, work)
+            take = sampling.rank_chunks(keys, k2)
             out[a:b] = np.take_along_axis(r, take, axis=1).sum(axis=1) / big_n
             for i in np.flatnonzero(n_pos < k2):
-                short.append((a + i, w[i].copy(), r[i].copy()))
+                short.append((a + i, keys[i].copy(), r[i].copy()))
         else:  # mean-field integration, no draw
             out[a:b] = k2 * (w * r).sum(axis=1) / w.sum(axis=1) / big_n
-    if short:
-        # rare degenerate rows: route through the padding policy
-        from .sampling import weighted_sample_without_replacement
-        for i, w_i, r_i in short:
-            idx = weighted_sample_without_replacement(w_i, k2, rng)
-            out[i] = r_i[idx].sum() / big_n
+    # rare degenerate rows: every positive-weight patch is kept, summed in
+    # index order, then the padding patches
+    for i, keys_i, r_i in short:
+        kept = np.flatnonzero(keys_i < np.inf)
+        pad = sampling.padded_race_order(keys_i, rng)[kept.size:k2]
+        out[i] = r_i[np.concatenate([kept, pad])].sum() / big_n
 
 
 def _fork(rng, skip):
@@ -320,80 +298,16 @@ def _chunk_crops(rng, c, crop_model, area_range, aspect_range):
         full = np.zeros((4, c))
         full[2:] = _SIDE
         return full, full
-    box1 = np.array(_random_crops(rng, c, _SIDE, area_range, aspect_range))
-    box2 = np.array(_random_crops(rng, c, _SIDE, area_range, aspect_range))
+    box1 = sampling.random_crops(rng, c, _SIDE, _SIDE, area_range, aspect_range)
+    box2 = sampling.random_crops(rng, c, _SIDE, _SIDE, area_range, aspect_range)
     return box1, box2
 
 
-def _tile_profiles(box1, box2, u1, k1, work):
-    """Overlap profiles of grid-2 patches vs the sampled view-1 union, (t, N).
-
-    ``box1``/``box2`` are (4, t) crop boxes; the view-1 masks draw their
-    uniforms from ``u1``. The result is a view of ``work.r``.
-    """
-    x0a, y0a, wa, ha = box1
-    x0b, y0b, wb, hb = box2
-    t, n = wa.size, work.n
-    j = np.arange(n)
-    xs1 = x0a[:, None] + j * (wa[:, None] / n)
-    ys1 = y0a[:, None] + j * (ha[:, None] / n)
-    xs2 = x0b[:, None] + j * (wb[:, None] / n)
-    ys2 = y0b[:, None] + j * (hb[:, None] / n)
-    lo = work.lo[:t]
-    ox = _pair_overlap(xs2, wb / n, xs1, wa / n, work.ox[:t], lo)  # t,c2,c1
-    oy = _pair_overlap(ys2, hb / n, ys1, ha / n, work.oy[:t], lo)  # t,r2,r1
-    m = _uniform_masks(u1, k1, work.u[:t], work.mask[:t]).reshape(t, n, n)
-    r = work.r[:t]
-    areas = r.reshape(t, n, n)                                     # t,r2,c2
-    np.matmul(np.matmul(oy, m, out=work.oym[:t]), np.swapaxes(ox, 1, 2),
-              out=areas)
-    areas /= ((wb / n) * (hb / n))[:, None, None]
-    np.clip(areas, 0.0, 1.0, out=areas)
-    return r
-
-
-def _pair_overlap(starts2, len2, starts1, len1, out, lo):
-    """Overlap lengths (t, n2, n1) of two grids' intervals, into ``out``."""
-    np.maximum(starts2[:, :, None], starts1[:, None, :], out=lo)
-    np.minimum((starts2 + len2[:, None])[:, :, None],
-               (starts1 + len1[:, None])[:, None, :], out=out)
-    out -= lo
-    np.maximum(out, 0.0, out=out)
-    return out
-
-
-def _uniform_masks(rng, k, u, mask):
-    """0/1 rows with ``k`` ones at uniformly random places, into ``mask``."""
-    rng.random(out=u)
-    part = np.argpartition(u, k - 1, axis=1)[:, :k]
-    mask.fill(0.0)
-    np.put_along_axis(mask, part, 1.0, axis=1)
-    return mask
-
-
-def _random_crops(rng, c, side, area_range, aspect_range):
-    """Vectorized random-resized-crop boxes with resample-then-fallback."""
-    lo, hi = area_range
-    alo, ahi = aspect_range
-    w = np.full(c, side * 0.9)
-    h = np.full(c, side * 0.9)
-    need = np.ones(c, dtype=bool)
-    for _ in range(10):
-        m = int(need.sum())
-        if m == 0:
-            break
-        area = rng.uniform(lo, hi, m) * side * side
-        ar = np.exp(rng.uniform(np.log(alo), np.log(ahi), m))
-        ww = np.sqrt(area * ar)
-        hh = np.sqrt(area / ar)
-        ok = (ww <= side) & (hh <= side)
-        rows = np.flatnonzero(need)[ok]
-        w[rows] = ww[ok]
-        h[rows] = hh[ok]
-        need[rows] = False
-    x0 = rng.random(c) * (side - w)
-    y0 = rng.random(c) * (side - h)
-    return x0, y0, w, h
+def _uniform_masks(uniforms, k, work, t):
+    """0/1 rows marking ``k`` uniformly random cells of each of ``t`` rows,
+    from the next ``t * N`` doubles of ``uniforms``; a view of ``work.mask``."""
+    u = uniforms.random(out=work.u[:t])
+    return sampling.index_masks(sampling.rank_chunks(u, k), work.mask[:t])
 
 
 def _check_ratio(name: str, value: float):

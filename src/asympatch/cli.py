@@ -22,10 +22,9 @@ from dataclasses import replace
 import numpy as np
 
 from . import asymmetry
-from .data import ImageRecord, cifar_augment_params, synth_dataset
-from .geometry import PatchGrid
-from .sampling import (SamplerConfig, overlap_profile, sample_selective,
-                       sample_sparse, selective_weights)
+from .data import (ImageRecord, augment_batch, cifar_augment_params,
+                   synth_dataset)
+from .sampling import SamplerConfig, sample_views
 from .train import (DatasetSpec, TrainConfig, checkpoint_load, knn_probe,
                     probe_split, load_dataset, run_training)
 
@@ -62,12 +61,14 @@ class UsageError(ValueError):
 
 def load_config(path, section: str) -> dict:
     """Parse one section of a flat key-value config file, fail-closed."""
-    parser = configparser.ConfigParser()
+    # the files are flat literal key = value text: a "%" is a character,
+    # not the start of an interpolation
+    parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             parser.read_file(fh)
-        except configparser.Error as exc:
+        except (configparser.Error, UnicodeDecodeError) as exc:
             # configparser messages span lines; the CLI prints exactly one
             raise UsageError(f"bad config file: {' '.join(str(exc).split())}") \
                 from exc
@@ -214,28 +215,28 @@ def cmd_demo(args) -> int:
                     cfg.get("area_hi", params.area_range[1])),
         jitter_prob=0.0, grayscale_prob=0.0,   # keep the geometry legible
     )
-    from .data import augment
-    view1, crop1 = augment(record, params, rng)
-    view2, crop2 = augment(record, params, rng)
-    grid1 = PatchGrid(crop=crop1, patch_size=patch)
-    grid2 = PatchGrid(crop=crop2, patch_size=patch)
-    set1 = sample_sparse(grid1, s1, rng)
-    profile = overlap_profile(set1, grid2)
-    weights = selective_weights(profile, gamma)
-    set2 = sample_selective(grid2, weights, s2, rng)
+    if patch < 1 or image_size % patch:
+        raise UsageError(f"patch {patch} does not tile the "
+                         f"{image_size}-pixel image")
+    n = image_size // patch
+    sampler = SamplerConfig(s1=s1, s2=s2, gamma=gamma, n_views=2)
+    (view1, view2), box, flip = augment_batch([record, record], params, rng)
+    (set1,), (set2,), profiles = sample_views(
+        rng, box[:, :1], box[:, 1:], n, sampler, flip[:1], flip[1:])
+    profile = profiles[0]
 
     os.makedirs(args.out, exist_ok=True)
     write_ppm(os.path.join(args.out, "crop1.ppm"), view1)
     write_ppm(os.path.join(args.out, "crop2.ppm"), view2)
-    mask1 = set1.mask().astype(float)
-    heat = profile.reshape(grid2.n_rows, grid2.n_cols)
-    mask2 = set2.mask().astype(float)
+    mask1, mask2 = (np.isin(np.arange(n * n), v[0]).reshape(n, n).astype(float)
+                    for v in (set1, set2))
+    heat = profile.reshape(n, n)
     write_ppm(os.path.join(args.out, "view1_mask.ppm"), _upscale(mask1, scale))
     write_ppm(os.path.join(args.out, "overlap_heat.ppm"), _upscale(heat, scale))
     write_ppm(os.path.join(args.out, "view2_mask.ppm"), _upscale(mask2, scale))
 
-    sel = np.array(set2.indices)
-    unsel = np.setdiff1d(np.arange(grid2.n_patches), sel)
+    sel = set2[0]
+    unsel = np.setdiff1d(np.arange(n * n), sel)
     print(f"selected mean overlap   {profile[sel].mean():.4f}")
     print(f"unselected mean overlap {profile[unsel].mean():.4f}" if unsel.size
           else "unselected mean overlap n/a")

@@ -11,19 +11,20 @@ alongside the pixels: patch-overlap geometry depends only on the crop rect
 and flip flag, never on color ops. Crop coordinates are continuous
 (sub-pixel); the identity configuration (full-image crop at native size, all
 probabilities zero) reproduces the source pixels exactly. ``augment_batch``
-makes many views at once: it takes the same draws in the same order as
-repeated ``augment`` calls, then does the pixel work in array ops over all
-views.
+makes many views at once: it draws every random quantity as an array over
+all views, crops from the shared law of :func:`asympatch.sampling.random_crops`,
+then does the pixel work in array ops; ``augment`` is its one-view call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
 from .geometry import CropBox, Rect
+from .sampling import random_crops
 
 CIFAR_RECORD_BYTES = 3073
 CIFAR_SIDE = 32
@@ -45,8 +46,7 @@ class AugmentParams:
     The CIFAR-style preset: crop area fraction in [0.15, 1.0], aspect ratio
     in [3/4, 4/3], flip 0.5, color jitter 0.8 with max intensities
     0.4/0.4/0.4/0.1 (brightness/contrast/saturation/hue), grayscale 0.2, no
-    blur, no solarization. The ImageNet-style presets add blur/solarization
-    and a 0.2 saturation cap behind the same fields.
+    blur, no solarization.
     """
 
     view_size: int
@@ -79,19 +79,6 @@ class AugmentParams:
 def cifar_augment_params(view_size: int = CIFAR_SIDE) -> AugmentParams:
     """Table of CIFAR augmentation parameters; views 1 and 2 share it."""
     return AugmentParams(view_size=view_size)
-
-
-def imagenet_augment_params(view_size: int = 224) -> tuple[AugmentParams, AugmentParams]:
-    """ImageNet-style (view-1, view-2) parameter pair: asymmetric blur and
-    solarization only on view 2."""
-    base = AugmentParams(
-        view_size=view_size,
-        area_range=(0.08, 1.0),
-        saturation=0.2,
-    )
-    t1 = replace(base, blur_prob=1.0)
-    t2 = replace(base, blur_prob=0.1, solarize_prob=0.2)
-    return t1, t2
 
 
 def identity_augment_params(view_size: int) -> AugmentParams:
@@ -189,82 +176,64 @@ def augment(record: ImageRecord, params: AugmentParams,
 
     All randomness flows through ``rng``. The returned box carries the crop
     rect in source coordinates, the flip flag, and the view size — exactly
-    what the sampler needs to evaluate patch-overlap geometry.
+    what the sampler needs to evaluate patch-overlap geometry. A one-view
+    call of :func:`augment_batch`.
     """
-    views, boxes = augment_batch([record], params, rng)
-    return views[0], boxes[0]
+    views, box, flip = augment_batch([record], params, rng)
+    x0, y0, w, h = (float(v) for v in box[:, 0])
+    h_img, w_img = np.shape(record.pixels)[:2]
+    return views[0], CropBox(rect=Rect(x0, y0, x0 + w, y0 + h),
+                             flip=bool(flip[0]), view_size=params.view_size,
+                             source_size=(float(w_img), float(h_img)))
 
 
 def augment_batch(sources, params: AugmentParams,
-                  rng: np.random.Generator) -> tuple[np.ndarray, list[CropBox]]:
-    """One augmented view of each source record, as ``(N, S, S, 3)`` pixels
-    plus one crop box per view.
+                  rng: np.random.Generator):
+    """One augmented view of each source record.
 
-    The draws are taken view by view, in source order, exactly as N calls
-    of :func:`augment` would take them: crop rect, flip, then the colour-op
-    gates and factors. No draw depends on pixel values, so the pixel work
-    then runs once for all views: one bilinear gather, and each colour op
-    applied to the views whose gate fired. Batching changes no bit: each
-    view equals what a one-view call with the same generator state gives.
-    All sources must share one image shape.
+    Returns ``(views, box, flip)``: ``(N, S, S, 3)`` pixels, the (4, N) crop
+    boxes x0, y0, w, h in source pixels, and the (N,) horizontal flips.
+    Every draw is an array over all N views, in this order: the crops
+    (:func:`~asympatch.sampling.random_crops`), N flip uniforms, then for
+    each colour op in application order whose probability (and jitter
+    amount) is positive, N gate uniforms and, for ops with a factor, N
+    factor uniforms. The pixel work runs in array ops over all views: one
+    bilinear gather, then each colour op on the views whose gate fired. All
+    sources must share one image shape.
     """
     src = np.stack([np.asarray(r.pixels, dtype=float) for r in sources])
     n, h_img, w_img = src.shape[:3]
-    size = params.view_size
-    rects, flips, ops = [], [], []
-    for _ in range(n):
-        rects.append(_sample_crop_rect(w_img, h_img, params, rng))
-        flips.append(bool(rng.random() < params.flip_prob))
-        ops.append(_draw_color_ops(params, rng))
-    x = _resize_bilinear_batch(src, rects, flips, size)
-    x = _apply_color_ops(x, ops, params)
-    source_size = (float(w_img), float(h_img))
-    boxes = [CropBox(rect=r, flip=f, view_size=size, source_size=source_size)
-             for r, f in zip(rects, flips)]
-    return x, boxes
+    box = random_crops(rng, n, w_img, h_img, params.area_range,
+                       params.aspect_range)
+    flip = rng.random(n) < params.flip_prob
+    x = _resize_bilinear_batch(src, box, flip, params.view_size)
+    for op in _COLOR_OPS:
+        prob, span = _op_law(params, op)
+        if prob > 0.0:
+            fired = np.flatnonzero(rng.random(n) < prob)
+            factor = None if span is None \
+                else rng.uniform(*span, n)[fired, None, None, None]
+            if fired.size:
+                x[fired] = _color_op(op, x[fired], factor, params)
+    return x, box, flip
 
 
-def _sample_crop_rect(w_img, h_img, params, rng) -> Rect:
-    lo, hi = params.area_range
-    alo, ahi = params.aspect_range
-    for _ in range(10):
-        area = rng.uniform(lo, hi) * w_img * h_img
-        ar = np.exp(rng.uniform(np.log(alo), np.log(ahi)))
-        w = np.sqrt(area * ar)
-        h = np.sqrt(area / ar)
-        if w < 1.0 or h < 1.0:
-            continue              # degenerate crop: resample
-        if w <= w_img and h <= h_img:
-            x0 = rng.uniform(0.0, w_img - w)
-            y0 = rng.uniform(0.0, h_img - h)
-            return Rect(x0, y0, x0 + w, y0 + h)
-    # fallback mirrors the usual random-resized-crop behavior: centered,
-    # clamped to the image
-    w = min(float(w_img), np.sqrt(hi * w_img * h_img))
-    h = min(float(h_img), w)
-    x0 = (w_img - w) / 2.0
-    y0 = (h_img - h) / 2.0
-    return Rect(x0, y0, x0 + w, y0 + h)
-
-
-def _resize_bilinear_batch(src: np.ndarray, rects, flips,
+def _resize_bilinear_batch(src: np.ndarray, box: np.ndarray, flip: np.ndarray,
                            view_size: int) -> np.ndarray:
-    """Sample each crop rect of ``src`` (N, H, W, 3) onto a view_size grid
-    with bilinear weights.
+    """Sample each crop box (x0, y0, w, h) of ``src`` (N, H, W, 3) onto a
+    view_size grid with bilinear weights.
 
     View pixel (u, v) shows source coordinate
-    ``x = x0 + (u + 0.5) * sx`` (mirrored when flipped), which makes the
-    identity configuration land exactly on pixel centers and reproduce the
-    source bit-for-bit.
+    ``x = x0 + (u + 0.5) * w / view_size`` (mirrored when flipped), which
+    makes the identity configuration land exactly on pixel centers and
+    reproduce the source bit-for-bit.
     """
     n, h_img, w_img = src.shape[:3]
-    box = np.array([(r.x0, r.y0, r.x1, r.y1) for r in rects]).reshape(n, 4, 1)
-    rx0, ry0, rx1, ry1 = box[:, 0], box[:, 1], box[:, 2], box[:, 3]
-    sx = (rx1 - rx0) / view_size
-    sy = (ry1 - ry0) / view_size
+    rx0, ry0, w, h = (v[:, None] for v in box)
+    sx = w / view_size
+    sy = h / view_size
     u = np.arange(view_size) + 0.5
-    xs = np.where(np.array(flips)[:, None],
-                  rx0 + (view_size - u) * sx, rx0 + u * sx)
+    xs = np.where(flip[:, None], rx0 + (view_size - u) * sx, rx0 + u * sx)
     ys = ry0 + u * sy
     # continuous coords -> pixel-index space, clamped at the borders
     xi = np.clip(xs - 0.5, 0.0, w_img - 1.0)
@@ -303,39 +272,20 @@ _JITTER_OPS = ("brightness", "contrast", "saturation", "hue")
 _COLOR_OPS = _JITTER_OPS + ("grayscale", "blur", "solarize")
 
 
-def _draw_color_ops(params: AugmentParams, rng: np.random.Generator) -> dict:
-    """The colour draws of one view: op name -> factor for each op whose
-    gate fired. Draw order: brightness, contrast, saturation, hue (each
-    gated independently), then grayscale, blur, solarize."""
-    fired = {}
-    if params.jitter_prob > 0.0:
-        for op in _JITTER_OPS:
-            amount = getattr(params, op)
-            if rng.random() < params.jitter_prob and amount > 0.0:
-                centre = 0.0 if op == "hue" else 1.0
-                fired[op] = rng.uniform(centre - amount, centre + amount)
-    if params.grayscale_prob > 0.0 and rng.random() < params.grayscale_prob:
-        fired["grayscale"] = 1.0
-    if params.blur_prob > 0.0 and rng.random() < params.blur_prob:
-        fired["blur"] = rng.uniform(*params.blur_sigma)
-    if params.solarize_prob > 0.0 and rng.random() < params.solarize_prob:
-        fired["solarize"] = 1.0
-    return fired
+def _op_law(params: AugmentParams, op: str):
+    """Gate probability and factor range (None: no factor) of a colour op."""
+    if op in _JITTER_OPS:
+        amount = getattr(params, op)
+        centre = 0.0 if op == "hue" else 1.0
+        prob = params.jitter_prob if amount > 0.0 else 0.0
+        return prob, (centre - amount, centre + amount)
+    if op == "blur":
+        return params.blur_prob, params.blur_sigma
+    return getattr(params, op + "_prob"), None
 
 
-def _apply_color_ops(x: np.ndarray, draws, params: AugmentParams) -> np.ndarray:
-    """Apply each op, in order, to the views of ``x`` (N, S, S, 3) whose
-    draw fired."""
-    for op in _COLOR_OPS:
-        fired = [i for i, d in enumerate(draws) if op in d]
-        if fired:
-            amount = np.array([draws[i][op] for i in fired])[:, None, None, None]
-            x[fired] = _color_op(op, x[fired], amount, params)
-    return x
-
-
-def _color_op(op: str, x: np.ndarray, a: np.ndarray,
-              params: AugmentParams) -> np.ndarray:
+def _color_op(op: str, x: np.ndarray, a, params: AugmentParams) -> np.ndarray:
+    """Apply one op to views ``x`` (M, S, S, 3) with factors ``a``."""
     if op == "brightness":
         return np.clip(x * a, 0.0, 1.0)
     if op == "contrast":
@@ -369,8 +319,10 @@ def _shift_hue(x: np.ndarray, shift: float) -> np.ndarray:
 
 def _rgb_to_hsv(x):
     r, g, b = x[..., 0], x[..., 1], x[..., 2]
-    maxc = x.max(axis=-1)
-    minc = x.min(axis=-1)
+    # elementwise over the channel planes: a reduction over the length-3
+    # channel axis is several times slower
+    maxc = np.maximum(np.maximum(r, g), b)
+    minc = np.minimum(np.minimum(r, g), b)
     v = maxc
     span = maxc - minc
     s = np.where(maxc > 0.0, span / np.where(maxc > 0.0, maxc, 1.0), 0.0)
@@ -391,10 +343,7 @@ def _hsv_to_rgb(h, s, v):
     q = v * (1.0 - s * f)
     t = v * (1.0 - s * (1.0 - f))
     i = i.astype(int) % 6
-    choices = [
-        (v, t, p), (q, v, p), (p, v, t), (p, q, v), (t, p, v), (v, p, q),
-    ]
-    r = np.select([i == k for k in range(6)], [c[0] for c in choices])
-    g = np.select([i == k for k in range(6)], [c[1] for c in choices])
-    b = np.select([i == k for k in range(6)], [c[2] for c in choices])
+    r = np.choose(i, (v, q, p, p, t, v))
+    g = np.choose(i, (t, v, v, q, p, p))
+    b = np.choose(i, (p, p, t, v, v, q))
     return np.stack([r, g, b], axis=-1)

@@ -127,48 +127,20 @@ class PatchGrid:
         return self.n_rows * self.n_cols
 
 
-def column_intervals(grid: PatchGrid) -> np.ndarray:
-    """Image-space x-intervals of the grid's columns, shape (n_cols, 2).
-
-    A horizontal flip mirrors which slice of the crop each view column shows,
-    so interval ``c`` under flip is the mirror image of interval ``c`` without.
-    """
-    crop = grid.crop
-    p, sx = grid.patch_size, crop.scale_x
-    c = np.arange(grid.n_cols, dtype=float)
-    if crop.flip:
-        lo = crop.rect.x0 + (crop.view_size - (c + 1.0) * p) * sx
-    else:
-        lo = crop.rect.x0 + c * p * sx
-    return np.stack([lo, lo + p * sx], axis=1)
-
-
-def row_intervals(grid: PatchGrid) -> np.ndarray:
-    """Image-space y-intervals of the grid's rows, shape (n_rows, 2)."""
-    crop = grid.crop
-    p, sy = grid.patch_size, crop.scale_y
-    r = np.arange(grid.n_rows, dtype=float)
-    lo = crop.rect.y0 + r * p * sy
-    return np.stack([lo, lo + p * sy], axis=1)
-
-
 def map_patch_to_image(grid: PatchGrid, index: int) -> Rect:
     """Footprint of patch ``index`` in source-image coordinates."""
     if not 0 <= index < grid.n_patches:
         raise IndexError(f"patch index {index} out of range [0, {grid.n_patches})")
-    row, col = divmod(index, grid.n_cols)
-    xi = column_intervals(grid)[col]
-    yi = row_intervals(grid)[row]
-    return Rect(float(xi[0]), float(yi[0]), float(xi[1]), float(yi[1]))
+    return Rect(*(float(v) for v in patch_rects(grid, [index])[0]))
 
 
 def patch_rects(grid: PatchGrid, indices=None) -> np.ndarray:
     """Footprints of grid patches as an (n, 4) array of (x0, y0, x1, y1).
 
-    ``indices=None`` returns all patches in index order.
+    ``indices=None`` returns all patches in index order. A horizontal flip
+    mirrors which slice of the crop each view column shows, so column ``c``
+    under flip covers what column ``n_cols - 1 - c`` covers without.
     """
-    xi = column_intervals(grid)
-    yi = row_intervals(grid)
     if indices is None:
         idx = np.arange(grid.n_patches)
     else:
@@ -176,9 +148,13 @@ def patch_rects(grid: PatchGrid, indices=None) -> np.ndarray:
         if idx.size and (idx.min() < 0 or idx.max() >= grid.n_patches):
             raise IndexError("patch index out of range")
     rows, cols = np.divmod(idx, grid.n_cols)
-    return np.stack(
-        [xi[cols, 0], yi[rows, 0], xi[cols, 1], yi[rows, 1]], axis=1
-    )
+    if grid.crop.flip:
+        cols = grid.n_cols - 1 - cols
+    crop, p = grid.crop, grid.patch_size
+    x0 = crop.rect.x0 + cols * p * crop.scale_x
+    y0 = crop.rect.y0 + rows * p * crop.scale_y
+    return np.stack([x0, y0, x0 + p * crop.scale_x, y0 + p * crop.scale_y],
+                    axis=1)
 
 
 def intersection_area(a: Rect, b: Rect) -> float:

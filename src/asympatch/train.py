@@ -6,7 +6,10 @@ moment update, and optional momentum (target) encoder.
 All randomness in a run flows through the single generator stored on
 :class:`TrainState`, and batches are drawn per step from that generator, so
 a checkpointed state resumes bit-exactly: the resumed run reproduces the
-unbroken run's loss at the next step.
+unbroken run's loss at the next step. A step draws the batch pick, then
+every view of the batch as arrays: both crops of every record
+(:func:`~asympatch.data.augment_batch`), then the patch samples
+(:func:`~asympatch.sampling.sample_views`).
 
 With more than two sampling views the views are split between the two crop
 branches; branch-1 views are disjoint uniform samples, branch-2 views are
@@ -26,13 +29,10 @@ from . import encoder as enc
 from .data import (AugmentParams, ImageRecord, augment_batch,
                    cifar_augment_params, load_cifar, synth_dataset,
                    synth_manifest)
-from .geometry import PatchGrid
 from .objective import multiview_loss
 from .optim import (AdamWState, ClipState, EmaSchedule, adamw_step,
                     clip_update, cosine_lr, momentum_encoder_update)
-from .sampling import (PatchIndexSet, SamplerConfig, overlap_profile,
-                       sample_multi_view, sample_selective_views,
-                       sample_sparse, selective_weights)
+from .sampling import SamplerConfig, sample_views
 from .serialize import CheckpointError, load_arrays, save_arrays
 
 METRIC_FIELDS = ("step", "lr", "loss", "grad_norm", "clip_triggered")
@@ -97,6 +97,9 @@ class TrainConfig:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
         if self.total_steps < 1:
             raise ValueError(f"total_steps must be >= 1, got {self.total_steps}")
+        if not 0 <= self.warmup_steps <= self.total_steps:
+            raise ValueError(f"warmup_steps must lie in [0, total_steps = "
+                             f"{self.total_steps}], got {self.warmup_steps}")
 
     def backbone_config(self) -> enc.BackboneConfig:
         return enc.BACKBONES[self.backbone]
@@ -195,33 +198,18 @@ def init_train_state(config: TrainConfig) -> TrainState:
     return state
 
 
-def _sample_views(state: TrainState, grids1, grids2):
-    """Per-sample index sets for every view of both crop branches."""
+def _draw_views(state: TrainState, batch_records):
+    """Crop 1 then crop 2 of every record, and every sampled view of them:
+    ``(pix1, pix2, views1, views2, profiles)``."""
     cfg = state.config
-    s = cfg.sampler
-    n1 = (s.n_views + 1) // 2
-    n2 = s.n_views - n1 if s.n_views > 1 else 1
-    batch = len(grids1)
-    views1 = [[] for _ in range(n1)]
-    views2 = [[] for _ in range(n2)]
-    for b in range(batch):
-        if n1 == 1:
-            sets1 = [sample_sparse(grids1[b], s.s1, state.rng)]
-        else:
-            sets1 = sample_multi_view(grids1[b], s.s1, n1, state.rng)
-        union = PatchIndexSet(
-            grid=grids1[b],
-            indices=tuple(sorted(i for st in sets1 for i in st.indices)),
-        )
-        profile = overlap_profile(union, grids2[b])
-        weights = selective_weights(profile, s.gamma)
-        sets2 = sample_selective_views(grids2[b], weights, s.s2, n2, state.rng)
-        for v in range(n1):
-            views1[v].append(np.array(sets1[v].indices))
-        for v in range(n2):
-            views2[v].append(np.array(sets2[v].indices))
-    stack = lambda views: [np.stack(v) for v in views]
-    return stack(views1), stack(views2)
+    records = list(batch_records)
+    b = len(records)
+    pix, box, flip = augment_batch(records + records, cfg.augment_params(),
+                                   state.rng)
+    views1, views2, profiles = sample_views(
+        state.rng, box[:, :b], box[:, b:], cfg.backbone_config().grid_side,
+        cfg.sampler, flip[:b], flip[b:])
+    return pix[:b], pix[b:], views1, views2, profiles
 
 
 def train_step(state: TrainState, batch_records, dump_path=None) -> float:
@@ -229,12 +217,7 @@ def train_step(state: TrainState, batch_records, dump_path=None) -> float:
     cfg = state.config
     bb = cfg.backbone_config()
     hc = cfg.head_config()
-    # record-major: record b's crop-1 view, then its crop-2 view
-    pix, crops = augment_batch([rec for rec in batch_records for _ in (1, 2)],
-                               cfg.augment_params(), state.rng)
-    pix1, pix2 = pix[0::2], pix[1::2]
-    grids = [PatchGrid(crop=c, patch_size=bb.patch_size) for c in crops]
-    views1, views2 = _sample_views(state, grids[0::2], grids[1::2])
+    pix1, pix2, views1, views2, _ = _draw_views(state, batch_records)
 
     branch = []          # (q, z_for_targets, cache, branch_id)
     for idx in views1:
@@ -405,10 +388,6 @@ def run_training(config: TrainConfig, out_dir=None,
     return state
 
 
-def _config_to_meta(config: TrainConfig) -> dict:
-    return asdict(config)
-
-
 def config_from_meta(meta: dict) -> TrainConfig:
     meta = dict(meta)
     meta["dataset"] = DatasetSpec(**meta["dataset"])
@@ -440,7 +419,7 @@ def checkpoint_save(state: TrainState, path) -> None:
         arrays["metrics"] = np.array(state.metrics, dtype=float)
     meta = {
         "kind": "train_state",
-        "config": _config_to_meta(state.config),
+        "config": asdict(state.config),
         "step": state.step,
         "opt_step": state.opt.step,
         "clip": clip_meta,
@@ -458,7 +437,20 @@ def checkpoint_load(path) -> TrainState:
                if k not in meta]
     if missing:
         raise CheckpointError(f"{path}: training checkpoint lacks {missing}")
-    config = config_from_meta(meta["config"])
+    try:
+        config = config_from_meta(meta["config"])
+    except (TypeError, KeyError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad training config: {exc!r}") from exc
+    if not all(type(meta[k]) is int and meta[k] >= 0 for k in ("step", "opt_step")):
+        raise CheckpointError(f"{path}: step and opt_step must be non-negative "
+                              "ints")
+    clip_meta = meta["clip"]
+    number = lambda v: type(v) in (int, float)
+    if not isinstance(clip_meta, dict) or not all(
+            isinstance(c, dict) and number(c.get("m")) and number(c.get("alpha"))
+            for c in clip_meta.values()):
+        raise CheckpointError(f"{path}: clip must map groups to {{m, alpha}} "
+                              "numbers")
     params = {k[len("params."):]: v for k, v in arrays.items()
               if k.startswith("params.")}
     bn = {k[len("bn."):]: v for k, v in arrays.items() if k.startswith("bn.")}
@@ -469,14 +461,20 @@ def checkpoint_load(path) -> TrainState:
     opt.v = {k[len("opt.v."):]: v for k, v in arrays.items()
              if k.startswith("opt.v.")}
     clip = {}
-    for gname, cmeta in meta["clip"].items():
-        cs = ClipState(m=cmeta["m"], alpha=cmeta["alpha"])
+    for gname, cmeta in clip_meta.items():
+        try:
+            cs = ClipState(m=cmeta["m"], alpha=cmeta["alpha"])
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: clip group {gname!r}: {exc}") from exc
         key = f"clip.{gname}"
         if key in arrays:
             cs.ema_grad = arrays[key]
         clip[gname] = cs
     rng = np.random.default_rng()
-    rng.bit_generator.state = meta["rng_state"]
+    try:
+        rng.bit_generator.state = meta["rng_state"]
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:
+        raise CheckpointError(f"{path}: bad rng_state: {exc!r}") from exc
     metrics = [tuple(row) for row in arrays.get("metrics", np.empty((0, 5)))]
     state = TrainState(
         config=config, step=meta["step"], params=params, bn_stats=bn,

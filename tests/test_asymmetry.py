@@ -11,7 +11,6 @@ from asympatch.asymmetry import (DEFAULT_AREA_RANGE, DEFAULT_ASPECT_RANGE,
                                  mechanism_expectation, monte_carlo_overlap,
                                  pdf_normalization, reports_to_csv,
                                  reports_to_table, selective_density)
-from asympatch.sampling import weighted_sample_without_replacement
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +44,7 @@ def _reference_simulate(strategy, s1, s2, gamma, crop_model, grid_size,
             take = np.argpartition(keys, k2 - 1, axis=1)[:, :k2]
             vals = np.take_along_axis(r, take, axis=1).sum(axis=1) / big_n
             for i in np.flatnonzero(~enough):
-                idx = weighted_sample_without_replacement(w[i], k2, rng)
+                idx = _reference_padded_draw(w[i], k2, rng)
                 vals[i] = r[i, idx].sum() / big_n
         else:
             w = np.power(1.0 - r, gamma)
@@ -62,10 +61,8 @@ def _reference_chunk_profiles(rng, c, n, k1, crop_model):
         wa = np.full(c, side); ha = np.full(c, side)
         x0b, y0b, wb, hb = x0a, y0a, wa, ha
     else:
-        x0a, y0a, wa, ha = asymmetry._random_crops(
-            rng, c, side, DEFAULT_AREA_RANGE, DEFAULT_ASPECT_RANGE)
-        x0b, y0b, wb, hb = asymmetry._random_crops(
-            rng, c, side, DEFAULT_AREA_RANGE, DEFAULT_ASPECT_RANGE)
+        x0a, y0a, wa, ha = _reference_random_crops(rng, c, side)
+        x0b, y0b, wb, hb = _reference_random_crops(rng, c, side)
     j = np.arange(n)
     xs1 = x0a[:, None] + j * (wa[:, None] / n)
     ys1 = y0a[:, None] + j * (ha[:, None] / n)
@@ -77,6 +74,40 @@ def _reference_chunk_profiles(rng, c, n, k1, crop_model):
     areas = (oy @ m) @ np.swapaxes(ox, 1, 2)
     patch2 = (wb / n) * (hb / n)
     return np.clip(areas / patch2[:, None, None], 0.0, 1.0).reshape(c, n * n)
+
+
+def _reference_padded_draw(w, k, rng):
+    # a row with fewer than k positive weights keeps them all, in index
+    # order, and pads uniformly from the zero-weight indices
+    pos = w > 0.0
+    rng.standard_exponential(int(pos.sum()))
+    pad = rng.choice(np.flatnonzero(~pos), size=k - int(pos.sum()),
+                     replace=False)
+    return np.concatenate([np.flatnonzero(pos), pad])
+
+
+def _reference_random_crops(rng, c, side):
+    lo, hi = DEFAULT_AREA_RANGE
+    alo, ahi = DEFAULT_ASPECT_RANGE
+    w = np.full(c, side * 0.9)
+    h = np.full(c, side * 0.9)
+    need = np.ones(c, dtype=bool)
+    for _ in range(10):
+        m = int(need.sum())
+        if m == 0:
+            break
+        area = rng.uniform(lo, hi, m) * side * side
+        ar = np.exp(rng.uniform(np.log(alo), np.log(ahi), m))
+        ww = np.sqrt(area * ar)
+        hh = np.sqrt(area / ar)
+        ok = (ww <= side) & (hh <= side)
+        rows = np.flatnonzero(need)[ok]
+        w[rows] = ww[ok]
+        h[rows] = hh[ok]
+        need[rows] = False
+    x0 = rng.random(c) * (side - w)
+    y0 = rng.random(c) * (side - h)
+    return x0, y0, w, h
 
 
 def _reference_pair_overlap(starts2, len2, starts1, len1):

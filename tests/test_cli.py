@@ -1,12 +1,16 @@
 import hashlib
+import os
 import re
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from asympatch.cli import main, read_ppm, write_ppm
-from asympatch.serialize import MAGIC, VERSION
+from asympatch.cli import SCHEMAS, UsageError, load_config, main, read_ppm, write_ppm
+from asympatch.serialize import MAGIC, VERSION, load_arrays, save_arrays
 
 GOLDEN_ANALYZE_CSV = """\
 strategy,crop_model,s1,s2,gamma,grid,trials,analytic,estimate,std_error
@@ -94,6 +98,16 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("error: bad config file") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_percent_in_a_value_is_a_literal(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path,
+                                "[analyze]\ntrials = 1000\ncrop_model = 50%random\n")
+        assert load_config(cfg, "analyze")["crop_model"] == "50%random"
+        out = tmp_path / "o"
+        assert run_cli("analyze", "--config", cfg, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "50%random" in err
 
     def test_golden_default_report(self, tmp_path, capsys):
         # default analyze at seed 0 with 8192 trials (two full chunks per
@@ -234,6 +248,33 @@ class TestTrainAndProbe:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "header" in err
 
+    def test_probe_wrong_typed_meta_fails_closed(self, tmp_path, capsys):
+        cfg = self.write_train_config(tmp_path, total_steps=2)
+        out = tmp_path / "out"
+        assert run_cli("train", "--config", cfg, "--out", str(out)) == 0
+        ckpt = out / "final.ckpt"
+        arrays, meta = load_arrays(ckpt)
+        meta["clip"] = []
+        save_arrays(ckpt, arrays, meta)
+        capsys.readouterr()
+        assert run_cli("probe", "--checkpoint", str(ckpt),
+                       "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "clip" in err
+
+    def test_dry_run_rejects_warmup_beyond_total(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(open(self.write_train_config(tmp_path)).read()
+                       .replace("warmup_steps = 2", "warmup_steps = 10"))
+        out = tmp_path / "out"
+        assert run_cli("train", "--config", str(cfg), "--out", str(out),
+                       "--dry-run") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "warmup_steps" in err
+        assert not out.exists()
+
     def test_probe_without_checkpoint_fails(self, tmp_path):
         assert run_cli("probe", "--out", str(tmp_path / "o")) != 0
 
@@ -241,3 +282,38 @@ class TestTrainAndProbe:
         with pytest.raises(SystemExit) as exc:
             run_cli()
         assert exc.value.code == 2
+
+
+CONFIG_LINES = st.sampled_from([
+    "[analyze]", "[demo]", "[train]", "[probe]", "[mystery]", "[analyze",
+    "trials = 5000", "grid = 8", "grid: 4", "trials = x", "gammas = 1,%(x)s",
+    "crop_model = 50%random", "s1 = 0.3", "  continued", "# comment", "=",
+    "k = %", "batch = 1e3", "image = a%%b.ppm", "",
+])
+
+
+class TestLoadConfigFuzz:
+    @given(lines=st.lists(st.one_of(CONFIG_LINES, st.text(
+               alphabet=st.characters(blacklist_categories=("Cs",)),
+               max_size=30)), max_size=12),
+           section=st.sampled_from(sorted(SCHEMAS)))
+    def test_returns_a_dict_or_raises_usage_error(self, lines, section):
+        fd, path = tempfile.mkstemp(suffix=".ini")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines))
+            try:
+                out = load_config(path, section)
+            except UsageError as exc:
+                assert "\n" not in str(exc)
+            else:
+                assert isinstance(out, dict)
+                assert set(out) <= set(SCHEMAS[section])
+        finally:
+            os.remove(path)
+
+    def test_non_utf8_bytes_are_a_usage_error(self, tmp_path):
+        path = tmp_path / "latin1.ini"
+        path.write_bytes(b"[analyze]\ncrop_model = caf\xe9\n")
+        with pytest.raises(UsageError, match="bad config file"):
+            load_config(path, "analyze")

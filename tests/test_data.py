@@ -1,15 +1,16 @@
+import colorsys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
-from asympatch.data import (AugmentParams, _luma, _sample_crop_rect,
-                            _shift_hue, augment, augment_batch,
-                            cifar_augment_params, identity_augment_params,
-                            imagenet_augment_params, load_cifar,
+from asympatch.data import (AugmentParams, _hsv_to_rgb, _luma, _rgb_to_hsv,
+                            _shift_hue, augment,
+                            augment_batch, cifar_augment_params,
+                            identity_augment_params, load_cifar,
                             synth_dataset, synth_manifest)
-from asympatch.geometry import CropBox
+from asympatch.sampling import random_crops
 
 
 def write_cifar(path, records):
@@ -165,20 +166,14 @@ class TestAugment:
             == (0.4, 0.4, 0.4, 0.1)
         assert p.blur_prob == 0.0 and p.solarize_prob == 0.0
 
-    def test_imagenet_presets_asymmetric(self):
-        t1, t2 = imagenet_augment_params()
-        assert t1.blur_prob == 1.0 and t2.blur_prob == 0.1
-        assert t1.solarize_prob == 0.0 and t2.solarize_prob == 0.2
-        assert t1.saturation == 0.2
-        assert t1.area_range == (0.08, 1.0)
-
     def test_blur_and_solarize_paths_run(self):
         rec = synth_dataset(1, 1, 32, seed=9)[0]
-        t1, t2 = imagenet_augment_params(view_size=32)
         rng = np.random.default_rng(12)
-        view, _ = augment(rec, t1, rng)
-        assert view.shape == (32, 32, 3)
-        assert view.min() >= 0.0 and view.max() <= 1.0
+        for params in (asymmetric_view_params(32, 1.0, 0.0),
+                       asymmetric_view_params(32, 0.0, 1.0)):
+            view, _ = augment(rec, params, rng)
+            assert view.shape == (32, 32, 3)
+            assert view.min() >= 0.0 and view.max() <= 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -188,19 +183,78 @@ class TestAugment:
 
 
 # ---------------------------------------------------------------------------
-# one-view reference: the plain per-image augmentation that augment_batch
-# must reproduce bit for bit
+# per-view reference: the draws written out op by op and view by view, and
+# the plain one-image pixel maths that augment_batch must reproduce bit for
+# bit
 
-def _resize_bilinear(src, rect, view_size, flip):
+def asymmetric_view_params(view_size, blur_prob, solarize_prob):
+    """The asymmetric two-view recipe's parameter shape: a wider area range,
+    a 0.2 saturation cap, and per-view blur and solarization."""
+    return AugmentParams(view_size=view_size, area_range=(0.08, 1.0),
+                         saturation=0.2, blur_prob=blur_prob,
+                         solarize_prob=solarize_prob)
+
+
+def reference_crops(rng, n, width, height, params):
+    lo, hi = params.area_range
+    alo, ahi = params.aspect_range
+    size = [None] * n
+    for _ in range(10):
+        need = [i for i in range(n) if size[i] is None]
+        if not need:
+            break
+        area = rng.uniform(lo, hi, len(need)) * width * height
+        ar = np.exp(rng.uniform(np.log(alo), np.log(ahi), len(need)))
+        for i, a, r in zip(need, area, ar):
+            w, h = np.sqrt(a * r), np.sqrt(a / r)
+            if w <= width and h <= height:
+                size[i] = (w, h)
+    ux, uy = rng.random(n), rng.random(n)
+    boxes = []
+    for i in range(n):
+        if size[i] is None:
+            w = min(float(width), np.sqrt(hi * width * height))
+            h = min(float(height), w)
+            boxes.append(((width - w) / 2.0, (height - h) / 2.0, w, h))
+        else:
+            w, h = size[i]
+            boxes.append((ux[i] * (width - w), uy[i] * (height - h), w, h))
+    return np.array(boxes).T
+
+
+def reference_color_draws(params, n, rng):
+    """Per view: op -> factor (None for grayscale/solarize) of each fired op."""
+    laws = []
+    for op in ("brightness", "contrast", "saturation", "hue"):
+        amount = getattr(params, op)
+        centre = 0.0 if op == "hue" else 1.0
+        if params.jitter_prob > 0.0 and amount > 0.0:
+            laws.append((op, params.jitter_prob,
+                         (centre - amount, centre + amount)))
+    laws += [("grayscale", params.grayscale_prob, None),
+             ("blur", params.blur_prob, params.blur_sigma),
+             ("solarize", params.solarize_prob, None)]
+    views = [{} for _ in range(n)]
+    for op, prob, span in laws:
+        if prob > 0.0:
+            gate = rng.random(n) < prob
+            factor = rng.uniform(*span, n) if span else [None] * n
+            for i in np.flatnonzero(gate):
+                views[i][op] = factor[i]
+    return views
+
+
+def _resize_bilinear(src, box, view_size, flip):
     h_img, w_img = src.shape[:2]
-    sx = (rect.x1 - rect.x0) / view_size
-    sy = (rect.y1 - rect.y0) / view_size
+    x0, y0, w, h = box
+    sx = w / view_size
+    sy = h / view_size
     u = np.arange(view_size) + 0.5
     if flip:
-        xs = rect.x0 + (view_size - u) * sx
+        xs = x0 + (view_size - u) * sx
     else:
-        xs = rect.x0 + u * sx
-    ys = rect.y0 + u * sy
+        xs = x0 + u * sx
+    ys = y0 + u * sy
     xi = np.clip(xs - 0.5, 0.0, w_img - 1.0)
     yi = np.clip(ys - 0.5, 0.0, h_img - 1.0)
     x0 = np.floor(xi).astype(int)
@@ -214,58 +268,53 @@ def _resize_bilinear(src, rect, view_size, flip):
     return top * (1.0 - fy) + bot * fy
 
 
-def _color_ops(view, params, rng):
+def _color_ops(view, params, draws):
     x = view
-    if params.jitter_prob > 0.0:
-        if rng.random() < params.jitter_prob and params.brightness > 0.0:
-            f = rng.uniform(1.0 - params.brightness, 1.0 + params.brightness)
-            x = np.clip(x * f, 0.0, 1.0)
-        if rng.random() < params.jitter_prob and params.contrast > 0.0:
-            f = rng.uniform(1.0 - params.contrast, 1.0 + params.contrast)
-            mean = _luma(x).mean()
-            x = np.clip((x - mean) * f + mean, 0.0, 1.0)
-        if rng.random() < params.jitter_prob and params.saturation > 0.0:
-            f = rng.uniform(1.0 - params.saturation, 1.0 + params.saturation)
-            l = _luma(x)[..., None]
-            x = np.clip((x - l) * f + l, 0.0, 1.0)
-        if rng.random() < params.jitter_prob and params.hue > 0.0:
-            shift = rng.uniform(-params.hue, params.hue)
-            x = _shift_hue(x, shift)
-    if params.grayscale_prob > 0.0 and rng.random() < params.grayscale_prob:
+    if "brightness" in draws:
+        x = np.clip(x * draws["brightness"], 0.0, 1.0)
+    if "contrast" in draws:
+        mean = _luma(x).mean()
+        x = np.clip((x - mean) * draws["contrast"] + mean, 0.0, 1.0)
+    if "saturation" in draws:
+        l = _luma(x)[..., None]
+        x = np.clip((x - l) * draws["saturation"] + l, 0.0, 1.0)
+    if "hue" in draws:
+        x = _shift_hue(x, draws["hue"])
+    if "grayscale" in draws:
         x = np.repeat(_luma(x)[..., None], 3, axis=2)
-    if params.blur_prob > 0.0 and rng.random() < params.blur_prob:
-        sigma = rng.uniform(*params.blur_sigma)
-        x = np.stack([ndimage.gaussian_filter(x[..., c], sigma)
+    if "blur" in draws:
+        x = np.stack([ndimage.gaussian_filter(x[..., c], draws["blur"])
                       for c in range(3)], axis=2)
         x = np.clip(x, 0.0, 1.0)
-    if params.solarize_prob > 0.0 and rng.random() < params.solarize_prob:
+    if "solarize" in draws:
         x = np.where(x >= params.solarize_threshold, 1.0 - x, x)
     return x
 
 
-def reference_augment(record, params, rng):
-    src = np.asarray(record.pixels, dtype=float)
-    h_img, w_img = src.shape[:2]
-    rect = _sample_crop_rect(w_img, h_img, params, rng)
-    flip = bool(rng.random() < params.flip_prob)
-    view = _resize_bilinear(src, rect, params.view_size, flip)
-    view = _color_ops(view, params, rng)
-    box = CropBox(rect=rect, flip=flip, view_size=params.view_size,
-                  source_size=(float(w_img), float(h_img)))
-    return view, box
+def reference_augment_batch(records, params, rng):
+    src = [np.asarray(r.pixels, dtype=float) for r in records]
+    n = len(src)
+    h_img, w_img = src[0].shape[:2]
+    box = reference_crops(rng, n, w_img, h_img, params)
+    flip = rng.random(n) < params.flip_prob
+    draws = reference_color_draws(params, n, rng)
+    views = np.stack([
+        _color_ops(_resize_bilinear(s, box[:, i], params.view_size, flip[i]),
+                   params, draws[i])
+        for i, s in enumerate(src)])
+    return views, box, flip
 
 
 def _every_gate_fires(view_size):
-    t1, _ = imagenet_augment_params(view_size)
-    return replace(t1, jitter_prob=1.0, grayscale_prob=1.0, blur_prob=1.0,
-                   solarize_prob=1.0)
+    return replace(asymmetric_view_params(view_size, 1.0, 1.0),
+                   jitter_prob=1.0, grayscale_prob=1.0)
 
 
 BATCH_PRESETS = {
     "cifar": cifar_augment_params(16),
     "cifar-down": cifar_augment_params(8),
-    "imagenet-view1": imagenet_augment_params(16)[0],
-    "imagenet-view2": imagenet_augment_params(16)[1],
+    "imagenet-view1": asymmetric_view_params(16, 1.0, 0.0),
+    "imagenet-view2": asymmetric_view_params(16, 0.1, 0.2),
     "every-gate": _every_gate_fires(16),
 }
 
@@ -277,19 +326,27 @@ class TestAugmentBatch:
         records = synth_dataset(12, 2, 16, seed=13)
         rng_ref = np.random.default_rng(21)
         rng_batch = np.random.default_rng(21)
-        rng_one = np.random.default_rng(21)
-        ref = [reference_augment(r, params, rng_ref) for r in records]
-        views, boxes = augment_batch(records, params, rng_batch)
-        one = [augment(r, params, rng_one) for r in records]
-        expect = np.stack([v for v, _ in ref])
+        expect, box_ref, flip_ref = reference_augment_batch(records, params,
+                                                            rng_ref)
+        views, box, flip = augment_batch(records, params, rng_batch)
         assert views.shape == expect.shape
         assert views.tobytes() == expect.tobytes()
-        assert boxes == [b for _, b in ref]
-        assert np.stack([v for v, _ in one]).tobytes() == expect.tobytes()
-        assert [b for _, b in one] == boxes
-        state = rng_ref.bit_generator.state
-        assert rng_batch.bit_generator.state == state
-        assert rng_one.bit_generator.state == state
+        assert box.tobytes() == box_ref.tobytes()
+        assert np.array_equal(flip, flip_ref)
+        assert rng_batch.bit_generator.state == rng_ref.bit_generator.state
+
+    def test_augment_is_the_one_view_call(self):
+        rec = synth_dataset(1, 1, 16, seed=4)[0]
+        params = _every_gate_fires(16)
+        view, crop = augment(rec, params, np.random.default_rng(8))
+        views, box, flip = augment_batch([rec], params,
+                                         np.random.default_rng(8))
+        x0, y0, w, h = box[:, 0]
+        assert view.tobytes() == views[0].tobytes()
+        assert (crop.rect.x0, crop.rect.y0, crop.rect.x1, crop.rect.y1) \
+            == (x0, y0, x0 + w, y0 + h)
+        assert crop.flip == flip[0]
+        assert crop.source_size == (16.0, 16.0) and crop.view_size == 16
 
     def test_binary_record_layout_matches_reference(self, tmp_path):
         # load_cifar pixels are plane-major in memory; the result must not
@@ -300,15 +357,65 @@ class TestAugmentBatch:
                            for i in range(6)])
         records = load_cifar(path)
         params = _every_gate_fires(32)
-        ref = [reference_augment(r, params, np.random.default_rng(i))
-               for i, r in enumerate(records)]
-        for i, r in enumerate(records):
-            views, boxes = augment_batch([r], params, np.random.default_rng(i))
-            assert views[0].tobytes() == ref[i][0].tobytes()
-            assert boxes[0] == ref[i][1]
+        expect, box_ref, _ = reference_augment_batch(
+            records, params, np.random.default_rng(5))
+        views, box, _ = augment_batch(records, params, np.random.default_rng(5))
+        assert views.tobytes() == expect.tobytes()
+        assert box.tobytes() == box_ref.tobytes()
 
     def test_mixed_source_sizes_rejected(self):
         records = synth_dataset(1, 1, 16, seed=0) + synth_dataset(1, 1, 32, seed=0)
         with pytest.raises(ValueError):
             augment_batch(records, cifar_augment_params(16),
                           np.random.default_rng(0))
+
+
+class TestHsv:
+    def test_matches_colorsys(self):
+        # quarter steps make ties between channels common: the hue sector of
+        # a tied maximum follows red, then green, then blue
+        rng = np.random.default_rng(6)
+        x = np.concatenate([rng.random((300, 3)),
+                            np.round(rng.random((300, 3)) * 4) / 4])
+        h, s, v = _rgb_to_hsv(x)
+        expect = np.array([colorsys.rgb_to_hsv(*p) for p in x])
+        assert np.stack([h, s, v], axis=1) == pytest.approx(expect, abs=1e-12)
+        shifted = (h + 0.37) % 1.0
+        back = np.array([colorsys.hsv_to_rgb(*p)
+                         for p in zip(shifted, s, v)])
+        assert _hsv_to_rgb(shifted, s, v) == pytest.approx(back, abs=1e-12)
+
+
+class TestRandomCrops:
+    @pytest.mark.parametrize("width,height", [(16, 16), (24, 10), (7, 31)])
+    def test_matches_reference_and_fits_the_source(self, width, height):
+        params = cifar_augment_params(8)
+        rng_ref = np.random.default_rng(2)
+        rng = np.random.default_rng(2)
+        expect = reference_crops(rng_ref, 500, width, height, params)
+        box = random_crops(rng, 500, width, height, params.area_range,
+                           params.aspect_range)
+        assert box.tobytes() == expect.tobytes()
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        x0, y0, w, h = box
+        assert np.all(x0 >= 0.0) and np.all(x0 + w <= width + 1e-9)
+        assert np.all(y0 >= 0.0) and np.all(y0 + h <= height + 1e-9)
+        area = w * h / (width * height)
+        assert np.all(area >= 0.15 - 1e-12) and np.all(area <= 1.0 + 1e-12)
+
+    def test_fallback_is_the_centred_largest_crop(self):
+        # a 2:1 aspect never fits at full area: every round is rejected
+        rng = np.random.default_rng(0)
+        box = random_crops(rng, 3, 12.0, 12.0, (1.0, 1.0), (2.0, 2.0))
+        assert box.T.tolist() == [[0.0, 0.0, 12.0, 12.0]] * 3
+        params = AugmentParams(view_size=4, area_range=(1.0, 1.0),
+                               aspect_range=(2.0, 2.0))
+        ref = np.random.default_rng(0)
+        reference_crops(ref, 3, 12.0, 12.0, params)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_fallback_on_a_wide_source(self):
+        rng = np.random.default_rng(1)
+        box = random_crops(rng, 2, 20.0, 5.0, (0.5, 0.5), (9.0, 9.0))
+        w = np.sqrt(0.5 * 100.0)
+        assert box[:, 0].tolist() == [(20.0 - w) / 2.0, 0.0, w, 5.0]

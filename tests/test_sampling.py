@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from asympatch.geometry import (CropBox, PatchGrid, Rect,
                                 map_patch_to_image, overlap_ratio,
                                 patch_rects)
 from asympatch.sampling import (PatchIndexSet, SamplerConfig, overlap_profile,
-                                sample_multi_view, sample_selective,
-                                sample_selective_views, sample_sparse,
+                                random_crops, sample_count, sample_multi_view,
+                                sample_selective, sample_selective_views,
+                                sample_sparse, sample_views,
                                 selective_weights,
                                 weighted_sample_without_replacement)
 
@@ -299,3 +301,165 @@ class TestMultiView:
                 counts_b[i] += 1
         _, p, _, _ = stats.chi2_contingency(np.stack([counts_a, counts_b]))
         assert p > 0.01
+
+
+# ---------------------------------------------------------------------------
+# per-sample reference of sample_views: the same draws (one (B, N) block of
+# uniforms, then the race keys of every row's positive weights in row-major
+# order, then the padding permutation of each short row), with the maths
+# written out one sample at a time and the orderings taken by a stable sort
+
+def _reference_starts(start, length, n, flip):
+    j = np.arange(n)
+    if flip:
+        j = n - 1 - j
+    return start + j * (length / n)
+
+
+def _reference_overlaps(starts2, len2, starts1, len1):
+    lo = np.maximum(starts2[:, None], starts1[None, :])
+    hi = np.minimum((starts2 + len2)[:, None], (starts1 + len1)[None, :])
+    return np.maximum(hi - lo, 0.0)
+
+
+def _reference_profile(box1, box2, mask, n, flip1, flip2):
+    x0a, y0a, wa, ha = box1
+    x0b, y0b, wb, hb = box2
+    ox = _reference_overlaps(_reference_starts(x0b, wb, n, flip2), wb / n,
+                             _reference_starts(x0a, wa, n, flip1), wa / n)
+    oy = _reference_overlaps(_reference_starts(y0b, hb, n, False), hb / n,
+                             _reference_starts(y0a, ha, n, False), ha / n)
+    areas = (oy @ mask.reshape(n, n)) @ ox.T
+    return np.clip(areas / ((wb / n) * (hb / n)), 0.0, 1.0).ravel()
+
+
+def branch_views(cfg):
+    n1 = (cfg.n_views + 1) // 2
+    return n1, max(cfg.n_views - n1, 1)
+
+
+def reference_sample_views(rng, box1, box2, n, cfg, flip1, flip2):
+    n1, n2 = branch_views(cfg)
+    big_n = n * n
+    k1, k2 = sample_count(cfg.s1, big_n), sample_count(cfg.s2, big_n)
+    batch = box1.shape[1]
+    u = rng.random((batch, big_n))
+    views1 = [[] for _ in range(n1)]
+    profiles, keys = [], []
+    for b in range(batch):
+        order = np.argsort(u[b], kind="stable")
+        for j in range(n1):
+            views1[j].append(np.sort(order[j * k1:(j + 1) * k1]))
+        mask = np.zeros(big_n)
+        mask[order[:n1 * k1]] = 1.0
+        r = _reference_profile(box1[:, b], box2[:, b], mask, n,
+                               flip1[b], flip2[b])
+        w = (1.0 - r) ** cfg.gamma
+        key = np.full(big_n, np.inf)
+        key[w > 0.0] = rng.standard_exponential(int((w > 0.0).sum())) / w[w > 0.0]
+        profiles.append(r)
+        keys.append(key)
+    views2 = [[] for _ in range(n2)]
+    for b in range(batch):
+        key = keys[b]
+        if np.count_nonzero(key < np.inf) >= n2 * k2:
+            order = np.argsort(key, kind="stable")
+        else:
+            pos = np.flatnonzero(key < np.inf)
+            order = np.concatenate([pos[np.argsort(key[pos], kind="stable")],
+                                    rng.permutation(np.flatnonzero(key == np.inf))])
+        for j in range(n2):
+            views2[j].append(np.sort(order[j * k2:(j + 1) * k2]))
+    stack = lambda views: [np.stack(v) for v in views]
+    return stack(views1), stack(views2), np.stack(profiles)
+
+
+def _pair_crops(rng, batch, crops):
+    if crops == "identical":
+        full = np.zeros((4, batch))
+        full[2:] = 16.0
+        return full, full.copy()
+    return (random_crops(rng, batch, 16.0, 16.0, (0.15, 1.0), (0.75, 4 / 3)),
+            random_crops(rng, batch, 16.0, 16.0, (0.15, 1.0), (0.75, 4 / 3)))
+
+
+# (sampler, crops, flip probability, share of rows expected short); grid 8
+# unless the name says otherwise
+VIEW_CASES = {
+    "two-views": (SamplerConfig(), "random", 0.0, (0.0, 0.0)),
+    "four-views": (SamplerConfig(n_views=4), "random", 0.0, (0.0, 0.0)),
+    "four-views-grid-32": (SamplerConfig(n_views=4), "random", 0.5, (0.0, 0.0)),
+    "flips": (SamplerConfig(), "random", 0.5, (0.0, 0.0)),
+    "s1-ne-s2": (SamplerConfig(s1=0.375, s2=0.125, gamma=1.0), "random", 0.5,
+                 (0.0, 0.0)),
+    "gamma-zero": (SamplerConfig(gamma=0.0, n_views=3), "random", 0.5,
+                   (0.0, 0.0)),
+    "every-row-short": (SamplerConfig(s1=0.75, s2=0.5), "identical", 0.0,
+                        (1.0, 1.0)),
+    "some-rows-short": (SamplerConfig(s1=1.0, s2=0.6, gamma=2.0), "random",
+                        0.5, (0.1, 0.6)),
+    "some-rows-short-four-views": (SamplerConfig(s1=0.5, s2=0.25, n_views=4),
+                                   "random", 0.5, (0.05, 0.8)),
+}
+
+
+class TestSampleViews:
+    @pytest.mark.parametrize("name", sorted(VIEW_CASES))
+    def test_matches_per_sample_reference_bit_for_bit(self, name):
+        cfg, crops, flip_prob, (low, high) = VIEW_CASES[name]
+        setup = np.random.default_rng(31)
+        batch, n = 48, 32 if name.endswith("grid-32") else 8
+        box1, box2 = _pair_crops(setup, batch, crops)
+        flip1 = setup.random(batch) < flip_prob
+        flip2 = setup.random(batch) < flip_prob
+        rng_ref = np.random.default_rng(5)
+        rng = np.random.default_rng(5)
+        expect = reference_sample_views(rng_ref, box1, box2, n, cfg,
+                                        flip1, flip2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            views1, views2, profiles = sample_views(rng, box1, box2, n, cfg,
+                                                    flip1, flip2)
+        assert profiles.tobytes() == expect[2].tobytes()
+        for got, ref in zip(views1 + views2, expect[0] + expect[1]):
+            assert got.tobytes() == ref.tobytes()
+        assert (len(views1), len(views2)) == branch_views(cfg)
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        padded = sum("padding" in str(w.message) for w in caught)
+        assert low <= padded / batch <= high
+
+    @pytest.mark.filterwarnings("ignore:too few positive weights")
+    @pytest.mark.parametrize("name", ["four-views", "some-rows-short-four-views"])
+    def test_views_are_disjoint_and_full(self, name):
+        cfg, crops, flip_prob, _ = VIEW_CASES[name]
+        rng = np.random.default_rng(2)
+        box1, box2 = _pair_crops(rng, 32, crops)
+        views1, views2, _ = sample_views(rng, box1, box2, 8, cfg)
+        k1, k2 = sample_count(cfg.s1, 64), sample_count(cfg.s2, 64)
+        for views, k in ((views1, k1), (views2, k2)):
+            both = np.concatenate(views, axis=1)
+            assert both.shape == (32, len(views) * k)
+            assert all(np.unique(row).size == row.size for row in both)
+
+    def test_profiles_match_direct_geometry_with_flips(self):
+        rng = np.random.default_rng(9)
+        box1, box2 = _pair_crops(rng, 6, "random")
+        flip1 = np.array([True, False, True, False, True, True])
+        flip2 = np.array([False, True, True, False, False, True])
+        views1, _, profiles = sample_views(rng, box1, box2, 4, SamplerConfig(),
+                                           flip1, flip2)
+        for b in range(6):
+            grids = [grid_for(Rect(x0, y0, x0 + w, y0 + h), flip=f,
+                              view_size=8, source=16.0)
+                     for (x0, y0, w, h), f in ((box1[:, b], flip1[b]),
+                                               (box2[:, b], flip2[b]))]
+            rects1 = patch_rects(grids[0], views1[0][b])
+            direct = [overlap_ratio(rects1, map_patch_to_image(grids[1], i))
+                      for i in range(16)]
+            assert profiles[b] == pytest.approx(direct, abs=1e-12)
+
+    def test_too_few_patches_rejected(self):
+        rng = np.random.default_rng(0)
+        box1, box2 = _pair_crops(rng, 2, "random")
+        with pytest.raises(ValueError, match="disjoint views"):
+            sample_views(rng, box1, box2, 2, SamplerConfig(s1=0.1))
