@@ -3,7 +3,7 @@
 View 1 keeps a uniform 25% of its patches. View 2 is drawn with weight
 (1 - r)^gamma against view 1's footprint: the higher the overlap ratio of a
 patch, the less likely it survives. With gamma large, view 2 visibly avoids
-view 1.
+view 1. Every draw is one call of ``sample_views`` on a batch of crop pairs.
 
 Run: python demos/asymmetric_sampling.py
 """
@@ -13,27 +13,28 @@ import numpy as np
 import asympatch as ap
 
 rng = np.random.default_rng(7)
+batch, n = 200, 16                      # 200 pairs, 16x16 grids of 2-px patches
 
-# identical crops make the avoidance easy to read: each view-2 patch either
-# coincides with a sampled view-1 cell (r = 1) or does not (r = 0)
-crop = ap.full_image_crop(32)
-grid = ap.PatchGrid(crop=crop, patch_size=2)
-
-view1 = ap.sample_sparse(grid, 0.25, rng)
-profile = ap.overlap_profile(view1, grid)
-print(f"{len(view1)} view-1 patches of {grid.n_patches}")
+# identical full crops of a 32-pixel image make the avoidance easy to read:
+# each view-2 patch either coincides with a sampled view-1 cell (r = 1) or
+# does not (r = 0)
+box = np.zeros((4, batch))
+box[2:] = 32.0
 
 for gamma in (0.0, 1.0, 3.0, 8.0):
-    weights = ap.selective_weights(profile, gamma)
-    hits = []
-    for _ in range(200):
-        view2 = ap.sample_selective(grid, weights, 0.25, rng)
-        hits.append(profile[list(view2.indices)].mean())
-    print(f"gamma={gamma:>4}: mean overlap of view-2 picks "
-          f"{np.mean(hits):.4f} (uniform would be {profile.mean():.4f})")
+    (view1,), (view2,), profiles = ap.sample_views(
+        rng, box, box, n, ap.SamplerConfig(gamma=gamma))
+    picked = np.take_along_axis(profiles, view2, axis=1)
+    print(f"gamma={gamma:>4}: {view1.shape[1]} view-1 patches of {n * n}; "
+          f"mean overlap of view-2 picks {picked.mean():.4f} "
+          f"(uniform would be {profiles.mean():.4f})")
 
-# multi-view reuse: four pairwise-disjoint uniform views tile the grid
-views = ap.sample_multi_view(grid, 0.25, 4, rng)
-all_idx = sorted(i for v in views for i in v.indices)
-print("4 disjoint views cover the grid exactly:",
-      all_idx == list(range(grid.n_patches)))
+# multi-view reuse: with eight views, each crop gets four pairwise-disjoint
+# views that tile its grid. On identical crops every view-2 weight would then
+# be 0 for gamma > 0 and the draw would pad, so gamma = 0 here
+views1, views2, _ = ap.sample_views(rng, box[:, :1], box[:, :1], n,
+                                    ap.SamplerConfig(gamma=0.0, n_views=8))
+for name, views in (("crop-1", views1), ("crop-2", views2)):
+    all_idx = np.sort(np.concatenate(views, axis=1)[0])
+    print(f"4 disjoint {name} views cover the grid exactly:",
+          bool(np.array_equal(all_idx, np.arange(n * n))))

@@ -25,11 +25,8 @@ from .objective import (LossResult, MultiviewLossResult, contrastive_loss,
                         cosine_similarity_matrix, info_nce, multiview_loss)
 from .optim import (AdamWState, ClipState, EmaSchedule, adamw_step,
                     clip_update, cosine_lr, momentum_encoder_update)
-from .sampling import (PatchIndexSet, SamplerConfig, overlap_profile,
-                       random_crops, sample_multi_view, sample_selective,
-                       sample_selective_views, sample_sparse, sample_views,
-                       selective_weights,
-                       weighted_sample_without_replacement)
+from .sampling import (SamplerConfig, random_crops, sample_views,
+                       selective_weights)
 from .serialize import CheckpointError, load_arrays, save_arrays
 from .train import (DatasetSpec, TrainConfig, TrainState, checkpoint_load,
                     checkpoint_save, cifar_config, init_train_state,

@@ -218,8 +218,7 @@ def _simulate_pair_overlaps(strategy, s1, s2, gamma, crop_model, grid_size,
     if n < 2:
         raise ValueError("grid_size must be at least 2")
     big_n = n * n
-    k1 = int(np.floor(s1 * big_n + 0.5))
-    k2 = int(np.floor(s2 * big_n + 0.5))
+    k1, k2 = sampling.sample_count(s1, big_n), sampling.sample_count(s2, big_n)
     seq = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
     n_chunks = (trials + chunk - 1) // chunk

@@ -205,6 +205,8 @@ def cmd_demo(args) -> int:
     s2 = cfg.get("s2", 0.25)
     gamma = cfg.get("gamma", 3.0)
     scale = cfg.get("scale", 8)
+    if scale < 1:
+        raise UsageError(f"scale must be >= 1, got {scale}")
     seed = args.seed if args.seed is not None else 0
     rng = np.random.default_rng(seed)
 

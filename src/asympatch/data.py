@@ -175,9 +175,10 @@ def augment(record: ImageRecord, params: AugmentParams,
     """Random-resized-crop + photometric ops; returns (pixels, crop box).
 
     All randomness flows through ``rng``. The returned box carries the crop
-    rect in source coordinates, the flip flag, and the view size — exactly
-    what the sampler needs to evaluate patch-overlap geometry. A one-view
-    call of :func:`augment_batch`.
+    rect in source coordinates, the flip flag, and the view size, the input
+    of the per-patch geometry in :mod:`asympatch.geometry`; the batched
+    sampler takes the ``(4, N)`` boxes and flips of :func:`augment_batch`
+    instead. A one-view call of :func:`augment_batch`.
     """
     views, box, flip = augment_batch([record], params, rng)
     x0, y0, w, h = (float(v) for v in box[:, 0])

@@ -66,13 +66,6 @@ def clip_update(state: ClipState, g: np.ndarray) -> np.ndarray:
     return out
 
 
-def clip_triggered(state: ClipState, g: np.ndarray) -> bool:
-    """Whether ``clip_update`` would rescale this gradient (state untouched)."""
-    if state.ema_grad is None:
-        return False
-    return float(np.linalg.norm(g)) > state.alpha * float(np.linalg.norm(state.ema_grad))
-
-
 @dataclass
 class AdamWState:
     """First/second moment accumulators and step counter, keyed like params."""

@@ -5,8 +5,8 @@ multi-view reuse, for a whole batch of crop pairs at once.
 The kernels take ``(B, ...)`` arrays, one row per sample, and serve the
 trainer, the Monte Carlo analyzer (:mod:`asympatch.asymmetry`) and the demo
 alike; :func:`sample_views` chains them for every view of a training batch.
-The per-sample functions on :class:`~asympatch.geometry.PatchGrid` objects
-(:func:`sample_sparse`, :func:`overlap_profile`, ...) are one-row calls.
+A single sample is a batch of one row. :mod:`asympatch.geometry` computes
+the same overlaps one rectangle at a time and is the kernels' reference.
 
 View 1 keeps a uniform sample of ``round(s1 * N)`` patches. View 2 is drawn
 without replacement with per-patch weight ``(1 - r)**gamma``, where ``r`` is
@@ -30,8 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PatchGrid
-
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -52,30 +50,6 @@ class SamplerConfig:
             raise ValueError(f"n_views must be >= 1, got {self.n_views}")
         if self.n_views > 2 and (self.n_views + 1) // 2 * max(self.s1, self.s2) > 1.0 + 1e-12:
             raise ValueError("disjoint multi-view reuse needs n_views/2 * s <= 1")
-
-
-@dataclass(frozen=True)
-class PatchIndexSet:
-    """A sorted, duplicate-free set of patch indices on one grid."""
-
-    grid: PatchGrid
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        idx = self.indices
-        if any(idx[i] >= idx[i + 1] for i in range(len(idx) - 1)):
-            raise ValueError("indices must be strictly increasing")
-        if idx and (idx[0] < 0 or idx[-1] >= self.grid.n_patches):
-            raise ValueError("patch index out of grid range")
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def mask(self) -> np.ndarray:
-        """Boolean membership mask over the grid, shape (n_rows, n_cols)."""
-        m = np.zeros(self.grid.n_patches, dtype=bool)
-        m[list(self.indices)] = True
-        return m.reshape(self.grid.n_rows, self.grid.n_cols)
 
 
 def sample_count(ratio: float, n: int) -> int:
@@ -286,102 +260,3 @@ def sample_views(rng: np.random.Generator, box1: np.ndarray, box2: np.ndarray,
     split = lambda idx, k, v: [np.sort(idx[:, j * k:(j + 1) * k], axis=1)
                                for j in range(v)]
     return split(first, k1, n1), split(second, k2, n2), profiles
-
-
-# ---------------------------------------------------------------------------
-# one-sample calls on patch grids
-
-def _as_index_set(grid: PatchGrid, idx: np.ndarray) -> PatchIndexSet:
-    return PatchIndexSet(grid=grid, indices=tuple(int(i) for i in np.sort(idx)))
-
-
-def _chunked_sets(grid, order, k, n_views):
-    return [_as_index_set(grid, order[v * k:(v + 1) * k]) for v in range(n_views)]
-
-
-def sample_sparse(grid: PatchGrid, s1: float, rng: np.random.Generator) -> PatchIndexSet:
-    """Uniform sample without replacement of round(s1 * N) patch indices."""
-    if not 0.0 < s1 <= 1.0:
-        raise ValueError(f"s1 must lie in (0, 1], got {s1}")
-    return sample_multi_view(grid, s1, 1, rng)[0]
-
-
-def sample_multi_view(grid: PatchGrid, s: float, n_views: int,
-                      rng: np.random.Generator) -> list[PatchIndexSet]:
-    """Pairwise-disjoint uniform samples, each over the remaining pool."""
-    if n_views < 1:
-        raise ValueError("n_views must be >= 1")
-    n = grid.n_patches
-    k = sample_count(s, n)
-    if k < 1:
-        raise ValueError(f"ratio {s} keeps no patch on a {n}-patch grid")
-    if n_views * k > n:
-        raise ValueError(f"{n_views} disjoint views of {k} patches exceed {n}")
-    order = rank_chunks(rng.random((1, n)), k, n_views)[0]
-    return _chunked_sets(grid, order, k, n_views)
-
-
-def overlap_profile(view1: PatchIndexSet, grid2: PatchGrid) -> np.ndarray:
-    """Per-patch overlap ratios of ``grid2`` against view-1's sampled union.
-
-    Element ``i`` equals the fraction of grid-2 patch ``i`` covered by the
-    union of view-1's sampled footprints, all measured in source-image
-    coordinates (see :func:`overlap_profiles`).
-    """
-    c1, c2 = view1.grid.crop, grid2.crop
-    if c1.source_size != c2.source_size:
-        raise ValueError("grids reference different source images: "
-                         f"{c1.source_size} vs {c2.source_size}")
-    if view1.grid.n_rows != grid2.n_rows:
-        raise ValueError("grids of different sizes")
-    box1, box2 = (np.array([[c.rect.x0], [c.rect.y0], [c.rect.x1 - c.rect.x0],
-                            [c.rect.y1 - c.rect.y0]]) for c in (c1, c2))
-    mask = view1.mask().reshape(1, -1).astype(float)
-    return overlap_profiles(box1, box2, mask, Workspace(1, grid2.n_rows),
-                            np.array([c1.flip]), np.array([c2.flip]))[0]
-
-
-def weighted_sample_without_replacement(weights: np.ndarray, k: int,
-                                        rng: np.random.Generator) -> np.ndarray:
-    """Draw ``k`` distinct indices with sequential-renormalized-draw law.
-
-    Implemented as an exponential race: the k smallest keys ``E_i / w_i``.
-    Indices with zero weight are only used to pad when fewer than ``k``
-    weights are positive, uniformly at random, with a warning.
-    """
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1:
-        raise ValueError("weights must be one-dimensional")
-    if np.any(w < 0.0) or not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite and non-negative")
-    if not 0 < k <= w.size:
-        raise ValueError(f"cannot draw {k} of {w.size} items")
-    return selective_race(w[None], k, 1, rng)[0]
-
-
-def sample_selective(grid2: PatchGrid, weights: np.ndarray, s2: float,
-                     rng: np.random.Generator) -> PatchIndexSet:
-    """Weighted sample without replacement of round(s2 * N) grid-2 patches."""
-    if not 0.0 < s2 <= 1.0:
-        raise ValueError(f"s2 must lie in (0, 1], got {s2}")
-    w = np.asarray(weights, dtype=float)
-    if w.size != grid2.n_patches:
-        raise ValueError(
-            f"{w.size} weights for a {grid2.n_patches}-patch grid"
-        )
-    k = sample_count(s2, grid2.n_patches)
-    if k < 1:
-        raise ValueError(f"ratio {s2} keeps no patch on this grid")
-    return _as_index_set(grid2, weighted_sample_without_replacement(w, k, rng))
-
-
-def sample_selective_views(grid2: PatchGrid, weights: np.ndarray, s2: float,
-                           n_views: int, rng: np.random.Generator) -> list[PatchIndexSet]:
-    """Pairwise-disjoint selective samples for multi-view reuse (see
-    :func:`selective_race`)."""
-    n = grid2.n_patches
-    k = sample_count(s2, n)
-    if n_views * k > n:
-        raise ValueError(f"{n_views} disjoint views of {k} patches exceed {n}")
-    order = selective_race(np.asarray(weights, dtype=float)[None], k, n_views, rng)[0]
-    return _chunked_sets(grid2, order, k, n_views)

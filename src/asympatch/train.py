@@ -100,6 +100,11 @@ class TrainConfig:
         if not 0 <= self.warmup_steps <= self.total_steps:
             raise ValueError(f"warmup_steps must lie in [0, total_steps = "
                              f"{self.total_steps}], got {self.warmup_steps}")
+        if self.knn_k < 1:
+            raise ValueError(f"knn_k must be >= 1, got {self.knn_k}")
+        if self.checkpoint_every < 0:
+            raise ValueError(f"checkpoint_every must be >= 0, got "
+                             f"{self.checkpoint_every}")
 
     def backbone_config(self) -> enc.BackboneConfig:
         return enc.BACKBONES[self.backbone]
@@ -327,6 +332,8 @@ def knn_probe(config: TrainConfig, params: dict, train_records, eval_records,
               k: int | None = None) -> float:
     """Cosine k-nearest-neighbor accuracy of frozen representations."""
     k = k if k is not None else config.knn_k
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if k > len(train_records):
         raise ValueError(f"k={k} exceeds {len(train_records)} reference samples")
     ref = embed_records(config, params, train_records)

@@ -162,6 +162,16 @@ class TestDemo:
         mask1 = read_ppm(out / "view1_mask.ppm")
         assert np.all(mask1 > 0.99)
 
+    def test_scale_below_one_fails_closed(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[demo]\nscale = 0\n")
+        out = tmp_path / "demo"
+        assert run_cli("demo", "--config", str(cfg), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "scale must be >= 1" in err
+        assert not out.exists()
+
     def test_unreadable_input_fails(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text("[demo]\nimage = /does/not/exist.ppm\n")
@@ -223,13 +233,17 @@ class TestTrainAndProbe:
         ("heads = bogus", "unknown heads 'bogus'"),
         ("batch = 0", "batch size must be >= 1"),
         ("total_steps = 0", "total_steps must be >= 1"),
+        ("knn_k = 0", "knn_k must be >= 1"),
+        ("knn_k = -3", "knn_k must be >= 1"),
+        ("checkpoint_every = -1", "checkpoint_every must be >= 0"),
     ])
     def test_bad_train_config_fails_closed(self, tmp_path, capsys, line,
                                            message):
         cfg = tmp_path / "bad.ini"
         key = line.split(" = ")[0]
         good = open(self.write_train_config(tmp_path)).read()
-        cfg.write_text(re.sub(rf"^{key} = .*$", line, good, flags=re.M))
+        bad, found = re.subn(rf"^{key} = .*$", line, good, flags=re.M)
+        cfg.write_text(bad if found else good + line + "\n")
         out = tmp_path / "out"
         assert run_cli("train", "--config", str(cfg), "--out", str(out)) != 0
         err = capsys.readouterr().err
@@ -262,6 +276,21 @@ class TestTrainAndProbe:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "clip" in err
+
+    def test_probe_rejects_k_below_one(self, tmp_path, capsys):
+        cfg = self.write_train_config(tmp_path, total_steps=2)
+        out = tmp_path / "out"
+        assert run_cli("train", "--config", cfg, "--out", str(out)) == 0
+        probe_cfg = tmp_path / "probe.ini"
+        probe_cfg.write_text("[probe]\nk = 0\n")
+        capsys.readouterr()
+        probe_out = tmp_path / "o"
+        assert run_cli("probe", "--config", str(probe_cfg), "--checkpoint",
+                       str(out / "final.ckpt"), "--out", str(probe_out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "k must be >= 1" in err
+        assert not probe_out.exists()
 
     def test_dry_run_rejects_warmup_beyond_total(self, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"

@@ -198,7 +198,8 @@ class TestClassTokenLastBlock:
             "x": [(1, 0, 3), (2, 0, 6), (0, 3, 1), (2, 4, 5)],
             # query, key and value columns
             "w_qkv": [(2, 1), (5, dim + 3), (7, 2 * dim + 4)],
-            "b_qkv": [(0,), (dim + 6,), (2 * dim + 1,)],
+            # query and value biases; the key bias is checked below
+            "b_qkv": [(0,), (2 * dim + 1,)],
             "w_out": [(3, 4)],
             "b_out": [(2,)],
         }
@@ -208,6 +209,9 @@ class TestClassTokenLastBlock:
                 fd = fd_gradient(value, p, name, coord)
                 worst = max(worst, rel_err(fd, grads[name][coord]))
         assert worst < 1e-4
+        # a key bias shifts every score of a query by the same amount, which
+        # softmax ignores: its true gradient is exactly zero
+        assert np.abs(db_qkv[dim:2 * dim]).max() < 1e-12 * np.abs(db_qkv).max()
         # rows past the query get gradient only through keys and values
         assert dx[:, 1:].any()
 

@@ -8,12 +8,10 @@ from scipy import stats
 from asympatch.geometry import (CropBox, PatchGrid, Rect,
                                 map_patch_to_image, overlap_ratio,
                                 patch_rects)
-from asympatch.sampling import (PatchIndexSet, SamplerConfig, overlap_profile,
-                                random_crops, sample_count, sample_multi_view,
-                                sample_selective, sample_selective_views,
-                                sample_sparse, sample_views,
-                                selective_weights,
-                                weighted_sample_without_replacement)
+from asympatch.sampling import (SamplerConfig, Workspace, index_masks,
+                                overlap_profiles, random_crops, rank_chunks,
+                                sample_count, sample_views, selective_race,
+                                selective_weights)
 
 
 def grid_for(rect, flip=False, view_size=32, patch_size=2, source=32.0):
@@ -22,6 +20,22 @@ def grid_for(rect, flip=False, view_size=32, patch_size=2, source=32.0):
                      source_size=(source, source)),
         patch_size=patch_size,
     )
+
+
+def boxes(batch, x0=0.0, y0=0.0, w=16.0, h=16.0):
+    """(4, batch) copies of one crop box (x0, y0, w, h)."""
+    return np.tile(np.array([[x0], [y0], [w], [h]], dtype=float), batch)
+
+
+def counts_of(idx, n):
+    return np.bincount(np.ravel(idx), minlength=n)
+
+
+def profile_of(box1, box2, idx, n, flip1=None, flip2=None):
+    """Overlap profiles of crop 2 against view-1 patches ``idx`` (B, k)."""
+    work = Workspace(box1.shape[1], n)
+    return overlap_profiles(box1, box2, index_masks(idx, work.mask), work,
+                            flip1, flip2)
 
 
 def sequential_set_probabilities(weights, k):
@@ -53,60 +67,60 @@ class TestSamplerConfig:
 
 
 class TestSampleSparse:
+    """View 1 of :func:`sample_views`: a uniform sample of round(s1 * N)
+    patches per row."""
+
     def test_full_ratio_keeps_all(self):
-        g = grid_for(Rect(0, 0, 32, 32))
-        out = sample_sparse(g, 1.0, np.random.default_rng(0))
-        assert out.indices == tuple(range(g.n_patches))
+        (view1,), _, _ = sample_views(np.random.default_rng(0), boxes(3),
+                                      boxes(3), 16,
+                                      SamplerConfig(s1=1.0, gamma=0.0))
+        assert view1.tolist() == [list(range(256))] * 3
 
     def test_quarter_on_16x16_grid(self):
-        g = grid_for(Rect(0, 0, 32, 32))      # 16x16 grid of 2-pixel patches
-        assert g.n_patches == 256
-        out = sample_sparse(g, 0.25, np.random.default_rng(0))
-        assert len(out.indices) == 64
-        assert len(set(out.indices)) == 64
+        (view1,), _, _ = sample_views(np.random.default_rng(0), boxes(4),
+                                      boxes(4), 16, SamplerConfig())
+        assert view1.shape == (4, 64)
+        assert all(np.unique(row).size == 64 for row in view1)
 
     def test_deterministic_under_seed(self):
-        g = grid_for(Rect(0, 0, 32, 32))
-        a = sample_sparse(g, 0.25, np.random.default_rng(42))
-        b = sample_sparse(g, 0.25, np.random.default_rng(42))
-        assert a.indices == b.indices
+        setup = np.random.default_rng(3)
+        box1, box2 = (random_crops(setup, 4, 16.0, 16.0, (0.15, 1.0),
+                                   (0.75, 4 / 3)) for _ in range(2))
+        a = sample_views(np.random.default_rng(42), box1, box2, 16,
+                         SamplerConfig())
+        b = sample_views(np.random.default_rng(42), box1, box2, 16,
+                         SamplerConfig())
+        for x, y in zip(a[0] + a[1] + [a[2]], b[0] + b[1] + [b[2]]):
+            assert x.tobytes() == y.tobytes()
 
     def test_every_index_equally_likely(self):
-        g = grid_for(Rect(0, 0, 8, 8), view_size=8)   # 4x4 grid
-        rng = np.random.default_rng(1)
-        counts = np.zeros(16)
-        trials = 4000
-        for _ in range(trials):
-            for i in sample_sparse(g, 0.25, rng).indices:
-                counts[i] += 1
+        trials = 4000                                 # 4x4 grid per row
+        (view1,), _, _ = sample_views(np.random.default_rng(1), boxes(trials),
+                                      boxes(trials), 4, SamplerConfig())
+        counts = counts_of(view1, 16)
         # each index kept w.p. 4/16; chi-square against uniform counts
         chi = ((counts - counts.mean()) ** 2 / counts.mean()).sum()
         assert stats.chi2.sf(chi, df=15) > 0.01
 
 
 class TestOverlapProfile:
+    """:func:`overlap_profiles`: the per-patch overlap of crop 2 against
+    the union of view-1's sampled footprints."""
+
     def test_disjoint_crops_all_zero(self):
-        g1 = grid_for(Rect(0, 0, 8, 8), view_size=8)
-        g2 = grid_for(Rect(16, 16, 24, 24), view_size=8)
-        s1 = sample_sparse(g1, 0.5, np.random.default_rng(0))
-        assert not overlap_profile(s1, g2).any()
+        idx = rank_chunks(np.random.default_rng(0).random((2, 16)), 8)
+        prof = profile_of(boxes(2, 0, 0, 8, 8), boxes(2, 16, 16, 8, 8), idx, 4)
+        assert not prof.any()
 
     def test_identical_crops_full_view1(self):
-        g = grid_for(Rect(0, 0, 32, 32))
-        s1 = sample_sparse(g, 1.0, np.random.default_rng(0))
-        assert overlap_profile(s1, g) == pytest.approx(np.ones(g.n_patches))
+        box = boxes(2, 0, 0, 32, 32)
+        prof = profile_of(box, box, np.tile(np.arange(256), (2, 1)), 16)
+        assert prof == pytest.approx(np.ones((2, 256)))
 
     def test_single_patch_identical_2x2(self):
-        g = grid_for(Rect(0, 0, 4, 4), view_size=4)   # 2x2 grid
-        s1 = PatchIndexSet(grid=g, indices=(0,))
-        assert overlap_profile(s1, g).tolist() == [1.0, 0.0, 0.0, 0.0]
-
-    def test_mismatched_sources_rejected(self):
-        g1 = grid_for(Rect(0, 0, 8, 8), view_size=8, source=32.0)
-        g2 = grid_for(Rect(0, 0, 8, 8), view_size=8, source=64.0)
-        s1 = sample_sparse(g1, 0.5, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="source"):
-            overlap_profile(s1, g2)
+        box = boxes(1, 0, 0, 4, 4)
+        assert profile_of(box, box, np.array([[0]]), 2).tolist() \
+            == [[1.0, 0.0, 0.0, 0.0]]
 
     @pytest.mark.parametrize("flip1,flip2", [(False, False), (True, False),
                                              (False, True), (True, True)])
@@ -117,9 +131,11 @@ class TestOverlapProfile:
                       patch_size=2)
         g2 = grid_for(Rect(8.9, 0.4, 28.9, 20.4), flip=flip2, view_size=8,
                       patch_size=2)
-        s1 = sample_sparse(g1, 0.375, rng)
-        prof = overlap_profile(s1, g2)
-        rects1 = patch_rects(g1, s1.indices)
+        idx = rank_chunks(rng.random((1, 16)), sample_count(0.375, 16))
+        prof = profile_of(boxes(1, 1.3, 2.7, 24.0, 24.0),
+                          boxes(1, 8.9, 0.4, 20.0, 20.0), idx, 4,
+                          np.array([flip1]), np.array([flip2]))[0]
+        rects1 = patch_rects(g1, idx[0])
         direct = np.array([
             overlap_ratio(rects1, map_patch_to_image(g2, i))
             for i in range(g2.n_patches)
@@ -144,15 +160,14 @@ class TestSelectiveWeights:
 
 
 class TestWeightedDraw:
+    """:func:`selective_race`: weighted sampling without replacement."""
+
     def test_two_item_pick_frequency(self):
         # P(pick item 0) = 1 / (1 + 0.125)
-        rng = np.random.default_rng(0)
-        w = np.array([1.0, 0.125])
         trials = 100_000
-        hits = sum(
-            int(weighted_sample_without_replacement(w, 1, rng)[0] == 0)
-            for _ in range(trials)
-        )
+        w = np.tile([1.0, 0.125], (trials, 1))
+        out = selective_race(w, 1, 1, np.random.default_rng(0))
+        hits = int((out[:, 0] == 0).sum())
         p = 1.0 / 1.125
         sigma = np.sqrt(p * (1 - p) / trials)
         assert abs(hits / trials - p) < 4 * sigma
@@ -162,14 +177,12 @@ class TestWeightedDraw:
         w = [3.0, 2.0, 1.0, 0.5]
         k = 2
         expected = sequential_set_probabilities(w, k)
-        rng = np.random.default_rng(1)
         trials = 40_000
+        out = selective_race(np.tile(w, (trials, 1)), k, 1,
+                             np.random.default_rng(1))
         counts = {key: 0 for key in expected}
-        for _ in range(trials):
-            out = tuple(sorted(
-                weighted_sample_without_replacement(np.array(w), k, rng)
-            ))
-            counts[out] += 1
+        for row in np.sort(out, axis=1).tolist():
+            counts[tuple(row)] += 1
         keys = sorted(expected)
         obs = np.array([counts[key] for key in keys], dtype=float)
         exp = np.array([expected[key] * trials for key in keys])
@@ -177,129 +190,116 @@ class TestWeightedDraw:
         assert stats.chi2.sf(chi, df=len(keys) - 1) > 0.01
 
     def test_exactly_k_positive_weights_deterministic(self):
-        w = np.array([0.0, 2.0, 0.0, 1.0])
-        out = weighted_sample_without_replacement(w, 2, np.random.default_rng(0))
-        assert sorted(out.tolist()) == [1, 3]
+        w = np.array([[0.0, 2.0, 0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = selective_race(w, 2, 1, np.random.default_rng(0))
+        assert sorted(out[0].tolist()) == [1, 3]
 
     def test_padding_from_zero_weights_warns(self):
-        w = np.array([0.0, 2.0, 0.0, 0.0])
+        w = np.array([[0.0, 2.0, 0.0, 0.0]])
         with pytest.warns(RuntimeWarning, match="padding"):
-            out = weighted_sample_without_replacement(
-                w, 3, np.random.default_rng(0))
-        assert 1 in out.tolist()
-        assert len(set(out.tolist())) == 3
-
-    def test_rejects_bad_args(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            weighted_sample_without_replacement(np.array([-1.0, 1.0]), 1, rng)
-        with pytest.raises(ValueError):
-            weighted_sample_without_replacement(np.array([1.0]), 2, rng)
+            out = selective_race(w, 3, 1, np.random.default_rng(0))
+        assert 1 in out[0].tolist()
+        assert len(set(out[0].tolist())) == 3
 
 
 class TestSampleSelective:
+    """View 2: the race over (1 - r)**gamma weights."""
+
     def test_cardinality_and_range(self):
-        g = grid_for(Rect(0, 0, 32, 32))
-        w = np.ones(g.n_patches)
-        out = sample_selective(g, w, 0.25, np.random.default_rng(0))
-        assert len(out.indices) == 64
+        setup = np.random.default_rng(1)
+        box1, box2 = (random_crops(setup, 8, 16.0, 16.0, (0.15, 1.0),
+                                   (0.75, 4 / 3)) for _ in range(2))
+        _, (view2,), _ = sample_views(np.random.default_rng(0), box1, box2,
+                                      16, SamplerConfig())
+        assert view2.shape == (8, 64)
+        assert all(np.unique(row).size == 64 for row in view2)
+        assert view2.min() >= 0 and view2.max() < 256
 
     def test_uniform_limit_matches_sparse(self):
-        # gamma = 0 weights: distribution indistinguishable from sample_sparse
-        g = grid_for(Rect(0, 0, 8, 8), view_size=8)   # 16 patches
-        rng = np.random.default_rng(2)
-        trials = 8000
-        counts_sel = np.zeros(16)
-        counts_uni = np.zeros(16)
-        w = np.ones(16)
-        for _ in range(trials):
-            for i in sample_selective(g, w, 0.25, rng).indices:
-                counts_sel[i] += 1
-            for i in sample_sparse(g, 0.25, rng).indices:
-                counts_uni[i] += 1
-        table = np.stack([counts_sel, counts_uni])
+        # gamma = 0 weights: view 2's law is indistinguishable from view 1's
+        trials = 8000                                 # 16 patches per row
+        setup = np.random.default_rng(2)
+        box1, box2 = (random_crops(setup, trials, 16.0, 16.0, (0.15, 1.0),
+                                   (0.75, 4 / 3)) for _ in range(2))
+        (view1,), (view2,), _ = sample_views(np.random.default_rng(2), box1,
+                                             box2, 4, SamplerConfig(gamma=0.0))
+        table = np.stack([counts_of(view2, 16), counts_of(view1, 16)])
         _, p, _, _ = stats.chi2_contingency(table)
         assert p > 0.01
 
     def test_monotonicity_in_overlap(self):
         # raising one patch's overlap ratio never raises its pick frequency
-        g = grid_for(Rect(0, 0, 8, 8), view_size=8)
-        prof_lo = np.zeros(16)
-        prof_hi = np.zeros(16)
-        prof_lo[5] = 0.2
-        prof_hi[5] = 0.8
-        rng_lo = np.random.default_rng(3)
-        rng_hi = np.random.default_rng(3)
         trials = 6000
-        hits_lo = hits_hi = 0
-        for _ in range(trials):
-            w_lo = selective_weights(prof_lo, 3.0)
-            w_hi = selective_weights(prof_hi, 3.0)
-            hits_lo += 5 in sample_selective(g, w_lo, 0.25, rng_lo).indices
-            hits_hi += 5 in sample_selective(g, w_hi, 0.25, rng_hi).indices
-        assert hits_hi < hits_lo
-
-    def test_weight_length_checked(self):
-        g = grid_for(Rect(0, 0, 32, 32))
-        with pytest.raises(ValueError):
-            sample_selective(g, np.ones(5), 0.25, np.random.default_rng(0))
+        prof_lo = np.zeros((trials, 16))
+        prof_hi = np.zeros((trials, 16))
+        prof_lo[:, 5] = 0.2
+        prof_hi[:, 5] = 0.8
+        hits = [int((selective_race(selective_weights(prof, 3.0), 4, 1,
+                                    np.random.default_rng(3)) == 5).sum())
+                for prof in (prof_lo, prof_hi)]
+        assert hits[1] < hits[0]
 
 
 class TestMultiView:
+    """Disjoint multi-view reuse: consecutive chunks of one ordering."""
+
     def test_exact_partition(self):
-        g = grid_for(Rect(0, 0, 32, 32))       # 16x16 grid, 256 patches
-        views = sample_multi_view(g, 0.25, 4, np.random.default_rng(0))
-        allidx = sorted(i for v in views for i in v.indices)
-        assert allidx == list(range(256))
+        # four views per crop of a 16x16 grid, 64 patches each; gamma = 0,
+        # since with identical crops every view-2 weight would be 0 otherwise
+        box = boxes(1, 0, 0, 32, 32)
+        views1, views2, _ = sample_views(np.random.default_rng(0), box, box,
+                                         16, SamplerConfig(gamma=0.0,
+                                                           n_views=8))
+        for views in (views1, views2):
+            assert len(views) == 4
+            assert np.sort(np.concatenate(views, axis=1)[0]).tolist() \
+                == list(range(256))
 
     def test_disjoint_cardinalities(self):
-        g = grid_for(Rect(0, 0, 32, 32))
-        views = sample_multi_view(g, 0.2, 3, np.random.default_rng(1))
-        seen = [i for v in views for i in v.indices]
-        assert len(seen) == len(set(seen)) == 3 * 51   # round(0.2 * 256) = 51
+        cfg = SamplerConfig(s1=0.2, s2=0.2, gamma=0.0, n_views=6)
+        views1, views2, _ = sample_views(np.random.default_rng(1), boxes(2),
+                                         boxes(2), 16, cfg)
+        for views in (views1, views2):
+            seen = np.concatenate(views, axis=1)
+            assert seen.shape == (2, 3 * 51)          # round(0.2 * 256) = 51
+            assert all(np.unique(row).size == 3 * 51 for row in seen)
 
     def test_single_view_matches_sparse_distribution(self):
-        g = grid_for(Rect(0, 0, 8, 8), view_size=8)
-        rng = np.random.default_rng(4)
-        counts_multi = np.zeros(16)
-        counts_sparse = np.zeros(16)
-        for _ in range(6000):
-            for i in sample_multi_view(g, 0.25, 1, rng)[0].indices:
-                counts_multi[i] += 1
-            for i in sample_sparse(g, 0.25, rng).indices:
-                counts_sparse[i] += 1
-        _, p, _, _ = stats.chi2_contingency(np.stack([counts_multi, counts_sparse]))
+        # the first of two disjoint crop-1 views has the single view's law
+        trials = 6000
+        first = [sample_views(np.random.default_rng(4), boxes(trials),
+                              boxes(trials), 4,
+                              SamplerConfig(gamma=0.0, n_views=v))[0][0]
+                 for v in (4, 2)]
+        table = np.stack([counts_of(view, 16) for view in first])
+        _, p, _, _ = stats.chi2_contingency(table)
         assert p > 0.01
 
     def test_insufficient_patches_rejected(self):
-        g = grid_for(Rect(0, 0, 8, 8), view_size=8)
-        with pytest.raises(ValueError):
-            sample_multi_view(g, 0.5, 3, np.random.default_rng(0))
+        # round(0.5 * 9) = 5, and two disjoint views of 5 exceed 9 patches
+        with pytest.raises(ValueError, match="disjoint views"):
+            sample_views(np.random.default_rng(0), boxes(1), boxes(1), 3,
+                         SamplerConfig(s1=0.5, s2=0.5, n_views=4))
 
     def test_selective_views_disjoint(self):
-        g = grid_for(Rect(0, 0, 32, 32))
-        prof = np.random.default_rng(5).random(g.n_patches) * 0.9
+        prof = np.random.default_rng(5).random((8, 256)) * 0.9
         w = selective_weights(prof, 3.0)
-        views = sample_selective_views(g, w, 0.25, 2, np.random.default_rng(6))
-        seen = [i for v in views for i in v.indices]
-        assert len(seen) == len(set(seen)) == 128
+        views = selective_race(w, 64, 2, np.random.default_rng(6))
+        assert views.shape == (8, 128)
+        assert all(np.unique(row).size == 128 for row in views)
 
     def test_selective_views_first_chunk_law(self):
         # first chunk of the multi-view draw has the same law as a single draw
-        g = grid_for(Rect(0, 0, 8, 8), view_size=8)
-        prof = np.zeros(16)
-        prof[:4] = 0.9
+        trials = 6000
+        prof = np.zeros((trials, 16))
+        prof[:, :4] = 0.9
         w = selective_weights(prof, 2.0)
-        rng_a = np.random.default_rng(7)
-        rng_b = np.random.default_rng(7)
-        counts_a = np.zeros(16)
-        counts_b = np.zeros(16)
-        for _ in range(6000):
-            for i in sample_selective_views(g, w, 0.25, 2, rng_a)[0].indices:
-                counts_a[i] += 1
-            for i in sample_selective(g, w, 0.25, rng_b).indices:
-                counts_b[i] += 1
-        _, p, _, _ = stats.chi2_contingency(np.stack([counts_a, counts_b]))
+        first = selective_race(w, 4, 2, np.random.default_rng(7))[:, :4]
+        single = selective_race(w, 4, 1, np.random.default_rng(7))
+        table = np.stack([counts_of(first, 16), counts_of(single, 16)])
+        _, p, _, _ = stats.chi2_contingency(table)
         assert p > 0.01
 
 

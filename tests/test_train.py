@@ -4,9 +4,8 @@ import pytest
 import asympatch.train as train_mod
 from asympatch.asymmetry import monte_carlo_overlap
 from asympatch.encoder import forward_branch
-from asympatch.geometry import PatchGrid, full_image_crop
 from asympatch.objective import MultiviewLossResult, contrastive_loss, multiview_loss
-from asympatch.sampling import SamplerConfig, sample_sparse
+from asympatch.sampling import SamplerConfig, sample_views
 from asympatch.serialize import CheckpointError, load_arrays, save_arrays
 from asympatch.train import (DatasetSpec, TrainConfig, checkpoint_load,
                              checkpoint_save, cifar_config, clip_group_of,
@@ -188,12 +187,13 @@ class TestDegenerateAnchor:
         state = init_train_state(cfg)
         records = load_dataset(cfg.dataset)[:4]
         pix = np.stack([r.pixels for r in records])
-        grid = PatchGrid(crop=full_image_crop(bb.image_size),
-                         patch_size=bb.patch_size)
-        rng = np.random.default_rng(0)
-        set1 = sample_sparse(grid, 1.0, rng)
-        assert set1.indices == tuple(range(bb.n_patches))
+        full = np.zeros((4, 4))
+        full[2:] = bb.image_size
+        n = bb.image_size // bb.patch_size
+        (set1,), (set2,), _ = sample_views(np.random.default_rng(0), full,
+                                           full, n, cfg.sampler)
         idx = np.tile(np.arange(bb.n_patches), (4, 1))
+        assert set1.tolist() == set2.tolist() == idx.tolist()
         bn1 = {k: v.copy() for k, v in state.bn_stats.items()}
         bn2 = {k: v.copy() for k, v in state.bn_stats.items()}
         z1, q1, _ = forward_branch(bb, hc, state.params, bn1, pix, idx)
