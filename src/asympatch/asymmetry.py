@@ -27,7 +27,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import sampling
 
@@ -74,6 +73,9 @@ def pdf_normalization(gamma: float, s1: float) -> float:
     if gamma < 0.0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     _check_ratio("s1", s1)
+    # imported here: no CLI or benchmark path integrates, and scipy.integrate
+    # (with the optimize and linalg it pulls in) costs ~0.25-0.3 s and ~26 MB
+    from scipy import integrate
     value, _ = integrate.quad(selective_density, 0.0, 1.0, args=(gamma, s1))
     return float(value)
 

@@ -28,6 +28,14 @@ from .sampling import SamplerConfig, sample_views
 from .train import (DatasetSpec, TrainConfig, checkpoint_load, knn_probe,
                     probe_split, load_dataset, run_training)
 
+
+def _on_off(raw: str) -> bool:
+    """A switch: exactly ``on`` or ``off``; anything else is a typo."""
+    if raw not in ("on", "off"):
+        raise ValueError(f"expected on or off, got {raw!r}")
+    return raw == "on"
+
+
 ANALYZE_SCHEMA = {
     "s1": float, "s2": float, "gammas": str, "trials": int, "grid": int,
     "crop_model": str, "density_points": int,
@@ -41,8 +49,8 @@ TRAIN_SCHEMA = {
     "per_class": int, "image_size": int, "dataset_seed": int,
     "cifar_path": str, "s1": float, "s2": float, "gamma": float,
     "views": int, "tau": float, "lr": float, "weight_decay": float,
-    "batch": int, "warmup_steps": int, "total_steps": int, "clip": str,
-    "clip_m": float, "clip_alpha": float, "momentum_encoder": str,
+    "batch": int, "warmup_steps": int, "total_steps": int, "clip": _on_off,
+    "clip_m": float, "clip_alpha": float, "momentum_encoder": _on_off,
     "seed": int, "checkpoint_every": int, "knn_k": int,
 }
 PROBE_SCHEMA = {"checkpoint": str, "k": int}
@@ -273,10 +281,10 @@ def _train_config(cfg: dict, seed_override) -> TrainConfig:
         batch_size=cfg.get("batch", 32),
         warmup_steps=cfg.get("warmup_steps", 10),
         total_steps=cfg.get("total_steps", 200),
-        clip_enabled=cfg.get("clip", "off") == "on",
+        clip_enabled=cfg.get("clip", False),
         clip_m=cfg.get("clip_m", 0.4),
         clip_alpha=cfg.get("clip_alpha", 1.05),
-        momentum_encoder=cfg.get("momentum_encoder", "off") == "on",
+        momentum_encoder=cfg.get("momentum_encoder", False),
         seed=seed,
         checkpoint_every=cfg.get("checkpoint_every", 0),
         knn_k=cfg.get("knn_k", 5),
@@ -349,7 +357,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, ValueError, OSError, RuntimeError) as exc:
+    except (UsageError, ValueError, OSError, RuntimeError,
+            FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .geometry import CropBox, Rect
 from .sampling import random_crops
@@ -304,6 +303,9 @@ def _color_op(op: str, x: np.ndarray, a, params: AugmentParams) -> np.ndarray:
     if op == "grayscale":
         return np.repeat(_luma(x)[..., None], 3, axis=-1)
     if op == "blur":
+        # imported here: no recipe or CLI key turns blur on, and
+        # scipy.ndimage adds ~50-80 ms to import even after scipy.special
+        from scipy import ndimage
         out = np.stack([
             np.stack([ndimage.gaussian_filter(v[..., c], sigma)
                       for c in range(3)], axis=-1)

@@ -44,12 +44,18 @@ class SamplerConfig:
         for name, s in (("s1", self.s1), ("s2", self.s2)):
             if not 0.0 < s <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1], got {s}")
-        if self.gamma < 0.0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        _check_gamma(self.gamma)
         if self.n_views < 1:
             raise ValueError(f"n_views must be >= 1, got {self.n_views}")
         if self.n_views > 2 and (self.n_views + 1) // 2 * max(self.s1, self.s2) > 1.0 + 1e-12:
             raise ValueError("disjoint multi-view reuse needs n_views/2 * s <= 1")
+
+
+def _check_gamma(gamma: float) -> None:
+    # NaN passes "gamma < 0": it weighs the zero-overlap patches 1**nan = 1
+    # and every other patch NaN, which the race skips, so it acts as inf
+    if not (np.isfinite(gamma) and gamma >= 0.0):
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
 
 
 def sample_count(ratio: float, n: int) -> int:
@@ -178,8 +184,7 @@ def selective_weights(profile: np.ndarray, gamma: float, out=None) -> np.ndarray
     r = np.asarray(profile, dtype=float)
     if r.min() < -1e-9 or r.max() > 1.0 + 1e-9:
         raise ValueError("overlap profile entries must lie in [0, 1]")
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    _check_gamma(gamma)
     w = np.clip(r, 0.0, 1.0, out=out)
     np.subtract(1.0, w, out=w)
     return np.power(w, gamma, out=w)

@@ -95,6 +95,12 @@ class TrainConfig:
                              f"{', '.join(enc.HEADS)}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
+        if not (np.isfinite(self.base_lr) and self.base_lr > 0.0):
+            raise ValueError(f"base_lr must be finite and > 0, got "
+                             f"{self.base_lr}")
+        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
+            raise ValueError(f"weight_decay must be finite and >= 0, got "
+                             f"{self.weight_decay}")
         if self.total_steps < 1:
             raise ValueError(f"total_steps must be >= 1, got {self.total_steps}")
         if not 0 <= self.warmup_steps <= self.total_steps:

@@ -236,6 +236,16 @@ class TestTrainAndProbe:
         ("knn_k = 0", "knn_k must be >= 1"),
         ("knn_k = -3", "knn_k must be >= 1"),
         ("checkpoint_every = -1", "checkpoint_every must be >= 0"),
+        ("lr = nan", "base_lr must be finite and > 0"),
+        ("lr = inf", "base_lr must be finite and > 0"),
+        ("lr = 0", "base_lr must be finite and > 0"),
+        ("lr = -1", "base_lr must be finite and > 0"),
+        ("weight_decay = -0.5", "weight_decay must be finite and >= 0"),
+        ("weight_decay = nan", "weight_decay must be finite and >= 0"),
+        ("clip = yes", "bad value for 'clip': 'yes'"),
+        ("clip = On", "bad value for 'clip': 'On'"),
+        ("momentum_encoder = true", "bad value for 'momentum_encoder': 'true'"),
+        ("gamma = nan", "gamma must be finite and >= 0"),
     ])
     def test_bad_train_config_fails_closed(self, tmp_path, capsys, line,
                                            message):
@@ -250,6 +260,16 @@ class TestTrainAndProbe:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
         assert not out.exists()
+
+    def test_diverging_run_is_one_error_line(self, tmp_path, capsys):
+        cfg = tmp_path / "diverge.ini"
+        cfg.write_text(open(self.write_train_config(tmp_path, total_steps=3))
+                       .read() + "lr = 1e300\n")
+        assert run_cli("train", "--config", str(cfg),
+                       "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "non-finite activations" in err
 
     def test_probe_empty_checkpoint_header_fails_closed(self, tmp_path, capsys):
         header = b"{}"

@@ -59,7 +59,8 @@ class TestSamplerConfig:
 
     @pytest.mark.parametrize("kw", [
         dict(s1=0.0), dict(s2=1.5), dict(gamma=-1.0), dict(n_views=0),
-        dict(s1=0.4, s2=0.4, n_views=6),
+        dict(s1=0.4, s2=0.4, n_views=6), dict(gamma=np.nan),
+        dict(gamma=np.inf),
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
@@ -157,6 +158,12 @@ class TestSelectiveWeights:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             selective_weights(np.array([1.2]), 1.0)
+
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_gamma(self, gamma):
+        # 1**nan == 1 would keep only the zero-overlap patches: gamma = inf
+        with pytest.raises(ValueError, match="finite"):
+            selective_weights(np.array([0.0, 0.5]), gamma)
 
 
 class TestWeightedDraw:
