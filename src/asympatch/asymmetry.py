@@ -54,13 +54,13 @@ def expected_overlap_selective(s1: float, s2: float, gamma: float) -> float:
     """Expected pair overlap of the selective strategy, continuous-r model."""
     _check_ratio("s1", s1)
     _check_ratio("s2", s2)
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    sampling._check_gamma(gamma)
     return s1 * s2 / (gamma + 2.0)
 
 
 def selective_density(r, gamma: float, s1: float):
     """Selective sampling density (gamma + 1) * s1 * (1 - r)**gamma."""
+    sampling._check_gamma(gamma)
     return (gamma + 1.0) * s1 * np.power(1.0 - np.asarray(r, dtype=float), gamma)
 
 
@@ -70,11 +70,11 @@ def pdf_normalization(gamma: float, s1: float) -> float:
     Adaptive quadrature, deliberately not reusing the closed form it is meant
     to verify; the result must equal ``s1``.
     """
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    sampling._check_gamma(gamma)
     _check_ratio("s1", s1)
     # imported here: no CLI or benchmark path integrates, and scipy.integrate
-    # (with the optimize and linalg it pulls in) costs ~0.25-0.3 s and ~26 MB
+    # (with the special, optimize and linalg it pulls in) costs ~0.6-0.7 s and
+    # ~52 MB
     from scipy import integrate
     value, _ = integrate.quad(selective_density, 0.0, 1.0, args=(gamma, s1))
     return float(value)

@@ -305,7 +305,10 @@ def cmd_train(args) -> int:
               f"weight_decay={config.weight_decay} seed={config.seed}")
         return 0
     os.makedirs(args.out, exist_ok=True)
-    state = run_training(config, out_dir=args.out)
+    # a diverging run is reported by the explicit finite checks (activations,
+    # loss, gradients) as one error line; numpy's warnings would precede it
+    with np.errstate(all="ignore"):
+        state = run_training(config, out_dir=args.out)
     records = load_dataset(config.dataset)
     ref, held = probe_split(records, config)
     acc = knn_probe(config, state.params, ref, held)

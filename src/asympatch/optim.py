@@ -29,8 +29,8 @@ class ClipState:
     def __post_init__(self):
         if not 0.0 <= self.m < 1.0:
             raise ValueError(f"momentum m must lie in [0, 1), got {self.m}")
-        if self.alpha <= 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not (np.isfinite(self.alpha) and self.alpha > 0.0):
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
 
     @property
     def initialized(self) -> bool:

@@ -101,6 +101,10 @@ class TrainConfig:
         if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
             raise ValueError(f"weight_decay must be finite and >= 0, got "
                              f"{self.weight_decay}")
+        if not (np.isfinite(self.tau) and self.tau > 0.0):
+            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
+        # rejects a bad clip_m or clip_alpha before any step, clip on or off
+        ClipState(m=self.clip_m, alpha=self.clip_alpha)
         if self.total_steps < 1:
             raise ValueError(f"total_steps must be >= 1, got {self.total_steps}")
         if not 0 <= self.warmup_steps <= self.total_steps:

@@ -187,6 +187,17 @@ class TestClosedForms:
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 1e-4
 
+    @pytest.mark.parametrize("call", [
+        lambda g: expected_overlap_selective(0.25, 0.25, g),
+        lambda g: selective_density(0.5, g, 0.25),
+        lambda g: pdf_normalization(g, 0.25),
+    ], ids=["expected_overlap_selective", "selective_density",
+            "pdf_normalization"])
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -1.0])
+    def test_gamma_validation(self, call, gamma):
+        with pytest.raises(ValueError, match="gamma must be finite and >= 0"):
+            call(gamma)
+
     @pytest.mark.parametrize("fn", [expected_overlap_naive,
                                     lambda a, b: expected_overlap_selective(a, b, 1.0)])
     def test_ratio_validation(self, fn):

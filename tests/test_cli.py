@@ -2,6 +2,8 @@ import hashlib
 import os
 import re
 import struct
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -23,6 +25,9 @@ selective,random,0.25,0.25,4.0,32,8192,0.010416666666666666,0.007654425039064735
 """
 GOLDEN_ANALYZE_TXT_SHA256 = (
     "955d7a5a69bf8ded624fa7f7f79572d09387b8506126d44ea1403c2afc53df6f")
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_cli(*argv):
@@ -246,6 +251,15 @@ class TestTrainAndProbe:
         ("clip = On", "bad value for 'clip': 'On'"),
         ("momentum_encoder = true", "bad value for 'momentum_encoder': 'true'"),
         ("gamma = nan", "gamma must be finite and >= 0"),
+        ("tau = nan", "tau must be finite and > 0"),
+        ("tau = inf", "tau must be finite and > 0"),
+        ("tau = 0", "tau must be finite and > 0"),
+        ("tau = -0.1", "tau must be finite and > 0"),
+        ("clip_alpha = nan", "alpha must be finite and > 0"),
+        ("clip_alpha = inf", "alpha must be finite and > 0"),
+        ("clip_alpha = 0", "alpha must be finite and > 0"),
+        ("clip_m = 1", "momentum m must lie in [0, 1)"),
+        ("clip_m = nan", "momentum m must lie in [0, 1)"),
     ])
     def test_bad_train_config_fails_closed(self, tmp_path, capsys, line,
                                            message):
@@ -261,15 +275,23 @@ class TestTrainAndProbe:
         assert message in err
         assert not out.exists()
 
-    def test_diverging_run_is_one_error_line(self, tmp_path, capsys):
+    def test_diverging_run_is_one_error_line(self, tmp_path):
+        # a separate process: pytest records warnings itself, so in-process
+        # stderr would not show numpy's floating-point warnings
         cfg = tmp_path / "diverge.ini"
         cfg.write_text(open(self.write_train_config(tmp_path, total_steps=3))
                        .read() + "lr = 1e300\n")
-        assert run_cli("train", "--config", str(cfg),
-                       "--out", str(tmp_path / "out")) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "non-finite activations" in err
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-m", "asympatch.cli", "train", "--config",
+             str(cfg), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: ")
+        assert done.stderr.count("\n") == 1
+        assert "non-finite activations" in done.stderr
 
     def test_probe_empty_checkpoint_header_fails_closed(self, tmp_path, capsys):
         header = b"{}"

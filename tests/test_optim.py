@@ -92,8 +92,9 @@ class TestClip:
     def test_bad_hyperparameters_rejected(self):
         with pytest.raises(ValueError):
             ClipState(m=1.0)
-        with pytest.raises(ValueError):
-            ClipState(alpha=0.0)
+        for alpha in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="alpha must be finite"):
+                ClipState(alpha=alpha)
 
 
 class TestAdamW:
