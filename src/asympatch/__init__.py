@@ -1,6 +1,6 @@
 """Asymmetric patch sampling for contrastive learning.
 
-A numpy library covering the full pipeline: exact crop/patch overlap
+A numpy/scipy library covering the full pipeline: exact crop/patch overlap
 geometry, uniform + selective (overlap-penalized) patch samplers, analytic
 and Monte Carlo asymmetry quantification, a stop-gradient contrastive
 objective with hand-derived gradients, adaptive gradient clipping and

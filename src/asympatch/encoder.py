@@ -251,102 +251,13 @@ def layernorm_backward(dy, cache):
     return dx, dg, db
 
 
-# cephes ndtr.c erf/erfc (S. Moshier), the routine scipy.special.erf runs,
-# with its coefficients and its operation order: erf = x*T(z)/U(z), z = x*x,
-# for |x| <= 1 (bit-identical to scipy) and 1 - erfc(|x|) with the sign of x
-# beyond, erfc = exp(-x*x)*P(x)/Q(x) below 8 and exp(-x*x)*R(x)/S(x) above
-# (within 1 ulp: np.exp against libm exp)
-_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
-          2.23200534594684319226E3, 7.00332514112805075473E3,
-          5.55923013010394962768E4)
-_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2,
-          4.59432382970980127987E3, 2.26290000613890934246E4,
-          4.92673942608635921086E4)
-_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
-           7.46321056442269912687E0, 4.86371970985681366614E1,
-           1.96520832956077098242E2, 5.26445194995477358631E2,
-           9.34528527171957607540E2, 1.02755188689515710272E3,
-           5.57535335369399327526E2)
-_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1,
-           3.54937778887819891062E2, 9.75708501743205489753E2,
-           1.82390916687909736289E3, 2.24633760818710981792E3,
-           1.65666309194161350182E3, 5.57535340817727675546E2)
-_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0,
-           5.01905042251180477414E0, 6.16021097993053585195E0,
-           7.40974269950448939160E0, 2.97886665372100240670E0)
-_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0,
-           1.20489539808096656605E1, 1.70814450747565897222E1,
-           9.60896809063285067349E0, 3.36907645100081516050E0)
-_MAXLOG = 7.09782712893383996843E2
-# elements per chunk of _erf: each float64 work array is 256 KB, so they stay
-# in L2; the chunk size never moves a value
-_ERF_CHUNK = 32_768
-
-
-def _polevl(x, coef, out, monic=False):
-    # cephes polevl (p1evl when monic: a leading coefficient of 1 left out),
-    # Horner's rule from the highest power, into out
-    if monic:
-        np.add(x, coef[0], out=out)
-    else:
-        np.multiply(x, coef[0], out=out)
-        out += coef[1]
-    for c in coef[2 - monic:]:
-        out *= x
-        out += c
-    return out
-
-
-def _erf(x, out):
-    """erf of float64 ``x`` into C-contiguous ``out`` (which may be ``x``).
-
-    ±inf gives ±1 and NaN gives NaN, without a floating-point warning: very
-    large entries overflow on the |x| <= 1 piece before the |x| > 1 piece
-    overwrites them.
-    """
-    if not out.flags.c_contiguous:
-        raise ValueError("_erf needs a C-contiguous out")
-    xf, of = x.reshape(-1), out.reshape(-1)
-    m = min(xf.size, _ERF_CHUNK)
-    z, num, den = np.empty(m), np.empty(m), np.empty(m)
-    with np.errstate(all="ignore"):
-        for s in range(0, xf.size, _ERF_CHUNK):
-            xc, oc = xf[s:s + m], of[s:s + m]
-            k = xc.size
-            zc, nc, dc = z[:k], num[:k], den[:k]
-            np.multiply(xc, xc, out=zc)
-            # z > 1 exactly when |x| > 1, and NaN never is
-            big = zc > 1.0
-            tail = xc[big] if big.any() else None
-            _polevl(zc, _ERF_T, nc)
-            _polevl(zc, _ERF_U, dc, monic=True)
-            nc *= xc
-            np.divide(nc, dc, out=oc)
-            if tail is not None:
-                oc[big] = _erf_tail(tail)
-    return out
-
-
-def _erf_tail(x):
-    # copysign(1 - erfc(|x|), x) for |x| > 1; erfc is 0 once x*x > MAXLOG,
-    # so clamping |x| at 27 changes no value and keeps inf out of P/Q, R/S
-    a = np.minimum(np.abs(x), 27.0)
-    zz = a * a
-    near = a < 8.0
-    p = np.where(near, _polevl(a, _ERFC_P, np.empty_like(a)),
-                 _polevl(a, _ERFC_R, np.empty_like(a)))
-    q = np.where(near, _polevl(a, _ERFC_Q, np.empty_like(a), monic=True),
-                 _polevl(a, _ERFC_S, np.empty_like(a), monic=True))
-    erfc = np.exp(-zz) * p / q
-    erfc[zz > _MAXLOG] = 0.0
-    return np.copysign(1.0 - erfc, x)
-
-
 def gelu_forward(x):
-    # exact erf form; phi = 0.5 * (1 + erf(x / sqrt 2)), built in one buffer;
-    # _erf is a numpy port of cephes erf, which scipy.special.erf runs
+    # exact erf form; phi = 0.5 * (1 + erf(x / sqrt 2)), built in one buffer.
+    # imported here: scipy.special costs ~0.3-0.4 s and ~25 MB to import, and
+    # a process that never encodes (analyze, demo) need not pay it
+    from scipy.special import erf
     phi = x / math.sqrt(2.0)
-    _erf(phi, out=phi)
+    erf(phi, out=phi)
     phi += 1.0
     phi *= 0.5
     return x * phi, (x, phi)

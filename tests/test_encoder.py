@@ -1,19 +1,14 @@
-import math
-import warnings
-
 import numpy as np
 import pytest
 from conftest import fd_gradient, micro_batch, micro_model, rel_err, sample_coords
-from scipy import special
 
-from asympatch.encoder import (_ERF_CHUNK, BACKBONES, HEADS, BackboneConfig,
-                               HeadConfig, _block_backward, _block_forward, _erf,
+from asympatch.encoder import (BACKBONES, HEADS, BackboneConfig, HeadConfig,
+                               _block_backward, _block_forward,
                                attention_backward, attention_forward,
                                backward_branch, encode, encode_backward,
-                               forward_branch, gelu_forward, init_params,
-                               layernorm_backward, layernorm_forward, patchify,
-                               patchify_backward, predict, project,
-                               sincos_position_table)
+                               forward_branch, init_params, layernorm_backward,
+                               layernorm_forward, patchify, patchify_backward,
+                               predict, project, sincos_position_table)
 
 
 def full_block_encode(cfg, params, tokens):
@@ -345,92 +340,3 @@ class TestForwardSweep:
         z, q, _ = forward_branch(bb, hc, params, bn, pixels, idx)
         assert z.shape == (2, hc.proj_dims[-1])
         assert q.shape == (2, hc.pred_dims[-1])
-
-
-def ulps(a, b):
-    """Distance in units in the last place between same-signed floats."""
-    assert np.array_equal(np.signbit(a), np.signbit(b))
-    return np.abs(a.view(np.int64) - b.view(np.int64))
-
-
-def erf_checked(x):
-    """``_erf`` into a fresh array, with any warning raised as an error."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        return _erf(x, np.empty_like(x))
-
-
-def assert_scipy_erf(x, got):
-    """Bit-identical to scipy on |x| <= 1, at most 1 ulp beyond, NaN at NaN;
-    returns the ulp distance of each non-NaN entry."""
-    ref = special.erf(x)
-    nan = np.isnan(x)
-    assert np.array_equal(np.isnan(got), nan)
-    small = np.abs(x) <= 1.0
-    assert np.array_equal(got[small].view(np.int64), ref[small].view(np.int64))
-    off = ulps(got[~nan], ref[~nan])
-    assert off.max() <= 1
-    return off
-
-
-EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-200,
-         1.0, -1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0),
-         -math.nextafter(1.0, 2.0), -math.nextafter(1.0, 0.0),
-         math.nextafter(8.0, 0.0), 8.0, -8.0, 26.6, 26.7, 27.0, -27.0,
-         1e200, -1e200, np.inf, -np.inf, np.nan]
-
-
-class TestErf:
-    """``_erf`` is cephes erf, the routine behind ``scipy.special.erf``."""
-
-    def test_dense_sweep_and_edges_match_scipy(self):
-        x = np.concatenate([np.linspace(-9.0, 9.0, 1_000_001), EDGES])
-        got = erf_checked(x)
-        # 0.037% of the sweep is 1 ulp off (np.exp against libm exp), all of
-        # it with 1 < |x| < 2.45
-        assert (assert_scipy_erf(x, got) > 0).mean() < 1e-3
-        # odd exactly, as cephes computes erf(-x) as -erf(x)
-        assert np.array_equal(erf_checked(-x), -got, equal_nan=True)
-
-    def test_limits(self):
-        assert erf_checked(np.empty((0, 3))).shape == (0, 3)
-        got = erf_checked(np.array([0.0, -0.0, np.inf, -np.inf, np.nan]))
-        assert got[0] == 0.0 and not np.signbit(got[0])
-        assert got[1] == 0.0 and np.signbit(got[1])
-        assert got[2] == 1.0 and got[3] == -1.0 and np.isnan(got[4])
-
-    def test_chunks_never_move_a_value(self):
-        # three whole chunks and a partial fourth, both ranges in each
-        n = 3 * _ERF_CHUNK + 1234
-        x = np.random.default_rng(0).normal(scale=2.0, size=n)
-        got = erf_checked(x)
-        assert_scipy_erf(x, got)
-        pieces = [erf_checked(x[i:i + 1000]) for i in range(0, n, 1000)]
-        assert np.array_equal(got, np.concatenate(pieces))
-
-    def test_nan_in_a_chunk_with_large_entries(self):
-        # a NaN must not hide the |x| > 1 entries of its chunk
-        x = np.array([0.5, np.nan, 2.0, -3.0, np.inf, 9.0, -0.25])
-        assert_scipy_erf(x, erf_checked(x))
-
-    def test_rejects_a_strided_out(self):
-        x = np.zeros((4, 4))
-        with pytest.raises(ValueError, match="C-contiguous"):
-            _erf(x, np.empty((4, 4)).T)
-
-    def test_gelu_forward_matches_scipy_reference(self):
-        x = np.random.default_rng(2).normal(size=(32, 17, 256))
-        phi_ref = special.erf(x / math.sqrt(2.0))
-        phi_ref += 1.0
-        phi_ref *= 0.5
-        y_ref = x * phi_ref
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            y, (_, phi) = gelu_forward(x)
-        small = np.abs(x / math.sqrt(2.0)) <= 1.0
-        assert small.mean() > 0.8 and not small.all()
-        assert np.array_equal(y[small], y_ref[small])
-        assert np.array_equal(phi[small], phi_ref[small])
-        # beyond, 1 ulp of erf moves phi by at most 2**-53 (plus rounding)
-        assert np.abs(phi - phi_ref).max() <= 2.0 ** -52
-        assert (np.abs(y - y_ref) <= 4.0 * np.spacing(np.abs(x))).all()
