@@ -569,16 +569,55 @@ def predict_backward(heads: HeadConfig, dq: np.ndarray, caches, grads: dict):
 
 # ---------------------------------------------------------------------------
 # full branch: pixels -> tokens -> rep -> z -> q
+#
+# A branch is an encoder half (pixels -> rep), which reads the parameters
+# only, and a head half (rep -> z -> q), whose batch norms advance the
+# running statistics in place. The encoder halves of different views are
+# therefore independent and may run concurrently; the head halves may not.
+
+def encode_view(cfg: BackboneConfig, params: dict, pixels: np.ndarray,
+                indices: np.ndarray):
+    """Encoder half of one view's forward pass. Returns (rep, cache)."""
+    tokens, patch_c = patchify(cfg, params, pixels, indices)
+    rep, enc_c = encode(cfg, params, tokens)
+    return rep, (patch_c, enc_c)
+
+
+def encode_view_backward(cfg: BackboneConfig, drep: np.ndarray, cache) -> dict:
+    """Gradients of every encoder parameter from the representation's."""
+    patch_c, enc_c = cache
+    dtokens, grads = encode_backward(cfg, drep, enc_c)
+    grads.update(patchify_backward(cfg, dtokens, patch_c))
+    return grads
+
+
+def heads_forward(heads: HeadConfig, params: dict, bn_stats: dict,
+                  rep: np.ndarray, train: bool = True):
+    """Head half of one view's forward pass. Returns (z, q, cache)."""
+    z, proj_c = project(heads, params, bn_stats, rep, train)
+    q, pred_c = predict(heads, params, bn_stats, z, train)
+    return z, q, (proj_c, pred_c)
+
+
+def heads_backward(heads: HeadConfig, cache, dq: np.ndarray,
+                   dz: np.ndarray | None = None):
+    """Head parameter gradients and the representation gradient:
+    ``(drep, grads)``. ``dq`` and ``dz`` are as in :func:`backward_branch`."""
+    proj_c, pred_c = cache
+    grads: dict = {}
+    dz_total = predict_backward(heads, dq, pred_c, grads)
+    if dz is not None:
+        dz_total = dz_total + dz
+    return project_backward(heads, dz_total, proj_c, grads), grads
+
 
 def forward_branch(cfg: BackboneConfig, heads: HeadConfig, params: dict,
                    bn_stats: dict, pixels: np.ndarray, indices: np.ndarray,
                    train: bool = True):
     """Full forward pass of one view. Returns (z, q, cache)."""
-    tokens, patch_c = patchify(cfg, params, pixels, indices)
-    rep, enc_c = encode(cfg, params, tokens)
-    z, proj_c = project(heads, params, bn_stats, rep, train)
-    q, pred_c = predict(heads, params, bn_stats, z, train)
-    return z, q, (patch_c, enc_c, proj_c, pred_c)
+    rep, enc_c = encode_view(cfg, params, pixels, indices)
+    z, q, head_c = heads_forward(heads, params, bn_stats, rep, train)
+    return z, q, (enc_c, head_c)
 
 
 def backward_branch(cfg: BackboneConfig, heads: HeadConfig, cache,
@@ -589,15 +628,9 @@ def backward_branch(cfg: BackboneConfig, heads: HeadConfig, cache,
     gradient arriving directly at the projection output (zero under the
     stop-gradient objective, since targets are constants).
     """
-    patch_c, enc_c, proj_c, pred_c = cache
-    grads: dict = {}
-    dz_total = predict_backward(heads, dq, pred_c, grads)
-    if dz is not None:
-        dz_total = dz_total + dz
-    drep = project_backward(heads, dz_total, proj_c, grads)
-    dtokens, enc_grads = encode_backward(cfg, drep, enc_c)
-    grads.update(enc_grads)
-    grads.update(patchify_backward(cfg, dtokens, patch_c))
+    enc_c, head_c = cache
+    drep, grads = heads_backward(heads, head_c, dq, dz)
+    grads.update(encode_view_backward(cfg, drep, enc_c))
     return grads
 
 

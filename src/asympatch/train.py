@@ -16,11 +16,23 @@ branches; branch-1 views are disjoint uniform samples, branch-2 views are
 disjoint selective samples weighted against the union of branch-1's sampled
 patches, and the loss averages over ordered cross-branch pairs only
 (within-branch pairs share crop geometry and provide little asymmetry).
+
+The views meet only in the loss, so each view's encoder pass, forward and
+backward, and each chunk of the kNN probe's embeddings, runs as one task of
+:func:`_parallel_map`. Tasks get one thread per core the process may use,
+divided by the BLAS threads per call, the calling thread among them; so they
+run in parallel only where BLAS is limited (say ``OPENBLAS_NUM_THREADS=1``),
+and never on one core. Work that is not independent stays on the calling
+thread in view order: the heads, whose batch norms update running
+statistics in place, and the sum of the views' gradients. Every value is
+therefore byte-identical to the serial loop, whatever the thread count.
 """
 
 from __future__ import annotations
 
+import contextvars
 import os
+import queue
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -36,6 +48,26 @@ from .sampling import SamplerConfig, sample_views
 from .serialize import CheckpointError, load_arrays, save_arrays
 
 METRIC_FIELDS = ("step", "lr", "loss", "grad_norm", "clip_triggered")
+
+
+def _pool_threads(environ, cores: int) -> int:
+    """Threads that run encoder tasks, the caller's included: as many BLAS
+    thread teams as fit the cores. A BLAS call uses the thread count that
+    the first set variable below names (OpenBLAS reads them in this order),
+    and every core when none is set. Threads that each start a whole team
+    oversubscribe the cores: on a 2-core host a smoke step ran about 30%
+    slower than serially."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        value = environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            return max(1, cores // int(value))
+    return 1
+
+
+_WORKERS = _pool_threads(os.environ, len(os.sched_getaffinity(0))
+                         if hasattr(os, "sched_getaffinity")
+                         else os.cpu_count() or 1)
+_pool = None               # the ThreadPoolExecutor, made by the first parallel call
 
 
 @dataclass(frozen=True)
@@ -227,37 +259,88 @@ def _draw_views(state: TrainState, batch_records):
     return pix[:b], pix[b:], views1, views2, profiles
 
 
+def _parallel_map(fn, items) -> list:
+    """``[fn(x) for x in items]``, run by the calling thread and up to
+    ``_WORKERS - 1`` pool threads together.
+
+    numpy releases the interpreter lock inside the matmuls and ufunc loops
+    that make up an encoder pass, so independent passes overlap on the
+    host's cores. Each thread takes the next task not yet started, so when
+    the pool threads get no core the caller runs every task itself, as the
+    serial loop would. Pool threads run in a copy of the caller's context,
+    because numpy keeps ``np.errstate`` in a context variable that they do
+    not otherwise see. Every task ends before the first exception in task
+    order is raised, so a failure reads as it would in the serial loop.
+    """
+    global _pool
+    helpers = min(_WORKERS, len(items)) - 1
+    if helpers < 1:
+        return [fn(x) for x in items]
+    if _pool is None:
+        # imported here: concurrent.futures loads logging (~6 ms), which a
+        # process that never encodes (analyze, demo) need not pay
+        from concurrent.futures import ThreadPoolExecutor
+        _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="asympatch")
+    todo = queue.SimpleQueue()
+    for i in range(len(items)):
+        todo.put(i)
+    outcomes = [None] * len(items)          # (ok, result or exception)
+
+    def drain():
+        while True:
+            try:
+                i = todo.get_nowait()
+            except queue.Empty:
+                return
+            try:
+                outcomes[i] = (True, fn(items[i]))
+            except Exception as exc:  # noqa: BLE001 -- raised below, in order
+                outcomes[i] = (False, exc)
+
+    running = [_pool.submit(contextvars.copy_context().run, drain)
+               for _ in range(helpers)]
+    drain()
+    for f in running:
+        f.result()
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+    return [value for _, value in outcomes]
+
+
 def train_step(state: TrainState, batch_records, dump_path=None) -> float:
-    """One full optimization step on a batch of image records."""
+    """One full optimization step on a batch of image records; the encoder
+    passes of its views run on the thread pool (see the module docstring)."""
     cfg = state.config
     bb = cfg.backbone_config()
     hc = cfg.head_config()
     pix1, pix2, views1, views2, _ = _draw_views(state, batch_records)
-
-    branch = []          # (q, z_for_targets, cache, branch_id)
-    for idx in views1:
-        z, q, cache = enc.forward_branch(bb, hc, state.params, state.bn_stats,
-                                         pix1, idx, train=True)
-        branch.append([q, z, cache, 0])
-    for idx in views2:
-        z, q, cache = enc.forward_branch(bb, hc, state.params, state.bn_stats,
-                                         pix2, idx, train=True)
-        branch.append([q, z, cache, 1])
+    views = [(pix1, idx) for idx in views1] + [(pix2, idx) for idx in views2]
+    nets = [state.params]
     if cfg.momentum_encoder:
-        for entry, idx in zip(branch, list(views1) + list(views2)):
-            pix = pix1 if entry[3] == 0 else pix2
-            tokens, _ = enc.patchify(bb, state.target_params, pix, idx)
-            rep, _ = enc.encode(bb, state.target_params, tokens)
+        nets.append(state.target_params)
+    encoded = _parallel_map(lambda job: enc.encode_view(bb, *job),
+                            [(p, pix, idx) for p in nets for pix, idx in views])
+    online = encoded[:len(views)]
+
+    pairs, head_caches = [], []      # (q, z_for_targets), heads' caches
+    for rep, _ in online:
+        z, q, head_c = enc.heads_forward(hc, state.params, state.bn_stats,
+                                         rep, train=True)
+        pairs.append((q, z))
+        head_caches.append(head_c)
+    if cfg.momentum_encoder:
+        for i, (rep, _) in enumerate(encoded[len(views):]):
             z_t, _ = enc.project(hc, state.target_params, state.target_bn,
                                  rep, train=True)
-            entry[1] = z_t
+            pairs[i] = (pairs[i][0], z_t)
+    del encoded
 
-    ids1 = [i for i, e in enumerate(branch) if e[3] == 0]
-    ids2 = [i for i, e in enumerate(branch) if e[3] == 1]
+    ids1 = range(len(views1))
+    ids2 = range(len(views1), len(views))
     ordered = [(j, k) for j in ids1 for k in ids2]
     ordered += [(k, j) for j in ids1 for k in ids2]
-    result = multiview_loss([(e[0], e[1]) for e in branch], cfg.tau,
-                            ordered_pairs=ordered)
+    result = multiview_loss(pairs, cfg.tau, ordered_pairs=ordered)
     loss = result.value
     if not np.isfinite(loss):
         if dump_path:
@@ -267,9 +350,15 @@ def train_step(state: TrainState, batch_records, dump_path=None) -> float:
             + (f"; state dumped to {dump_path}" if dump_path else "")
         )
 
+    heads = [enc.heads_backward(hc, c, dq)
+             for c, dq in zip(head_caches, result.grad_q)]
+    enc_grads = _parallel_map(
+        lambda job: enc.encode_view_backward(bb, *job),
+        [(drep, enc_c) for (drep, _), (_, enc_c) in zip(heads, online)])
     grads = {}
-    for e, dq in zip(branch, result.grad_q):
-        enc.accumulate_grads(grads, enc.backward_branch(bb, hc, e[2], dq))
+    for (_, view_grads), encoder_grads in zip(heads, enc_grads):
+        view_grads.update(encoder_grads)
+        enc.accumulate_grads(grads, view_grads)
     for name, p in state.params.items():
         if name not in grads:
             grads[name] = np.zeros_like(p)
@@ -323,19 +412,26 @@ def metrics_csv(metrics) -> str:
 # evaluation
 
 def embed_records(config: TrainConfig, params: dict, records,
-                  batch: int = 64) -> np.ndarray:
-    """Full-image (all patches kept) class-token representations."""
+                  batch: int = 16) -> np.ndarray:
+    """Full-image (all patches kept) class-token representations.
+
+    Records are encoded in chunks of ``batch``, one chunk per task of
+    :func:`_parallel_map`. No encoder operation mixes records, so the result
+    does not depend on ``batch``. A chunk's backward caches live only while
+    it is encoded, so peak memory grows with ``batch`` times the number of
+    threads: a smoke-config probe process peaks at 143 MB on two threads,
+    against 230 MB for one 64-record chunk at a time.
+    """
     bb = config.backbone_config()
     all_idx = np.arange(bb.n_patches)
-    out = []
-    for start in range(0, len(records), batch):
-        chunk = records[start:start + batch]
+
+    def embed(chunk):
         pix = np.stack([r.pixels for r in chunk])
         idx = np.broadcast_to(all_idx, (len(chunk), bb.n_patches))
-        tokens, _ = enc.patchify(bb, params, pix, idx)
-        rep, _ = enc.encode(bb, params, tokens)
-        out.append(rep)
-    return np.concatenate(out, axis=0)
+        return enc.encode_view(bb, params, pix, idx)[0]
+
+    chunks = [records[i:i + batch] for i in range(0, len(records), batch)]
+    return np.concatenate(_parallel_map(embed, chunks), axis=0)
 
 
 def knn_probe(config: TrainConfig, params: dict, train_records, eval_records,

@@ -1,10 +1,18 @@
+import sys
+import threading
+import time
+import warnings
+
 import numpy as np
 import pytest
 
 import asympatch.train as train_mod
 from asympatch.asymmetry import monte_carlo_overlap
-from asympatch.encoder import forward_branch
+from asympatch.encoder import (accumulate_grads, backward_branch, encode,
+                               forward_branch, patchify, project)
 from asympatch.objective import MultiviewLossResult, contrastive_loss, multiview_loss
+from asympatch.optim import (EmaSchedule, adamw_step, cosine_lr,
+                             momentum_encoder_update)
 from asympatch.sampling import SamplerConfig, sample_views
 from asympatch.serialize import CheckpointError, load_arrays, save_arrays
 from asympatch.train import (DatasetSpec, TrainConfig, checkpoint_load,
@@ -153,6 +161,194 @@ class TestTrainStep:
         with pytest.raises(RuntimeError, match="non-finite"):
             train_step(state, records[:cfg.batch_size], dump_path=str(dump))
         assert dump.exists()
+
+
+@pytest.fixture
+def threads(monkeypatch):
+    """Set the encoder pool's thread count (on a fresh pool), so the
+    threaded path runs whatever the host's core count."""
+    def use(n):
+        monkeypatch.setattr(train_mod, "_WORKERS", n)
+        monkeypatch.setattr(train_mod, "_pool", None)
+    yield use
+    if train_mod._pool is not None:
+        train_mod._pool.shutdown()
+
+
+def serial_step(state, batch):
+    """Reference step: every view's whole forward_branch in view order, the
+    momentum target's passes after them, then backward_branch and
+    accumulate_grads in view order, all on the calling thread."""
+    cfg = state.config
+    bb, hc = cfg.backbone_config(), cfg.head_config()
+    pix1, pix2, views1, views2, _ = train_mod._draw_views(state, batch)
+    views = [(pix1, idx) for idx in views1] + [(pix2, idx) for idx in views2]
+    branch = [list(forward_branch(bb, hc, state.params, state.bn_stats,
+                                  pix, idx)) for pix, idx in views]
+    if cfg.momentum_encoder:
+        for entry, (pix, idx) in zip(branch, views):
+            tokens, _ = patchify(bb, state.target_params, pix, idx)
+            rep, _ = encode(bb, state.target_params, tokens)
+            entry[0], _ = project(hc, state.target_params, state.target_bn,
+                                  rep, train=True)
+    n1 = len(views1)
+    ordered = [(j, k) for j in range(n1) for k in range(n1, len(views))]
+    ordered += [(k, j) for j, k in ordered]
+    result = multiview_loss([(q, z) for z, q, _ in branch], cfg.tau,
+                            ordered_pairs=ordered)
+    grads = {}
+    for (_, _, cache), dq in zip(branch, result.grad_q):
+        accumulate_grads(grads, backward_branch(bb, hc, cache, dq))
+    for name, p in state.params.items():
+        grads.setdefault(name, np.zeros_like(p))
+    clip_hit = cfg.clip_enabled and train_mod._clip_groups(state, grads)
+    grad_norm = float(np.sqrt(sum(float((g * g).sum())
+                                  for g in grads.values())))
+    lr = cosine_lr(state.step, cfg.warmup_steps, cfg.total_steps, cfg.base_lr)
+    adamw_step(state.opt, state.params, grads, lr)
+    if cfg.momentum_encoder:
+        sched = EmaSchedule(cfg.ema_start, cfg.ema_end, cfg.total_steps)
+        momentum_encoder_update(state.params, state.target_params,
+                                sched.coefficient(state.step))
+    state.metrics.append((state.step, lr, result.value, grad_norm,
+                          float(clip_hit)))
+    state.step += 1
+
+
+def same_bytes(a: dict, b: dict) -> bool:
+    return list(a) == list(b) and all(
+        a[k].dtype == b[k].dtype and a[k].shape == b[k].shape
+        and a[k].tobytes() == b[k].tobytes() for k in a)
+
+
+MULTIVIEW = dict(batch_size=16, clip_enabled=True, momentum_encoder=True,
+                 sampler=SamplerConfig(s1=0.25, s2=0.25, gamma=3.0,
+                                       n_views=4))
+
+
+class TestThreadedStep:
+    @pytest.mark.parametrize("overrides,workers", [
+        ({}, 2), (MULTIVIEW, 2), (MULTIVIEW, 4)],
+        ids=["smoke", "multiview", "multiview-4-threads-fast-switching"])
+    def test_matches_the_serial_per_view_step_bit_for_bit(self, threads,
+                                                          overrides, workers):
+        # 4 threads over 8 encoder tasks, with the interpreter switching
+        # threads every 10 us, stress the shared reads of the parameters
+        threads(workers)
+        cfg = train_mod.smoke_config(total_steps=20, **overrides)
+        records = load_dataset(cfg.dataset)
+        threaded, serial = init_train_state(cfg), init_train_state(cfg)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5 if workers > 2 else interval)
+        try:
+            for _ in range(6):
+                for state, step in ((threaded, train_step),
+                                    (serial, serial_step)):
+                    pick = state.rng.choice(len(records),
+                                            size=cfg.batch_size, replace=False)
+                    step(state, [records[i] for i in pick])
+        finally:
+            sys.setswitchinterval(interval)
+        assert train_mod._pool is not None          # the pool did the work
+        assert threaded.metrics == serial.metrics
+        assert same_bytes(threaded.params, serial.params)
+        assert same_bytes(threaded.bn_stats, serial.bn_stats)
+        assert same_bytes(threaded.opt.m, serial.opt.m)
+        assert same_bytes(threaded.opt.v, serial.opt.v)
+        if cfg.momentum_encoder:
+            assert same_bytes(threaded.target_params, serial.target_params)
+            assert same_bytes(threaded.target_bn, serial.target_bn)
+        if cfg.clip_enabled:
+            assert any(row[4] for row in serial.metrics)
+            assert same_bytes(
+                {k: c.ema_grad for k, c in threaded.clip.items()},
+                {k: c.ema_grad for k, c in serial.clip.items()})
+
+    @pytest.mark.parametrize("environ,cores,expected", [
+        ({}, 2, 1),                                   # BLAS takes every core
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+        ({"OMP_NUM_THREADS": "1"}, 4, 4),
+        ({"MKL_NUM_THREADS": "2"}, 4, 2),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 2),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 2),
+        ({"OPENBLAS_NUM_THREADS": "x"}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "8"}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
+    ])
+    def test_pool_leaves_room_for_blas_threads(self, environ, cores,
+                                               expected):
+        assert train_mod._pool_threads(environ, cores) == expected
+
+    @pytest.mark.parametrize("mode", ["raise", "ignore"])
+    def test_pool_tasks_run_under_the_callers_errstate(self, threads, mode):
+        threads(2)
+        barrier = threading.Barrier(2, timeout=30)
+        ran, raised = [], []
+
+        def divide(x):
+            barrier.wait()        # both tasks at once: one is on a pool thread
+            ran.append(threading.current_thread().name)
+            try:
+                return np.full(3, x) / 0.0
+            except FloatingPointError:
+                raised.append(ran[-1])
+                raise
+
+        with warnings.catch_warnings(record=True) as caught, \
+                np.errstate(all=mode):
+            warnings.simplefilter("always")
+            if mode == "raise":
+                with pytest.raises(FloatingPointError):
+                    train_mod._parallel_map(divide, [1.0, 2.0])
+            else:
+                out = train_mod._parallel_map(divide, [1.0, 2.0])
+                assert np.isinf(np.concatenate(out)).all()
+        assert caught == []
+        assert any(name.startswith("asympatch") for name in ran)
+        assert sorted(raised) == (sorted(ran) if mode == "raise" else [])
+
+    def test_map_raises_the_first_error_in_task_order_after_all_end(
+            self, threads):
+        threads(2)
+        ended = []
+
+        def task(i):
+            time.sleep(0.05 * (i != 1))    # task 1 fails first in time
+            ended.append(i)
+            if i < 2:
+                raise ValueError(f"task {i}")
+            return i
+
+        with pytest.raises(ValueError, match="task 0"):
+            train_mod._parallel_map(task, range(4))
+        assert sorted(ended) == [0, 1, 2, 3]
+        assert train_mod._parallel_map(lambda i: i * i, range(5)) == \
+            [0, 1, 4, 9, 16]
+
+    def test_first_failing_view_in_order_names_the_block(self, threads,
+                                                         monkeypatch):
+        # view 0 (crop 1) goes non-finite after block 2 and view 1 (crop 2)
+        # already after block 0; the serial loop reports view 0's block, and
+        # so must the threaded step, although view 1 fails sooner
+        threads(2)
+        cfg = tiny_config()
+        draw = train_mod._draw_views
+
+        def poisoned(state, batch):
+            pix1, pix2, *rest = draw(state, batch)
+            return (pix1, np.full_like(pix2, np.inf), *rest)
+
+        monkeypatch.setattr(train_mod, "_draw_views", poisoned)
+        records = load_dataset(cfg.dataset)[:cfg.batch_size]
+        messages = []
+        for step in (serial_step, train_step):
+            state = init_train_state(cfg)
+            state.params["blocks.2.mlp.b2"][:] = np.inf
+            with np.errstate(all="ignore"), \
+                    pytest.raises(FloatingPointError) as err:
+                step(state, records)
+            messages.append(str(err.value))
+        assert messages == ["non-finite activations after block 2"] * 2
 
 
 class TestRealizedOverlap:
@@ -352,6 +548,25 @@ class TestKnnProbe:
         mean = float(np.mean(accs))
         sigma = float(np.std(accs, ddof=1)) / np.sqrt(len(accs))
         assert abs(mean - 0.5) < max(3 * sigma, 0.1)
+
+    def test_embeddings_do_not_depend_on_chunk_size(self, threads, monkeypatch):
+        # 37 records: the default chunk of 16 leaves a remainder chunk of 5
+        threads(2)
+        cfg = tiny_config(dataset=DatasetSpec(kind="synthetic", n_classes=2,
+                                              n_per_class=20, image_size=16,
+                                              seed=3))
+        state = init_train_state(cfg)
+        records = load_dataset(cfg.dataset)[:37]
+        reps = [train_mod.embed_records(cfg, state.params, records, batch=b)
+                for b in (16, 64, 1)]
+        assert reps[0].shape == (37, cfg.backbone_config().token_dim)
+        assert all(r.tobytes() == reps[0].tobytes() for r in reps)
+        assert train_mod.embed_records(cfg, state.params, records).tobytes() \
+            == reps[0].tobytes()
+        ref, held = probe_split(records, cfg)
+        threaded = knn_probe(cfg, state.params, ref, held)
+        monkeypatch.setattr(train_mod, "_WORKERS", 1)
+        assert knn_probe(cfg, state.params, ref, held) == threaded
 
     def test_k_larger_than_reference_rejected(self):
         cfg = tiny_config()
