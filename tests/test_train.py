@@ -165,7 +165,7 @@ class TestTrainStep:
 
 @pytest.fixture
 def threads(monkeypatch):
-    """Set the encoder pool's thread count (on a fresh pool), so the
+    """Set how many threads run encoder tasks (on a fresh pool), so the
     threaded path runs whatever the host's core count."""
     def use(n):
         monkeypatch.setattr(train_mod, "_WORKERS", n)
