@@ -50,23 +50,35 @@ from .serialize import CheckpointError, load_arrays, save_arrays
 METRIC_FIELDS = ("step", "lr", "loss", "grad_norm", "clip_triggered")
 
 
-def _pool_threads(environ, cores: int) -> int:
+# The variables each BLAS family reads its thread count from at load, first
+# set positive one winning; with none set it takes every core.
+_BLAS_THREAD_VARS = {
+    "openblas": ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                 "OMP_NUM_THREADS"),
+    "mkl": ("MKL_NUM_THREADS", "OMP_NUM_THREADS"),
+}
+
+
+def _pool_threads(blas: str, environ, cores: int) -> int:
     """Threads that run encoder tasks, the caller's included: as many BLAS
-    thread teams as fit the cores. A BLAS call uses the thread count that
-    the first set variable below names (OpenBLAS reads them in this order),
-    and every core when none is set. Threads that each start a whole team
-    oversubscribe the cores: on a 2-core host a smoke step ran about 30%
-    slower than serially."""
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    thread teams as fit the cores, for the BLAS named ``blas`` (numpy's
+    build configuration). Threads that each start a whole team oversubscribe
+    the cores: on a 2-core host a smoke step ran about 30% slower than
+    serially. So a BLAS of unknown family leaves the tasks serial. A limit
+    set at run time (say by threadpoolctl) is not seen here."""
+    family = next((f for f in _BLAS_THREAD_VARS if f in blas.lower()), None)
+    for var in _BLAS_THREAD_VARS.get(family, ()):
         value = environ.get(var, "")
         if value.isdigit() and int(value) > 0:
             return max(1, cores // int(value))
     return 1
 
 
-_WORKERS = _pool_threads(os.environ, len(os.sched_getaffinity(0))
-                         if hasattr(os, "sched_getaffinity")
-                         else os.cpu_count() or 1)
+_WORKERS = _pool_threads(
+    np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
+    .get("name", ""), os.environ,
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1)
 _pool = None               # the ThreadPoolExecutor, made by the first parallel call
 
 
@@ -271,10 +283,12 @@ def _parallel_map(fn, items) -> list:
     because numpy keeps ``np.errstate`` in a context variable that they do
     not otherwise see. Every task ends before the first exception in task
     order is raised, so a failure reads as it would in the serial loop.
+    While the encoder's functions are wrapped, as ``bench/tracer.py`` wraps
+    them to time spans on one stack, tasks run in order on the caller.
     """
     global _pool
     helpers = min(_WORKERS, len(items)) - 1
-    if helpers < 1:
+    if helpers < 1 or hasattr(enc.encode_view, "__wrapped__"):
         return [fn(x) for x in items]
     if _pool is None:
         # imported here: concurrent.futures loads logging (~6 ms), which a
@@ -319,7 +333,13 @@ def train_step(state: TrainState, batch_records, dump_path=None) -> float:
     nets = [state.params]
     if cfg.momentum_encoder:
         nets.append(state.target_params)
-    encoded = _parallel_map(lambda job: enc.encode_view(bb, *job),
+
+    def encode(job):             # the target network's cache is not needed
+        net, pix, idx = job
+        rep, cache = enc.encode_view(bb, net, pix, idx)
+        return rep, cache if net is state.params else None
+
+    encoded = _parallel_map(encode,
                             [(p, pix, idx) for p in nets for pix, idx in views])
     online = encoded[:len(views)]
 
@@ -419,8 +439,9 @@ def embed_records(config: TrainConfig, params: dict, records,
     :func:`_parallel_map`. No encoder operation mixes records, so the result
     does not depend on ``batch``. A chunk's backward caches live only while
     it is encoded, so peak memory grows with ``batch`` times the number of
-    threads: a smoke-config probe process peaks at 143 MB on two threads,
-    against 230 MB for one 64-record chunk at a time.
+    threads: a smoke-config probe process peaks at 103 MB for 16-record
+    chunks on one thread and 146 MB on two, against 230 MB for 64-record
+    chunks on one.
     """
     bb = config.backbone_config()
     all_idx = np.arange(bb.n_patches)

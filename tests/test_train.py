@@ -1,3 +1,4 @@
+import functools
 import sys
 import threading
 import time
@@ -264,20 +265,40 @@ class TestThreadedStep:
                 {k: c.ema_grad for k, c in threaded.clip.items()},
                 {k: c.ema_grad for k, c in serial.clip.items()})
 
-    @pytest.mark.parametrize("environ,cores,expected", [
-        ({}, 2, 1),                                   # BLAS takes every core
-        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
-        ({"OMP_NUM_THREADS": "1"}, 4, 4),
-        ({"MKL_NUM_THREADS": "2"}, 4, 2),
-        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 2),
-        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 2),
-        ({"OPENBLAS_NUM_THREADS": "x"}, 2, 1),
-        ({"OPENBLAS_NUM_THREADS": "8"}, 2, 1),
-        ({"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
+    @pytest.mark.parametrize("blas,environ,cores,expected", [
+        ("scipy-openblas", {}, 2, 1),                 # BLAS takes every core
+        ("scipy-openblas", {"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+        ("openblas", {"OMP_NUM_THREADS": "1"}, 4, 4),
+        ("openblas", {"GOTO_NUM_THREADS": "2"}, 4, 2),
+        ("openblas", {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"},
+         4, 2),
+        ("openblas", {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"},
+         2, 2),
+        ("openblas", {"MKL_NUM_THREADS": "1"}, 2, 1),   # not OpenBLAS's
+        ("mkl", {"MKL_NUM_THREADS": "2"}, 4, 2),
+        ("mkl", {"OPENBLAS_NUM_THREADS": "1"}, 2, 1),   # not MKL's
+        ("accelerate", {"OMP_NUM_THREADS": "1"}, 2, 1),  # unknown family
+        ("openblas", {"OPENBLAS_NUM_THREADS": "x"}, 2, 1),
+        ("openblas", {"OPENBLAS_NUM_THREADS": "8"}, 2, 1),
+        ("openblas", {"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
     ])
-    def test_pool_leaves_room_for_blas_threads(self, environ, cores,
-                                               expected):
-        assert train_mod._pool_threads(environ, cores) == expected
+    def test_pool_leaves_room_for_the_linked_blas_threads(
+            self, blas, environ, cores, expected):
+        assert train_mod._pool_threads(blas, environ, cores) == expected
+
+    def test_tasks_stay_on_the_caller_while_the_encoder_is_wrapped(
+            self, threads, monkeypatch):
+        # a span-timing wrapper keeps one stack, so wrapped encoder
+        # functions must not run on two threads at once
+        threads(2)
+        original = train_mod.enc.encode_view
+        monkeypatch.setattr(train_mod.enc, "encode_view",
+                            functools.wraps(original)(
+                                lambda *a, **k: original(*a, **k)))
+        ran = train_mod._parallel_map(
+            lambda _: threading.current_thread().name, range(4))
+        assert ran == [threading.current_thread().name] * 4
+        assert train_mod._pool is None
 
     @pytest.mark.parametrize("mode", ["raise", "ignore"])
     def test_pool_tasks_run_under_the_callers_errstate(self, threads, mode):
