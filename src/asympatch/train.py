@@ -19,20 +19,29 @@ patches, and the loss averages over ordered cross-branch pairs only
 
 The views meet only in the loss, so each view's encoder pass, forward and
 backward, and each chunk of the kNN probe's embeddings, runs as one task of
-:func:`_parallel_map`. Tasks get one thread per core the process may use,
-divided by the BLAS threads per call, the calling thread among them; so they
-run in parallel only where BLAS is limited (say ``OPENBLAS_NUM_THREADS=1``),
-and never on one core. Work that is not independent stays on the calling
-thread in view order: the heads, whose batch norms update running
+:func:`_parallel_map`. Tasks run on the calling process and on worker
+processes forked at the first parallel call, one process per core the
+process may use, divided by the BLAS threads per call; so they run in
+parallel only where BLAS is limited (say ``OPENBLAS_NUM_THREADS=1``), and
+never on one core. A view's backward runs in the process that ran its
+forward, where its cache stays. Work that is not independent stays on the
+calling process in view order: the heads, whose batch norms update running
 statistics in place, and the sum of the views' gradients. Every value is
-therefore byte-identical to the serial loop, whatever the thread count.
+therefore byte-identical to the serial loop, whatever the process count.
+
+Processes, not threads: threads hand the interpreter lock back and forth
+at every numpy operation of an encoder pass, so a thread that loses its
+core stalls the other. On a 2-vCPU VM, 10 benchmark runs of a thread pool
+spread train-multiview's items/s over an interquartile range of 27, a
+quarter of the serial median (100); 10 runs of the processes spread 7
+(serial median 109).
 """
 
 from __future__ import annotations
 
-import contextvars
 import os
-import queue
+import types
+import warnings
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -59,10 +68,10 @@ _BLAS_THREAD_VARS = {
 }
 
 
-def _pool_threads(blas: str, environ, cores: int) -> int:
-    """Threads that run encoder tasks, the caller's included: as many BLAS
+def _pool_size(blas: str, environ, cores: int) -> int:
+    """Processes that run encoder tasks, the caller's included: as many BLAS
     thread teams as fit the cores, for the BLAS named ``blas`` (numpy's
-    build configuration). Threads that each start a whole team oversubscribe
+    build configuration). Tasks that each start a whole team oversubscribe
     the cores: on a 2-core host a smoke step ran about 30% slower than
     serially. So a BLAS of unknown family leaves the tasks serial. A limit
     set at run time (say by threadpoolctl) is not seen here."""
@@ -74,12 +83,14 @@ def _pool_threads(blas: str, environ, cores: int) -> int:
     return 1
 
 
-_WORKERS = _pool_threads(
+_WORKERS = _pool_size(
     np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
     .get("name", ""), os.environ,
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
     else os.cpu_count() or 1)
-_pool = None               # the ThreadPoolExecutor, made by the first parallel call
+_procs = []        # (process, connection) per worker, made by the first parallel call
+_spread = []       # the connections the last map's tasks went out on
+_kept = {}         # task index -> generator the last map left suspended here
 
 
 @dataclass(frozen=True)
@@ -271,90 +282,188 @@ def _draw_views(state: TrainState, batch_records):
     return pix[:b], pix[b:], views1, views2, profiles
 
 
-def _parallel_map(fn, items) -> list:
-    """``[fn(x) for x in items]``, run by the calling thread and up to
-    ``_WORKERS - 1`` pool threads together.
+def _view_pass(bb, params, pix, idx):
+    """One view's encoder pass as a task: yields the representation, then,
+    sent its gradient, the encoder's parameter gradients."""
+    rep, cache = enc.encode_view(bb, params, pix, idx)
+    drep = yield rep
+    yield enc.encode_view_backward(bb, drep, cache)
 
-    numpy releases the interpreter lock inside the matmuls and ufunc loops
-    that make up an encoder pass, so independent passes overlap on the
-    host's cores. Each thread takes the next task not yet started, so when
-    the pool threads get no core the caller runs every task itself, as the
-    serial loop would. Pool threads run in a copy of the caller's context,
-    because numpy keeps ``np.errstate`` in a context variable that they do
-    not otherwise see. Every task ends before the first exception in task
-    order is raised, so a failure reads as it would in the serial loop.
-    While the encoder's functions are wrapped, as ``bench/tracer.py`` wraps
-    them to time spans on one stack, tasks run in order on the caller.
+
+def _view_rep(bb, params, pix, idx):
+    """A view's representation alone, its backward cache dropped."""
+    return enc.encode_view(bb, params, pix, idx)[0]
+
+
+def _run_here(kind, kept, tasks) -> list:
+    """Run ``tasks``, pairs (task index, payload), in this process; returns
+    triples (task index, ok, result or exception). A ``"map"`` payload is a
+    call ``(fn, args)``; when it returns a generator, the first yield is the
+    result and the generator is kept under the task index. A ``"send"``
+    payload goes to the generator kept under its index.
+
+    Kept generators, and the caches they hold, are dropped only when the
+    next map starts, so that its tasks reuse their memory: dropped after
+    each send, glibc handed it back and the next step faulted it in again
+    (a serial multiview step: about 10,000 page faults and 26 ms of system
+    time, against 1,300 and 4 ms).
     """
-    global _pool
-    helpers = min(_WORKERS, len(items)) - 1
-    if helpers < 1 or hasattr(enc.encode_view, "__wrapped__"):
-        return [fn(x) for x in items]
-    if _pool is None:
-        # imported here: concurrent.futures loads logging (~6 ms), which a
-        # process that never encodes (analyze, demo) need not pay
-        from concurrent.futures import ThreadPoolExecutor
-        _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="asympatch")
-    todo = queue.SimpleQueue()
-    for i in range(len(items)):
-        todo.put(i)
-    outcomes = [None] * len(items)          # (ok, result or exception)
+    if kind == "map":
+        kept.clear()
+    out = []
+    for i, payload in tasks:
+        try:
+            if kind == "send":
+                value = kept[i].send(payload)
+            else:
+                fn, args = payload
+                value = fn(*args)
+                if isinstance(value, types.GeneratorType):
+                    kept[i], value = value, next(value)
+            out.append((i, True, value))
+        except Exception as exc:  # noqa: BLE001 -- raised by the caller, in order
+            out.append((i, False, exc))
+    return out
 
-    def drain():
-        while True:
-            try:
-                i = todo.get_nowait()
-            except queue.Empty:
-                return
-            try:
-                outcomes[i] = (True, fn(items[i]))
-            except Exception as exc:  # noqa: BLE001 -- raised below, in order
-                outcomes[i] = (False, exc)
 
-    running = [_pool.submit(contextvars.copy_context().run, drain)
-               for _ in range(helpers)]
-    drain()
-    for f in running:
-        f.result()
-    for ok, value in outcomes:
+def _worker(conn, inherited) -> None:
+    """A worker process: run each batch of tasks the caller sends, under the
+    caller's ``np.errstate``, and send back the outcomes and the warnings.
+    It closes its copies of the caller's ends of the pipes, ``inherited``,
+    so that it reads end-of-file, and ends, when the caller closes its own;
+    an interrupt from the terminal is the caller's to handle.
+    """
+    import signal
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for other in inherited:
+        other.close()
+    kept = {}
+    while True:
+        try:
+            kind, err, tasks = conn.recv()
+        except EOFError:
+            return
+        with warnings.catch_warnings(record=True) as caught, \
+                np.errstate(**err):
+            warnings.simplefilter("always")
+            out = _run_here(kind, kept, tasks)
+        caught = [(w.message, w.category, w.filename, w.lineno) for w in caught]
+        try:
+            conn.send((out, caught))
+        except Exception as exc:  # noqa: BLE001 -- an outcome that does not pickle
+            conn.send(([(i, False, RuntimeError(f"task {i}: {exc!r}"))
+                        for i, _, _ in out], caught))
+
+
+def _start_workers() -> None:
+    # imported here: a process that never encodes (analyze, demo) need not
+    # load multiprocessing
+    import multiprocessing
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return
+    ctx = multiprocessing.get_context("fork")
+    for _ in range(_WORKERS - 1):
+        mine, theirs = ctx.Pipe()
+        proc = ctx.Process(target=_worker, daemon=True,
+                           args=(theirs, [mine] + [c for _, c in _procs]),
+                           name="asympatch-encoder")
+        proc.start()
+        theirs.close()
+        _procs.append((proc, mine))
+
+
+def _stop_workers() -> None:
+    """End the worker processes; the next parallel call forks new ones."""
+    for proc, conn in _procs:
+        conn.close()
+        proc.join(timeout=5)
+        if proc.is_alive():
+            proc.terminate()
+    _procs.clear()
+    _spread.clear()
+
+
+def _dispatch(kind, payloads, conns) -> list:
+    """Task i runs on the calling process if i % n == 0, else on connection
+    i % n - 1 of ``conns``, n being one more than their number. Every task
+    ends before the first exception in task order is raised."""
+    n = len(conns) + 1
+    err = np.geterr()
+    try:
+        for k, conn in enumerate(conns, start=1):
+            conn.send((kind, err, [(i, p) for i, p in enumerate(payloads)
+                                   if i % n == k]))
+        outcomes = _run_here(kind, _kept, [(i, p) for i, p in
+                                           enumerate(payloads) if i % n == 0])
+        for conn in conns:
+            out, caught = conn.recv()
+            outcomes += out
+            for message, category, filename, lineno in caught:
+                warnings.warn_explicit(message, category, filename, lineno)
+    except BaseException as exc:
+        # a worker's reply may still be in flight: start afresh next time
+        _stop_workers()
+        if isinstance(exc, (EOFError, ConnectionError)):
+            raise RuntimeError("an encoder worker process ended") from exc
+        raise
+    outcomes.sort(key=lambda o: o[0])
+    for _, ok, value in outcomes:
         if not ok:
             raise value
-    return [value for _, value in outcomes]
+    return [value for _, _, value in outcomes]
+
+
+def _parallel_map(calls) -> list:
+    """``[fn(*args) for fn, args in calls]``, run by the calling process and
+    up to ``_WORKERS - 1`` worker processes together, task i on process
+    i % n. Calls and results cross between processes by pickling, so each
+    ``fn`` must be importable by name. A call that returns a generator gives
+    its first yield, and the generator stays suspended in the process that
+    ran it until :func:`_parallel_send`, so what it holds (a view's backward
+    cache) never crosses. Tasks run under the caller's ``np.errstate``, and
+    a worker's warnings are issued again in the caller. While the encoder's
+    functions are wrapped, as ``bench/tracer.py`` wraps them to time spans,
+    tasks run in order in the caller.
+    """
+    serial = (_WORKERS < 2 or len(calls) < 2
+              or hasattr(enc.encode_view, "__wrapped__"))
+    if not serial and not _procs:
+        _start_workers()
+    _spread[:] = [] if serial else [conn for _, conn in _procs]
+    return _dispatch("map", calls, _spread)
+
+
+def _parallel_send(values) -> list:
+    """Send ``values[i]`` to the generator that task i of the last
+    :func:`_parallel_map` left suspended, in its process; returns what each
+    yields next."""
+    return _dispatch("send", values, _spread)
 
 
 def train_step(state: TrainState, batch_records, dump_path=None) -> float:
     """One full optimization step on a batch of image records; the encoder
-    passes of its views run on the thread pool (see the module docstring)."""
+    passes of its views run as parallel tasks (see the module docstring)."""
     cfg = state.config
     bb = cfg.backbone_config()
     hc = cfg.head_config()
     pix1, pix2, views1, views2, _ = _draw_views(state, batch_records)
     views = [(pix1, idx) for idx in views1] + [(pix2, idx) for idx in views2]
-    nets = [state.params]
-    if cfg.momentum_encoder:
-        nets.append(state.target_params)
-
-    def encode(job):             # the target network's cache is not needed
-        net, pix, idx = job
-        rep, cache = enc.encode_view(bb, net, pix, idx)
-        return rep, cache if net is state.params else None
-
-    encoded = _parallel_map(encode,
-                            [(p, pix, idx) for p in nets for pix, idx in views])
-    online = encoded[:len(views)]
+    calls = [(_view_pass, (bb, state.params, pix, idx)) for pix, idx in views]
+    if cfg.momentum_encoder:     # the target network needs no backward
+        calls += [(_view_rep, (bb, state.target_params, pix, idx))
+                  for pix, idx in views]
+    reps = _parallel_map(calls)
 
     pairs, head_caches = [], []      # (q, z_for_targets), heads' caches
-    for rep, _ in online:
+    for rep in reps[:len(views)]:
         z, q, head_c = enc.heads_forward(hc, state.params, state.bn_stats,
                                          rep, train=True)
         pairs.append((q, z))
         head_caches.append(head_c)
-    if cfg.momentum_encoder:
-        for i, (rep, _) in enumerate(encoded[len(views):]):
-            z_t, _ = enc.project(hc, state.target_params, state.target_bn,
-                                 rep, train=True)
-            pairs[i] = (pairs[i][0], z_t)
-    del encoded
+    for i, rep in enumerate(reps[len(views):]):
+        z_t, _ = enc.project(hc, state.target_params, state.target_bn,
+                             rep, train=True)
+        pairs[i] = (pairs[i][0], z_t)
 
     ids1 = range(len(views1))
     ids2 = range(len(views1), len(views))
@@ -372,9 +481,7 @@ def train_step(state: TrainState, batch_records, dump_path=None) -> float:
 
     heads = [enc.heads_backward(hc, c, dq)
              for c, dq in zip(head_caches, result.grad_q)]
-    enc_grads = _parallel_map(
-        lambda job: enc.encode_view_backward(bb, *job),
-        [(drep, enc_c) for (drep, _), (_, enc_c) in zip(heads, online)])
+    enc_grads = _parallel_send([drep for drep, _ in heads])
     grads = {}
     for (_, view_grads), encoder_grads in zip(heads, enc_grads):
         view_grads.update(encoder_grads)
@@ -438,21 +545,17 @@ def embed_records(config: TrainConfig, params: dict, records,
     Records are encoded in chunks of ``batch``, one chunk per task of
     :func:`_parallel_map`. No encoder operation mixes records, so the result
     does not depend on ``batch``. A chunk's backward caches live only while
-    it is encoded, so peak memory grows with ``batch`` times the number of
-    threads: a smoke-config probe process peaks at 103 MB for 16-record
-    chunks on one thread and 146 MB on two, against 230 MB for 64-record
-    chunks on one.
+    it is encoded, so each process's peak memory grows with ``batch``: a
+    smoke-config probe process peaks at 103 MB for 16-record chunks against
+    230 MB for 64-record chunks.
     """
     bb = config.backbone_config()
     all_idx = np.arange(bb.n_patches)
-
-    def embed(chunk):
-        pix = np.stack([r.pixels for r in chunk])
-        idx = np.broadcast_to(all_idx, (len(chunk), bb.n_patches))
-        return enc.encode_view(bb, params, pix, idx)[0]
-
     chunks = [records[i:i + batch] for i in range(0, len(records), batch)]
-    return np.concatenate(_parallel_map(embed, chunks), axis=0)
+    return np.concatenate(_parallel_map([
+        (_view_rep, (bb, params, np.stack([r.pixels for r in chunk]),
+                     np.broadcast_to(all_idx, (len(chunk), bb.n_patches))))
+        for chunk in chunks]), axis=0)
 
 
 def knn_probe(config: TrainConfig, params: dict, train_records, eval_records,

@@ -1,6 +1,5 @@
 import functools
-import sys
-import threading
+import os
 import time
 import warnings
 
@@ -165,15 +164,15 @@ class TestTrainStep:
 
 
 @pytest.fixture
-def threads(monkeypatch):
-    """Set how many threads run encoder tasks (on a fresh pool), so the
-    threaded path runs whatever the host's core count."""
+def workers(monkeypatch):
+    """Set how many processes run encoder tasks, the caller's included (on
+    fresh worker processes), so the parallel path runs whatever the host's
+    core count."""
     def use(n):
+        train_mod._stop_workers()
         monkeypatch.setattr(train_mod, "_WORKERS", n)
-        monkeypatch.setattr(train_mod, "_pool", None)
     yield use
-    if train_mod._pool is not None:
-        train_mod._pool.shutdown()
+    train_mod._stop_workers()
 
 
 def serial_step(state, batch):
@@ -222,47 +221,58 @@ def same_bytes(a: dict, b: dict) -> bool:
         and a[k].tobytes() == b[k].tobytes() for k in a)
 
 
+def pid_of(_):
+    return os.getpid()
+
+
+def divide_by_zero(x):
+    """x / 0 in whichever process runs it, and that process's id."""
+    return np.full(3, x) / 0.0, os.getpid()
+
+
+def mark_then_fail(path, i):
+    """Task i: wait (task 1 least), leave a file, fail if i < 2."""
+    time.sleep(0.2 * (i != 1))
+    open(f"{path}/ended-{i}", "w").close()
+    if i < 2:
+        raise ValueError(f"task {i}")
+    return i
+
+
 MULTIVIEW = dict(batch_size=16, clip_enabled=True, momentum_encoder=True,
                  sampler=SamplerConfig(s1=0.25, s2=0.25, gamma=3.0,
                                        n_views=4))
 
 
-class TestThreadedStep:
-    @pytest.mark.parametrize("overrides,workers", [
-        ({}, 2), (MULTIVIEW, 2), (MULTIVIEW, 4)],
-        ids=["smoke", "multiview", "multiview-4-threads-fast-switching"])
-    def test_matches_the_serial_per_view_step_bit_for_bit(self, threads,
-                                                          overrides, workers):
-        # 4 threads over 8 encoder tasks, with the interpreter switching
-        # threads every 10 us, stress the shared reads of the parameters
-        threads(workers)
+class TestParallelStep:
+    @pytest.mark.parametrize("overrides,n", [
+        ({}, 2), (MULTIVIEW, 2), (MULTIVIEW, 3)],
+        ids=["smoke", "multiview", "multiview-3-processes"])
+    def test_matches_the_serial_per_view_step_bit_for_bit(self, workers,
+                                                          overrides, n):
+        workers(n)
         cfg = train_mod.smoke_config(total_steps=20, **overrides)
         records = load_dataset(cfg.dataset)
-        threaded, serial = init_train_state(cfg), init_train_state(cfg)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5 if workers > 2 else interval)
-        try:
-            for _ in range(6):
-                for state, step in ((threaded, train_step),
-                                    (serial, serial_step)):
-                    pick = state.rng.choice(len(records),
-                                            size=cfg.batch_size, replace=False)
-                    step(state, [records[i] for i in pick])
-        finally:
-            sys.setswitchinterval(interval)
-        assert train_mod._pool is not None          # the pool did the work
-        assert threaded.metrics == serial.metrics
-        assert same_bytes(threaded.params, serial.params)
-        assert same_bytes(threaded.bn_stats, serial.bn_stats)
-        assert same_bytes(threaded.opt.m, serial.opt.m)
-        assert same_bytes(threaded.opt.v, serial.opt.v)
+        parallel, serial = init_train_state(cfg), init_train_state(cfg)
+        for _ in range(6):
+            for state, step in ((parallel, train_step),
+                                (serial, serial_step)):
+                pick = state.rng.choice(len(records),
+                                        size=cfg.batch_size, replace=False)
+                step(state, [records[i] for i in pick])
+        assert len(train_mod._procs) == n - 1       # the workers did tasks
+        assert parallel.metrics == serial.metrics
+        assert same_bytes(parallel.params, serial.params)
+        assert same_bytes(parallel.bn_stats, serial.bn_stats)
+        assert same_bytes(parallel.opt.m, serial.opt.m)
+        assert same_bytes(parallel.opt.v, serial.opt.v)
         if cfg.momentum_encoder:
-            assert same_bytes(threaded.target_params, serial.target_params)
-            assert same_bytes(threaded.target_bn, serial.target_bn)
+            assert same_bytes(parallel.target_params, serial.target_params)
+            assert same_bytes(parallel.target_bn, serial.target_bn)
         if cfg.clip_enabled:
             assert any(row[4] for row in serial.metrics)
             assert same_bytes(
-                {k: c.ema_grad for k, c in threaded.clip.items()},
+                {k: c.ema_grad for k, c in parallel.clip.items()},
                 {k: c.ema_grad for k, c in serial.clip.items()})
 
     @pytest.mark.parametrize("blas,environ,cores,expected", [
@@ -284,74 +294,67 @@ class TestThreadedStep:
     ])
     def test_pool_leaves_room_for_the_linked_blas_threads(
             self, blas, environ, cores, expected):
-        assert train_mod._pool_threads(blas, environ, cores) == expected
+        assert train_mod._pool_size(blas, environ, cores) == expected
 
     def test_tasks_stay_on_the_caller_while_the_encoder_is_wrapped(
-            self, threads, monkeypatch):
-        # a span-timing wrapper keeps one stack, so wrapped encoder
-        # functions must not run on two threads at once
-        threads(2)
+            self, workers, monkeypatch):
+        # a span-timing wrapper keeps its spans in the calling process
+        workers(2)
         original = train_mod.enc.encode_view
         monkeypatch.setattr(train_mod.enc, "encode_view",
                             functools.wraps(original)(
                                 lambda *a, **k: original(*a, **k)))
-        ran = train_mod._parallel_map(
-            lambda _: threading.current_thread().name, range(4))
-        assert ran == [threading.current_thread().name] * 4
-        assert train_mod._pool is None
+        ran = train_mod._parallel_map([(pid_of, (i,)) for i in range(4)])
+        assert ran == [os.getpid()] * 4
+        assert train_mod._procs == []
 
-    @pytest.mark.parametrize("mode", ["raise", "ignore"])
-    def test_pool_tasks_run_under_the_callers_errstate(self, threads, mode):
-        threads(2)
-        barrier = threading.Barrier(2, timeout=30)
-        ran, raised = [], []
-
-        def divide(x):
-            barrier.wait()        # both tasks at once: one is on a pool thread
-            ran.append(threading.current_thread().name)
-            try:
-                return np.full(3, x) / 0.0
-            except FloatingPointError:
-                raised.append(ran[-1])
-                raise
-
+    @pytest.mark.parametrize("mode", ["raise", "ignore", "warn"])
+    def test_tasks_run_under_the_callers_errstate(self, workers, mode):
+        workers(2)
+        calls = [(divide_by_zero, (x,)) for x in (1.0, 2.0)]
         with warnings.catch_warnings(record=True) as caught, \
                 np.errstate(all=mode):
             warnings.simplefilter("always")
             if mode == "raise":
                 with pytest.raises(FloatingPointError):
-                    train_mod._parallel_map(divide, [1.0, 2.0])
+                    train_mod._parallel_map(calls)
             else:
-                out = train_mod._parallel_map(divide, [1.0, 2.0])
-                assert np.isinf(np.concatenate(out)).all()
-        assert caught == []
-        assert any(name.startswith("asympatch") for name in ran)
-        assert sorted(raised) == (sorted(ran) if mode == "raise" else [])
+                out = train_mod._parallel_map(calls)
+                assert np.isinf(np.concatenate([o for o, _ in out])).all()
+                assert out[1][1] != out[0][1] == os.getpid()
+        # a worker's warning is issued again in the caller
+        assert [w.category for w in caught] == \
+            ([RuntimeWarning] * 2 if mode == "warn" else [])
 
     def test_map_raises_the_first_error_in_task_order_after_all_end(
-            self, threads):
-        threads(2)
-        ended = []
-
-        def task(i):
-            time.sleep(0.05 * (i != 1))    # task 1 fails first in time
-            ended.append(i)
-            if i < 2:
-                raise ValueError(f"task {i}")
-            return i
-
+            self, workers, tmp_path):
+        workers(2)
         with pytest.raises(ValueError, match="task 0"):
-            train_mod._parallel_map(task, range(4))
-        assert sorted(ended) == [0, 1, 2, 3]
-        assert train_mod._parallel_map(lambda i: i * i, range(5)) == \
-            [0, 1, 4, 9, 16]
+            train_mod._parallel_map(
+                [(mark_then_fail, (str(tmp_path), i)) for i in range(4)])
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            [f"ended-{i}" for i in range(4)]
+        assert train_mod._parallel_map(
+            [(abs, (-i,)) for i in range(5)]) == [0, 1, 2, 3, 4]
 
-    def test_first_failing_view_in_order_names_the_block(self, threads,
+    def test_a_lost_worker_fails_the_call_and_is_replaced(self, workers):
+        workers(2)
+        assert train_mod._parallel_map([(pid_of, (i,)) for i in range(2)])
+        (proc, _), = train_mod._procs
+        proc.kill()
+        proc.join()
+        with pytest.raises(RuntimeError, match="worker process ended"):
+            train_mod._parallel_map([(pid_of, (i,)) for i in range(2)])
+        mine, theirs = train_mod._parallel_map([(pid_of, (i,))
+                                                for i in range(2)])
+        assert mine == os.getpid() and theirs not in (mine, proc.pid)
+
+    def test_first_failing_view_in_order_names_the_block(self, workers,
                                                          monkeypatch):
         # view 0 (crop 1) goes non-finite after block 2 and view 1 (crop 2)
         # already after block 0; the serial loop reports view 0's block, and
-        # so must the threaded step, although view 1 fails sooner
-        threads(2)
+        # so must the parallel step, although view 1 fails sooner
+        workers(2)
         cfg = tiny_config()
         draw = train_mod._draw_views
 
@@ -370,6 +373,7 @@ class TestThreadedStep:
                 step(state, records)
             messages.append(str(err.value))
         assert messages == ["non-finite activations after block 2"] * 2
+        assert train_mod._procs
 
 
 class TestRealizedOverlap:
@@ -570,9 +574,10 @@ class TestKnnProbe:
         sigma = float(np.std(accs, ddof=1)) / np.sqrt(len(accs))
         assert abs(mean - 0.5) < max(3 * sigma, 0.1)
 
-    def test_embeddings_do_not_depend_on_chunk_size(self, threads, monkeypatch):
+    def test_embeddings_do_not_depend_on_chunk_size(self, workers,
+                                                    monkeypatch):
         # 37 records: the default chunk of 16 leaves a remainder chunk of 5
-        threads(2)
+        workers(2)
         cfg = tiny_config(dataset=DatasetSpec(kind="synthetic", n_classes=2,
                                               n_per_class=20, image_size=16,
                                               seed=3))
@@ -585,9 +590,10 @@ class TestKnnProbe:
         assert train_mod.embed_records(cfg, state.params, records).tobytes() \
             == reps[0].tobytes()
         ref, held = probe_split(records, cfg)
-        threaded = knn_probe(cfg, state.params, ref, held)
+        parallel = knn_probe(cfg, state.params, ref, held)
+        assert train_mod._procs
         monkeypatch.setattr(train_mod, "_WORKERS", 1)
-        assert knn_probe(cfg, state.params, ref, held) == threaded
+        assert knn_probe(cfg, state.params, ref, held) == parallel
 
     def test_k_larger_than_reference_rejected(self):
         cfg = tiny_config()
