@@ -25,8 +25,8 @@ from . import asymmetry
 from .data import (ImageRecord, augment_batch, cifar_augment_params,
                    synth_dataset)
 from .sampling import SamplerConfig, sample_views
-from .train import (DatasetSpec, TrainConfig, checkpoint_load, knn_probe,
-                    probe_split, load_dataset, run_training)
+from .train import (TrainConfig, checkpoint_load, knn_probe, load_dataset,
+                    probe_split, run_training, smoke_config)
 
 
 def _on_off(raw: str) -> bool:
@@ -44,15 +44,25 @@ DEMO_SCHEMA = {
     "image": str, "image_size": int, "patch": int, "s1": float, "s2": float,
     "gamma": float, "area_lo": float, "area_hi": float, "scale": int,
 }
-TRAIN_SCHEMA = {
-    "backbone": str, "heads": str, "dataset": str, "classes": int,
-    "per_class": int, "image_size": int, "dataset_seed": int,
-    "cifar_path": str, "s1": float, "s2": float, "gamma": float,
-    "views": int, "tau": float, "lr": float, "weight_decay": float,
-    "batch": int, "warmup_steps": int, "total_steps": int, "clip": _on_off,
-    "clip_m": float, "clip_alpha": float, "momentum_encoder": _on_off,
-    "seed": int, "checkpoint_every": int, "knn_k": int,
+# each [train] key: its converter and the TrainConfig field it sets; a
+# "dataset." or "sampler." path names a field of that nested spec
+TRAIN_KEYS = {
+    "backbone": (str, "backbone"), "heads": (str, "heads"),
+    "dataset": (str, "dataset.kind"), "classes": (int, "dataset.n_classes"),
+    "per_class": (int, "dataset.n_per_class"),
+    "image_size": (int, "dataset.image_size"),
+    "dataset_seed": (int, "dataset.seed"), "cifar_path": (str, "dataset.path"),
+    "s1": (float, "sampler.s1"), "s2": (float, "sampler.s2"),
+    "gamma": (float, "sampler.gamma"), "views": (int, "sampler.n_views"),
+    "tau": (float, "tau"), "lr": (float, "base_lr"),
+    "weight_decay": (float, "weight_decay"), "batch": (int, "batch_size"),
+    "warmup_steps": (int, "warmup_steps"), "total_steps": (int, "total_steps"),
+    "clip": (_on_off, "clip_enabled"), "clip_m": (float, "clip_m"),
+    "clip_alpha": (float, "clip_alpha"),
+    "momentum_encoder": (_on_off, "momentum_encoder"), "seed": (int, "seed"),
+    "checkpoint_every": (int, "checkpoint_every"), "knn_k": (int, "knn_k"),
 }
+TRAIN_SCHEMA = {key: conv for key, (conv, _) in TRAIN_KEYS.items()}
 PROBE_SCHEMA = {"checkpoint": str, "k": int}
 
 SCHEMAS = {
@@ -254,41 +264,19 @@ def cmd_demo(args) -> int:
 
 
 def _train_config(cfg: dict, seed_override) -> TrainConfig:
-    kind = cfg.get("dataset", "synthetic")
-    if kind == "cifar":
-        dataset = DatasetSpec(kind="cifar", path=cfg.get("cifar_path", ""))
-    else:
-        dataset = DatasetSpec(
-            kind="synthetic",
-            n_classes=cfg.get("classes", 2),
-            n_per_class=cfg.get("per_class", 128),
-            image_size=cfg.get("image_size", 16),
-            seed=cfg.get("dataset_seed", 7),
-        )
-    sampler = SamplerConfig(
-        s1=cfg.get("s1", 0.25), s2=cfg.get("s2", 0.25),
-        gamma=cfg.get("gamma", 3.0), n_views=cfg.get("views", 2),
-    )
-    seed = seed_override if seed_override is not None else cfg.get("seed", 0)
-    return TrainConfig(
-        backbone=cfg.get("backbone", "vit-micro"),
-        heads=cfg.get("heads", "micro"),
-        dataset=dataset,
-        sampler=sampler,
-        tau=cfg.get("tau", 0.1),
-        base_lr=cfg.get("lr", 2e-3),
-        weight_decay=cfg.get("weight_decay", 0.05),
-        batch_size=cfg.get("batch", 32),
-        warmup_steps=cfg.get("warmup_steps", 10),
-        total_steps=cfg.get("total_steps", 200),
-        clip_enabled=cfg.get("clip", False),
-        clip_m=cfg.get("clip_m", 0.4),
-        clip_alpha=cfg.get("clip_alpha", 1.05),
-        momentum_encoder=cfg.get("momentum_encoder", False),
-        seed=seed,
-        checkpoint_every=cfg.get("checkpoint_every", 0),
-        knn_k=cfg.get("knn_k", 5),
-    )
+    """``smoke_config()`` with each given ``[train]`` key set on its field;
+    every spec is rebuilt, so each key passes its spec's validation."""
+    fields = {"dataset": {}, "sampler": {}, "": {}}
+    for key, value in cfg.items():
+        spec, _, name = TRAIN_KEYS[key][1].rpartition(".")
+        fields[spec][name] = value
+    if seed_override is not None:
+        fields[""]["seed"] = seed_override
+    base = smoke_config()
+    top = fields.pop("")
+    for spec, given in fields.items():
+        top[spec] = replace(getattr(base, spec), **given)
+    return replace(base, **top)
 
 
 def cmd_train(args) -> int:

@@ -599,16 +599,13 @@ def heads_forward(heads: HeadConfig, params: dict, bn_stats: dict,
     return z, q, (proj_c, pred_c)
 
 
-def heads_backward(heads: HeadConfig, cache, dq: np.ndarray,
-                   dz: np.ndarray | None = None):
+def heads_backward(heads: HeadConfig, cache, dq: np.ndarray):
     """Head parameter gradients and the representation gradient:
-    ``(drep, grads)``. ``dq`` and ``dz`` are as in :func:`backward_branch`."""
+    ``(drep, grads)``. ``dq`` is as in :func:`backward_branch`."""
     proj_c, pred_c = cache
     grads: dict = {}
-    dz_total = predict_backward(heads, dq, pred_c, grads)
-    if dz is not None:
-        dz_total = dz_total + dz
-    return project_backward(heads, dz_total, proj_c, grads), grads
+    dz = predict_backward(heads, dq, pred_c, grads)
+    return project_backward(heads, dz, proj_c, grads), grads
 
 
 def forward_branch(cfg: BackboneConfig, heads: HeadConfig, params: dict,
@@ -621,15 +618,16 @@ def forward_branch(cfg: BackboneConfig, heads: HeadConfig, params: dict,
 
 
 def backward_branch(cfg: BackboneConfig, heads: HeadConfig, cache,
-                    dq: np.ndarray, dz: np.ndarray | None = None) -> dict:
+                    dq: np.ndarray) -> dict:
     """Exact parameter gradients of one view's forward pass.
 
-    ``dq`` is the loss gradient at the prediction output; ``dz`` is any
-    gradient arriving directly at the projection output (zero under the
-    stop-gradient objective, since targets are constants).
+    ``dq`` is the loss gradient at the prediction output. The projection
+    output z gets its gradient through the prediction head only: under the
+    stop-gradient objective the loss's partial with respect to z is zero,
+    since targets are constants.
     """
     enc_c, head_c = cache
-    drep, grads = heads_backward(heads, head_c, dq, dz)
+    drep, grads = heads_backward(heads, head_c, dq)
     grads.update(encode_view_backward(cfg, drep, enc_c))
     return grads
 

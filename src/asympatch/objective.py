@@ -104,34 +104,25 @@ def info_nce(q: np.ndarray, z: np.ndarray, tau: float) -> float:
 
 def contrastive_loss(q1: np.ndarray, z1: np.ndarray, q2: np.ndarray,
                      z2: np.ndarray, tau: float) -> LossResult:
-    """Two-view objective tau * [D(q1, sg(z2)) + D(q2, sg(z1))]."""
-    if tau <= 0.0:
-        raise ValueError(f"temperature must be positive, got {tau}")
-    q1 = _check_batch("q1", q1)
-    q2 = _check_batch("q2", q2)
-    z1 = _check_batch("z1", z1)
-    z2 = _check_batch("z2", z2)
-    if not (q1.shape == q2.shape == z1.shape == z2.shape):
-        raise ValueError("all four embedding batches must share one shape")
-    v1, g1 = _direction(q1, z2, tau)
-    v2, g2 = _direction(q2, z1, tau)
-    return LossResult(
-        value=v1 + v2,
-        grad_q1=g1,
-        grad_q2=g2,
-        grad_z1=np.zeros_like(z1),
-        grad_z2=np.zeros_like(z2),
-    )
+    """Two-view objective tau * [D(q1, sg(z2)) + D(q2, sg(z1))]: twice the
+    two-view :func:`multiview_loss`, which halves each term; halving and
+    doubling are exact in floating point."""
+    res = multiview_loss([(q1, z1), (q2, z2)], tau)
+    return LossResult(value=2.0 * res.value, grad_q1=2.0 * res.grad_q[0],
+                      grad_q2=2.0 * res.grad_q[1], grad_z1=res.grad_z[0],
+                      grad_z2=res.grad_z[1])
 
 
 def multiview_loss(pairs, tau: float, ordered_pairs=None) -> MultiviewLossResult:
-    """Mean of tau * D(q_j, sg(z_k)) over ordered view pairs j != k.
+    """Mean of tau * D(q_j, sg(z_k)) over ordered view pairs j != k: the
+    one definition of the objective, which training runs.
 
     ``pairs`` is a list of (q, z) arrays, one per view. By default every
     ordered pair participates; callers may restrict to a subset (for
     example, cross-crop pairs only) via ``ordered_pairs``. Dividing by the
-    pair count keeps gradient magnitudes comparable across view counts; for
-    two views the value is contrastive_loss / 2.
+    pair count keeps gradient magnitudes comparable across view counts. The
+    returned partials with respect to each ``z`` are exact zero matrices;
+    :func:`contrastive_loss` is twice the two-view case.
     """
     if tau <= 0.0:
         raise ValueError(f"temperature must be positive, got {tau}")

@@ -647,66 +647,48 @@ def checkpoint_save(state: TrainState, path) -> None:
             arrays[f"target.{name}"] = a
         for name, a in state.target_bn.items():
             arrays[f"target_bn.{name}"] = a
-    clip_meta = {}
     for gname, cs in state.clip.items():
-        if cs.ema_grad is not None:
-            arrays[f"clip.{gname}"] = cs.ema_grad
-        clip_meta[gname] = {"m": cs.m, "alpha": cs.alpha}
+        arrays[f"clip.{gname}"] = cs.ema_grad
     if state.metrics:
         arrays["metrics"] = np.array(state.metrics, dtype=float)
     meta = {
         "kind": "train_state",
         "config": asdict(state.config),
         "step": state.step,
-        "opt_step": state.opt.step,
-        "clip": clip_meta,
         "rng_state": state.rng.bit_generator.state,
-        "has_target": state.target_params is not None,
     }
     save_arrays(path, arrays, meta)
 
 
 def checkpoint_load(path) -> TrainState:
+    """A state saved by :func:`checkpoint_save`. The config fixes each clip
+    group's m and alpha and whether a target network is present, and each
+    step makes exactly one optimizer step; meta keys beyond ``kind``,
+    ``config``, ``step`` and ``rng_state``, as older checkpoints carry, are
+    ignored."""
     arrays, meta = load_arrays(path)
     if meta.get("kind") != "train_state":
         raise CheckpointError(f"{path} is not a training checkpoint")
-    missing = [k for k in ("config", "step", "opt_step", "clip", "rng_state")
-               if k not in meta]
+    missing = [k for k in ("config", "step", "rng_state") if k not in meta]
     if missing:
         raise CheckpointError(f"{path}: training checkpoint lacks {missing}")
     try:
         config = config_from_meta(meta["config"])
     except (TypeError, KeyError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad training config: {exc!r}") from exc
-    if not all(type(meta[k]) is int and meta[k] >= 0 for k in ("step", "opt_step")):
-        raise CheckpointError(f"{path}: step and opt_step must be non-negative "
-                              "ints")
-    clip_meta = meta["clip"]
-    number = lambda v: type(v) in (int, float)
-    if not isinstance(clip_meta, dict) or not all(
-            isinstance(c, dict) and number(c.get("m")) and number(c.get("alpha"))
-            for c in clip_meta.values()):
-        raise CheckpointError(f"{path}: clip must map groups to {{m, alpha}} "
-                              "numbers")
-    params = {k[len("params."):]: v for k, v in arrays.items()
-              if k.startswith("params.")}
-    bn = {k[len("bn."):]: v for k, v in arrays.items() if k.startswith("bn.")}
+    step = meta["step"]
+    if not (type(step) is int and step >= 0):
+        raise CheckpointError(f"{path}: step must be a non-negative int")
+
+    def group(prefix):
+        return {k[len(prefix):]: v for k, v in arrays.items()
+                if k.startswith(prefix)}
+
     opt = AdamWState(betas=config.betas, weight_decay=config.weight_decay,
-                     step=meta["opt_step"])
-    opt.m = {k[len("opt.m."):]: v for k, v in arrays.items()
-             if k.startswith("opt.m.")}
-    opt.v = {k[len("opt.v."):]: v for k, v in arrays.items()
-             if k.startswith("opt.v.")}
-    clip = {}
-    for gname, cmeta in clip_meta.items():
-        try:
-            cs = ClipState(m=cmeta["m"], alpha=cmeta["alpha"])
-        except ValueError as exc:
-            raise CheckpointError(f"{path}: clip group {gname!r}: {exc}") from exc
-        key = f"clip.{gname}"
-        if key in arrays:
-            cs.ema_grad = arrays[key]
-        clip[gname] = cs
+                     step=step, m=group("opt.m."), v=group("opt.v."))
+    clip = {gname: ClipState(m=config.clip_m, alpha=config.clip_alpha,
+                             ema_grad=ema)
+            for gname, ema in group("clip.").items()}
     rng = np.random.default_rng()
     try:
         rng.bit_generator.state = meta["rng_state"]
@@ -714,12 +696,10 @@ def checkpoint_load(path) -> TrainState:
         raise CheckpointError(f"{path}: bad rng_state: {exc!r}") from exc
     metrics = [tuple(row) for row in arrays.get("metrics", np.empty((0, 5)))]
     state = TrainState(
-        config=config, step=meta["step"], params=params, bn_stats=bn,
-        opt=opt, clip=clip, rng=rng, metrics=metrics,
+        config=config, step=step, params=group("params."),
+        bn_stats=group("bn."), opt=opt, clip=clip, rng=rng, metrics=metrics,
     )
-    if meta.get("has_target"):
-        state.target_params = {k[len("target."):]: v for k, v in arrays.items()
-                               if k.startswith("target.")}
-        state.target_bn = {k[len("target_bn."):]: v for k, v in arrays.items()
-                           if k.startswith("target_bn.")}
+    if config.momentum_encoder:
+        state.target_params = group("target.")
+        state.target_bn = group("target_bn.")
     return state

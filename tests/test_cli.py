@@ -5,14 +5,17 @@ import struct
 import subprocess
 import sys
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from asympatch.cli import SCHEMAS, UsageError, load_config, main, read_ppm, write_ppm
+from asympatch.cli import (SCHEMAS, TRAIN_KEYS, UsageError, _train_config,
+                           load_config, main, read_ppm, write_ppm)
 from asympatch.serialize import MAGIC, VERSION, load_arrays, save_arrays
+from asympatch.train import smoke_config
 
 GOLDEN_ANALYZE_CSV = """\
 strategy,crop_model,s1,s2,gamma,grid,trials,analytic,estimate,std_error
@@ -260,6 +263,7 @@ class TestTrainAndProbe:
         ("clip_alpha = 0", "alpha must be finite and > 0"),
         ("clip_m = 1", "momentum m must lie in [0, 1)"),
         ("clip_m = nan", "momentum m must lie in [0, 1)"),
+        ("dataset = cifra", "unknown dataset kind 'cifra'"),
     ])
     def test_bad_train_config_fails_closed(self, tmp_path, capsys, line,
                                            message):
@@ -310,14 +314,14 @@ class TestTrainAndProbe:
         assert run_cli("train", "--config", cfg, "--out", str(out)) == 0
         ckpt = out / "final.ckpt"
         arrays, meta = load_arrays(ckpt)
-        meta["clip"] = []
+        meta["rng_state"] = []
         save_arrays(ckpt, arrays, meta)
         capsys.readouterr()
         assert run_cli("probe", "--checkpoint", str(ckpt),
                        "--out", str(tmp_path / "o")) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "clip" in err
+        assert "rng_state" in err
 
     def test_probe_rejects_k_below_one(self, tmp_path, capsys):
         cfg = self.write_train_config(tmp_path, total_steps=2)
@@ -353,6 +357,53 @@ class TestTrainAndProbe:
         with pytest.raises(SystemExit) as exc:
             run_cli()
         assert exc.value.code == 2
+
+
+# for every [train] key: a value other than smoke_config()'s, as written in
+# a config file, and the TrainConfig field it sets
+OTHER_TRAIN_VALUES = {
+    "backbone": ("vit-tiny-2", "backbone"), "heads": ("cifar", "heads"),
+    "dataset": ("cifar", "dataset.kind"), "classes": ("3", "dataset.n_classes"),
+    "per_class": ("64", "dataset.n_per_class"),
+    "image_size": ("32", "dataset.image_size"),
+    "dataset_seed": ("8", "dataset.seed"),
+    "cifar_path": ("data.bin", "dataset.path"), "s1": ("0.5", "sampler.s1"),
+    "s2": ("0.5", "sampler.s2"), "gamma": ("2", "sampler.gamma"),
+    "views": ("4", "sampler.n_views"), "tau": ("0.2", "tau"),
+    "lr": ("1e-3", "base_lr"), "weight_decay": ("0.1", "weight_decay"),
+    "batch": ("16", "batch_size"), "warmup_steps": ("5", "warmup_steps"),
+    "total_steps": ("100", "total_steps"), "clip": ("on", "clip_enabled"),
+    "clip_m": ("0.5", "clip_m"), "clip_alpha": ("1.1", "clip_alpha"),
+    "momentum_encoder": ("on", "momentum_encoder"), "seed": ("1", "seed"),
+    "checkpoint_every": ("10", "checkpoint_every"), "knn_k": ("3", "knn_k"),
+}
+
+
+def config_fields(config):
+    """Every field of a TrainConfig, nested specs' as ``spec.field``."""
+    out = {}
+    for name, value in asdict(config).items():
+        if isinstance(value, dict):
+            out.update({f"{name}.{k}": v for k, v in value.items()})
+        else:
+            out[name] = value
+    return out
+
+
+class TestTrainConfig:
+    def test_no_keys_is_the_smoke_preset(self):
+        assert _train_config({}, None) == smoke_config()
+        assert _train_config({"seed": 1}, 4) == smoke_config(seed=4)
+
+    @pytest.mark.parametrize("key", sorted(TRAIN_KEYS))
+    def test_each_key_sets_exactly_its_field(self, key):
+        # a cifar dataset needs a path, so "dataset" is given with one
+        given = [key] + (["cifar_path"] if key == "dataset" else [])
+        cfg = {k: SCHEMAS["train"][k](OTHER_TRAIN_VALUES[k][0]) for k in given}
+        before = config_fields(smoke_config())
+        after = config_fields(_train_config(cfg, None))
+        changed = {f: after[f] for f in before if after[f] != before[f]}
+        assert changed == {OTHER_TRAIN_VALUES[k][1]: cfg[k] for k in given}
 
 
 CONFIG_LINES = st.sampled_from([

@@ -31,3 +31,12 @@ def test_overlap_geometry_profile_matches_direct_rects():
     gap = re.search(r"max \|profile - direct\| = (\S+)", done.stdout)
     assert gap is not None
     assert float(gap.group(1)) < 1e-12
+
+
+def test_contrastive_objective_gradients_match_finite_differences():
+    done = run_demo("contrastive_objective.py")
+    assert done.returncode == 0, done.stderr
+    assert "stop-gradient partials are exactly zero: True" in done.stdout
+    errors = [float(e) for e in re.findall(r"rel err (\S+)", done.stdout)]
+    assert len(errors) == 3
+    assert max(errors) < 1e-4
