@@ -160,49 +160,58 @@ def _position_table(cfg: BackboneConfig, params: dict) -> np.ndarray:
 def init_params(cfg: BackboneConfig, heads: HeadConfig,
                 rng: np.random.Generator) -> tuple[dict, dict]:
     """Fresh parameter and batch-norm-statistics dictionaries."""
+    return _make_params(cfg, heads, lambda shape: trunc_normal(rng, shape),
+                        np.zeros, np.ones)
+
+
+def param_shapes(cfg: BackboneConfig, heads: HeadConfig) -> tuple[dict, dict]:
+    """The shape of every parameter and of every batch-norm statistic, keyed
+    and ordered as :func:`init_params` makes them, without drawing any."""
+    return _make_params(cfg, heads, tuple, tuple, tuple)
+
+
+def _make_params(cfg: BackboneConfig, heads: HeadConfig, normal, zeros, ones):
+    """Parameters and batch-norm statistics, each made by calling ``normal``,
+    ``zeros`` or ``ones`` with its shape."""
     d = cfg.token_dim
     p = {}
-    p["embed.w"] = trunc_normal(rng, (cfg.patch_dim, d))
-    p["embed.b"] = np.zeros(d)
-    p["cls"] = trunc_normal(rng, (d,))
+    p["embed.w"] = normal((cfg.patch_dim, d))
+    p["embed.b"] = zeros((d,))
+    p["cls"] = normal((d,))
     if cfg.pos_mode == "learnable":
-        p["pos"] = trunc_normal(rng, (cfg.n_patches + 1, d))
+        p["pos"] = normal((cfg.n_patches + 1, d))
     for i in range(cfg.n_blocks):
         pre = f"blocks.{i}"
-        p[f"{pre}.ln1.g"] = np.ones(d)
-        p[f"{pre}.ln1.b"] = np.zeros(d)
-        p[f"{pre}.attn.w_qkv"] = trunc_normal(rng, (d, 3 * d))
-        p[f"{pre}.attn.b_qkv"] = np.zeros(3 * d)
-        p[f"{pre}.attn.w_out"] = trunc_normal(rng, (d, d))
-        p[f"{pre}.attn.b_out"] = np.zeros(d)
-        p[f"{pre}.ln2.g"] = np.ones(d)
-        p[f"{pre}.ln2.b"] = np.zeros(d)
+        p[f"{pre}.ln1.g"] = ones((d,))
+        p[f"{pre}.ln1.b"] = zeros((d,))
+        p[f"{pre}.attn.w_qkv"] = normal((d, 3 * d))
+        p[f"{pre}.attn.b_qkv"] = zeros((3 * d,))
+        p[f"{pre}.attn.w_out"] = normal((d, d))
+        p[f"{pre}.attn.b_out"] = zeros((d,))
+        p[f"{pre}.ln2.g"] = ones((d,))
+        p[f"{pre}.ln2.b"] = zeros((d,))
         h = d * cfg.mlp_ratio
-        p[f"{pre}.mlp.w1"] = trunc_normal(rng, (d, h))
-        p[f"{pre}.mlp.b1"] = np.zeros(h)
-        p[f"{pre}.mlp.w2"] = trunc_normal(rng, (h, d))
-        p[f"{pre}.mlp.b2"] = np.zeros(d)
-    p["norm.g"] = np.ones(d)
-    p["norm.b"] = np.zeros(d)
+        p[f"{pre}.mlp.w1"] = normal((d, h))
+        p[f"{pre}.mlp.b1"] = zeros((h,))
+        p[f"{pre}.mlp.w2"] = normal((h, d))
+        p[f"{pre}.mlp.b2"] = zeros((d,))
+    p["norm.g"] = ones((d,))
+    p["norm.b"] = zeros((d,))
     bn = {}
-    _init_head(p, bn, "proj", d, heads.proj_dims, rng)
-    _init_head(p, bn, "pred", heads.proj_dims[-1], heads.pred_dims, rng)
+    for name, in_dim, dims in (("proj", d, heads.proj_dims),
+                               ("pred", heads.proj_dims[-1], heads.pred_dims)):
+        # no bias on the linear maps: each is followed by a batch norm whose
+        # shift would absorb it (and make its gradient identically zero)
+        prev = in_dim
+        for i, width in enumerate(dims):
+            p[f"{name}.{i}.w"] = normal((prev, width))
+            if i < len(dims) - 1:
+                p[f"{name}.bn{i}.g"] = ones((width,))
+                p[f"{name}.bn{i}.b"] = zeros((width,))
+            bn[f"{name}.bn{i}.mean"] = zeros((width,))
+            bn[f"{name}.bn{i}.var"] = ones((width,))
+            prev = width
     return p, bn
-
-
-def _init_head(p: dict, bn: dict, name: str, in_dim: int, dims, rng):
-    # no bias on the linear maps: each is followed by a batch norm whose
-    # shift would absorb it (and make its gradient identically zero)
-    prev = in_dim
-    for i, width in enumerate(dims):
-        p[f"{name}.{i}.w"] = trunc_normal(rng, (prev, width))
-        last = i == len(dims) - 1
-        if not last:
-            p[f"{name}.bn{i}.g"] = np.ones(width)
-            p[f"{name}.bn{i}.b"] = np.zeros(width)
-        bn[f"{name}.bn{i}.mean"] = np.zeros(width)
-        bn[f"{name}.bn{i}.var"] = np.ones(width)
-        prev = width
 
 
 # ---------------------------------------------------------------------------
@@ -478,14 +487,18 @@ def _block_backward(cfg, pre, dy, cache, grads):
     return dx
 
 
-def encode(cfg: BackboneConfig, params: dict, tokens: np.ndarray):
+def encode(cfg: BackboneConfig, params: dict, tokens: np.ndarray,
+           cache: bool = True):
     """Pre-norm transformer blocks then final norm; class-token output.
 
     Only the class token's output is kept, so the last block queries with the
     class token alone: its attention output, MLP and the final norm run on
     (B, 1, D), while its keys and values still use every token.
 
-    Returns ``(rep, cache)`` with rep (B, D). Raises with the offending block
+    Returns ``(rep, cache)`` with rep (B, D). With ``cache=False`` the cache
+    is None, and each block's intermediates are dropped before the next
+    block starts, so a pass that needs no backward holds one block's at a
+    time; ``rep`` is the same either way. Raises with the offending block
     index if activations go non-finite.
     """
     x = tokens
@@ -495,10 +508,12 @@ def encode(cfg: BackboneConfig, params: dict, tokens: np.ndarray):
         x, c = _block_forward(cfg, params, f"blocks.{i}", x, n_query)
         if not np.all(np.isfinite(x)):
             raise FloatingPointError(f"non-finite activations after block {i}")
-        block_caches.append(c)
+        if cache:
+            block_caches.append(c)
+        del c
     out, ln_c = layernorm_forward(x, params["norm.g"], params["norm.b"])
     rep = out[:, 0, :]
-    return rep, (block_caches, ln_c)
+    return rep, ((block_caches, ln_c) if cache else None)
 
 
 def encode_backward(cfg: BackboneConfig, drep: np.ndarray, cache):
@@ -576,9 +591,12 @@ def predict_backward(heads: HeadConfig, dq: np.ndarray, caches, grads: dict):
 # therefore independent and may run concurrently; the head halves may not.
 
 def encode_view(cfg: BackboneConfig, params: dict, pixels: np.ndarray,
-                indices: np.ndarray):
-    """Encoder half of one view's forward pass. Returns (rep, cache)."""
+                indices: np.ndarray, cache: bool = True):
+    """Encoder half of one view's forward pass. Returns (rep, cache); with
+    ``cache=False`` the cache is None and none is kept (see :func:`encode`)."""
     tokens, patch_c = patchify(cfg, params, pixels, indices)
+    if not cache:
+        return encode(cfg, params, tokens, cache=False)
     rep, enc_c = encode(cfg, params, tokens)
     return rep, (patch_c, enc_c)
 

@@ -29,6 +29,14 @@ calling process in view order: the heads, whose batch norms update running
 statistics in place, and the sum of the views' gradients. Every value is
 therefore byte-identical to the serial loop, whatever the process count.
 
+The parameters do not cross by pickling. At every map the caller copies
+them, and the target network's, into an anonymous shared buffer that the
+workers were forked with (train-multiview's 3.6 MB: about 0.8 ms, where
+pickling took 6.5 ms), and a worker writes each view's encoder gradients
+into that view's slot of the same buffer. The caller sums them there, so
+they are valid only until the next map. Only a task's function, pixels,
+patch indices and the buffer's name/shape/offset layout go through a pipe.
+
 Processes, not threads: threads hand the interpreter lock back and forth
 at every numpy operation of an encoder pass, so a thread that loses its
 core stalls the other. On a 2-vCPU VM, 10 benchmark runs of a thread pool
@@ -39,6 +47,8 @@ quarter of the serial median (100); 10 runs of the processes spread 7
 
 from __future__ import annotations
 
+import inspect
+import math
 import os
 import types
 import warnings
@@ -89,6 +99,7 @@ _WORKERS = _pool_size(
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
     else os.cpu_count() or 1)
 _procs = []        # (process, connection) per worker, made by the first parallel call
+_buffer = None     # the anonymous shared memory the workers were forked with
 _spread = []       # the connections the last map's tasks went out on
 _kept = {}         # task index -> generator the last map left suspended here
 
@@ -291,8 +302,36 @@ def _view_pass(bb, params, pix, idx):
 
 
 def _view_rep(bb, params, pix, idx):
-    """A view's representation alone, its backward cache dropped."""
-    return enc.encode_view(bb, params, pix, idx)[0]
+    """A view's representation alone, computed without backward caches."""
+    return enc.encode_view(bb, params, pix, idx, cache=False)[0]
+
+
+_ALIGN = 64        # bytes; each array in the shared buffer starts on a multiple
+
+
+def _span(arrays: dict) -> int:
+    """Bytes that :func:`_store` takes for ``arrays``."""
+    return sum(-(-a.nbytes // _ALIGN) * _ALIGN for a in arrays.values())
+
+
+class _InBuffer(list):
+    """Where a dict of arrays lies in the workers' shared buffer: (name,
+    shape, dtype, offset) of each array. It crosses between processes in
+    place of the arrays."""
+
+    def view(self, buffer) -> dict:
+        return {name: np.ndarray(shape, dtype, buffer, offset)
+                for name, shape, dtype, offset in self}
+
+
+def _store(buffer, arrays: dict, start: int) -> _InBuffer:
+    """Copy ``arrays`` into ``buffer`` from byte ``start`` on."""
+    layout, offset = _InBuffer(), start
+    for name, a in arrays.items():
+        np.ndarray(a.shape, a.dtype, buffer, offset)[...] = a
+        layout.append((name, a.shape, a.dtype.str, offset))
+        offset += -(-a.nbytes // _ALIGN) * _ALIGN
+    return layout
 
 
 def _run_here(kind, kept, tasks) -> list:
@@ -326,27 +365,46 @@ def _run_here(kind, kept, tasks) -> list:
     return out
 
 
-def _worker(conn, inherited) -> None:
+def _worker(conn, inherited, buffer) -> None:
     """A worker process: run each batch of tasks the caller sends, under the
     caller's ``np.errstate``, and send back the outcomes and the warnings.
-    It closes its copies of the caller's ends of the pipes, ``inherited``,
-    so that it reads end-of-file, and ends, when the caller closes its own;
-    an interrupt from the terminal is the caller's to handle.
+    A map's task is ``(fn, args, slot)``: each :class:`_InBuffer` in ``args``
+    is read as views of ``buffer``, and a dict that the task's generator
+    yields after a send is written to ``slot``, (start, size) in ``buffer``,
+    and sent back as an :class:`_InBuffer`. It closes its copies of the
+    caller's ends of the pipes, ``inherited``, so that it reads end-of-file,
+    and ends, when the caller closes its own; an interrupt from the terminal
+    is the caller's to handle.
     """
     import signal
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     for other in inherited:
         other.close()
-    kept = {}
+    kept, slots = {}, {}
     while True:
         try:
             kind, err, tasks = conn.recv()
         except EOFError:
             return
+        if kind == "map":
+            slots = {i: slot for i, (_, _, slot) in tasks}
+            tasks = [(i, (fn, tuple(a.view(buffer) if isinstance(a, _InBuffer)
+                                    else a for a in args)))
+                     for i, (fn, args, _) in tasks]
         with warnings.catch_warnings(record=True) as caught, \
                 np.errstate(**err):
             warnings.simplefilter("always")
             out = _run_here(kind, kept, tasks)
+        for n, (i, ok, value) in enumerate(out):
+            if kind != "send" or not ok or not isinstance(value, dict):
+                continue
+            start, size = slots[i]
+            if _span(value) > size:
+                out[n] = (i, False, ValueError(
+                    f"task {i}: a {_span(value)}-byte result exceeds its "
+                    f"{size}-byte slot"))
+            else:
+                out[n] = (i, True, _store(buffer, value, start))
         caught = [(w.message, w.category, w.filename, w.lineno) for w in caught]
         try:
             conn.send((out, caught))
@@ -355,17 +413,22 @@ def _worker(conn, inherited) -> None:
                         for i, _, _ in out], caught))
 
 
-def _start_workers() -> None:
+def _start_workers(size: int) -> None:
+    """Fork ``_WORKERS - 1`` workers that share a buffer of ``size`` bytes."""
+    global _buffer
     # imported here: a process that never encodes (analyze, demo) need not
-    # load multiprocessing
+    # load multiprocessing or mmap
+    import mmap
     import multiprocessing
     if "fork" not in multiprocessing.get_all_start_methods():
         return
     ctx = multiprocessing.get_context("fork")
+    _buffer = mmap.mmap(-1, max(size, mmap.PAGESIZE))
     for _ in range(_WORKERS - 1):
         mine, theirs = ctx.Pipe()
         proc = ctx.Process(target=_worker, daemon=True,
-                           args=(theirs, [mine] + [c for _, c in _procs]),
+                           args=(theirs, [mine] + [c for _, c in _procs],
+                                 _buffer),
                            name="asympatch-encoder")
         proc.start()
         theirs.close()
@@ -373,7 +436,9 @@ def _start_workers() -> None:
 
 
 def _stop_workers() -> None:
-    """End the worker processes; the next parallel call forks new ones."""
+    """End the worker processes and let their buffer go, once no view of it
+    is left; the next parallel call forks new ones."""
+    global _buffer
     for proc, conn in _procs:
         conn.close()
         proc.join(timeout=5)
@@ -381,23 +446,25 @@ def _stop_workers() -> None:
             proc.terminate()
     _procs.clear()
     _spread.clear()
+    _buffer = None
 
 
-def _dispatch(kind, payloads, conns) -> list:
-    """Task i runs on the calling process if i % n == 0, else on connection
-    i % n - 1 of ``conns``, n being one more than their number. Every task
-    ends before the first exception in task order is raised."""
-    n = len(conns) + 1
+def _dispatch(kind, tasks) -> list:
+    """Run ``tasks``, pairs (task index, payload): task i on the calling
+    process if i % n == 0, else on connection i % n - 1 of ``_spread``, n
+    being one more than their number. Every task ends before the first
+    exception in task order is raised."""
+    n = len(_spread) + 1
     err = np.geterr()
     try:
-        for k, conn in enumerate(conns, start=1):
-            conn.send((kind, err, [(i, p) for i, p in enumerate(payloads)
-                                   if i % n == k]))
-        outcomes = _run_here(kind, _kept, [(i, p) for i, p in
-                                           enumerate(payloads) if i % n == 0])
-        for conn in conns:
+        for k, conn in enumerate(_spread, start=1):
+            conn.send((kind, err, [t for t in tasks if t[0] % n == k]))
+        outcomes = _run_here(kind, _kept, [t for t in tasks if t[0] % n == 0])
+        for conn in _spread:
             out, caught = conn.recv()
-            outcomes += out
+            outcomes += [(i, ok, value.view(_buffer)
+                          if isinstance(value, _InBuffer) else value)
+                         for i, ok, value in out]
             for message, category, filename, lineno in caught:
                 warnings.warn_explicit(message, category, filename, lineno)
     except BaseException as exc:
@@ -416,28 +483,61 @@ def _dispatch(kind, payloads, conns) -> list:
 def _parallel_map(calls) -> list:
     """``[fn(*args) for fn, args in calls]``, run by the calling process and
     up to ``_WORKERS - 1`` worker processes together, task i on process
-    i % n. Calls and results cross between processes by pickling, so each
-    ``fn`` must be importable by name. A call that returns a generator gives
-    its first yield, and the generator stays suspended in the process that
-    ran it until :func:`_parallel_send`, so what it holds (a view's backward
-    cache) never crosses. Tasks run under the caller's ``np.errstate``, and
-    a worker's warnings are issued again in the caller. While the encoder's
-    functions are wrapped, as ``bench/tracer.py`` wraps them to time spans,
-    tasks run in order in the caller.
+    i % n. A call that returns a generator gives its first yield, and the
+    generator stays suspended in the process that ran it until
+    :func:`_parallel_send`, so what it holds (a view's backward cache) never
+    crosses. Tasks run under the caller's ``np.errstate``, and a worker's
+    warnings are issued again in the caller. While the encoder's functions
+    are wrapped, as ``bench/tracer.py`` wraps them to time spans, tasks run
+    in order in the caller.
+
+    The dicts among a worker task's arguments (the parameters) do not cross
+    by pickling: the caller copies each into a buffer it shares with the
+    workers, forked with it, and the worker reads views of the copy, made
+    anew at every map. The buffer is sized from the first map; a map that
+    needs more room restarts the workers with a larger one. Everything else,
+    ``fn`` by its importable name, the other arguments and the results,
+    crosses by pickling.
     """
-    serial = (_WORKERS < 2 or len(calls) < 2
-              or hasattr(enc.encode_view, "__wrapped__"))
-    if not serial and not _procs:
-        _start_workers()
-    _spread[:] = [] if serial else [conn for _, conn in _procs]
-    return _dispatch("map", calls, _spread)
+    _spread.clear()
+    n = _WORKERS
+    if n < 2 or len(calls) < 2 or hasattr(enc.encode_view, "__wrapped__"):
+        return _dispatch("map", list(enumerate(calls)))
+    # the buffer holds each dict a worker's task reads, and a slot for each
+    # worker's generator task, as large as its dicts, for what it yields
+    # after a send (a view's gradients)
+    remote = [(i, fn, args) for i, (fn, args) in enumerate(calls) if i % n]
+    dicts, slots, end = {}, {}, 0
+    for i, fn, args in remote:
+        mine = [a for a in args if isinstance(a, dict)]
+        for a in mine:
+            if id(a) not in dicts:
+                dicts[id(a)] = (a, end)
+                end += _span(a)
+        if inspect.isgeneratorfunction(fn):
+            slots[i] = (end, sum(map(_span, mine)))
+            end += slots[i][1]
+    if _procs and len(_buffer) < end:
+        _stop_workers()
+    if not _procs:
+        _start_workers(end)
+    if not _procs:                       # no fork on this platform
+        return _dispatch("map", list(enumerate(calls)))
+    placed = {key: _store(_buffer, a, start) for key, (a, start) in dicts.items()}
+    tasks = [(i, call) for i, call in enumerate(calls) if i % n == 0]
+    tasks += [(i, (fn, tuple(placed[id(a)] if isinstance(a, dict) else a
+                             for a in args), slots.get(i)))
+              for i, fn, args in remote]
+    _spread[:] = [conn for _, conn in _procs]
+    return _dispatch("map", tasks)
 
 
 def _parallel_send(values) -> list:
     """Send ``values[i]`` to the generator that task i of the last
     :func:`_parallel_map` left suspended, in its process; returns what each
-    yields next."""
-    return _dispatch("send", values, _spread)
+    yields next. A dict that a worker's generator yields comes back as views
+    of the shared buffer, valid only until the next map overwrites it."""
+    return _dispatch("send", list(enumerate(values)))
 
 
 def train_step(state: TrainState, batch_records, dump_path=None) -> float:
@@ -660,12 +760,50 @@ def checkpoint_save(state: TrainState, path) -> None:
     save_arrays(path, arrays, meta)
 
 
+def _check_arrays(path, arrays: dict, config: TrainConfig, step: int) -> None:
+    """Raise :class:`CheckpointError` unless ``arrays`` are the float64
+    arrays, by name and shape, that :func:`checkpoint_save` writes for
+    ``config`` at ``step``: the parameters and batch-norm statistics; from
+    the first step on, the AdamW moments and, with clipping on, each clip
+    group's EMA; with the momentum encoder on, the target network's; and
+    the metrics."""
+    params, bn = enc.param_shapes(config.backbone_config(), config.head_config())
+    want = {f"params.{k}": s for k, s in params.items()}
+    want.update({f"bn.{k}": s for k, s in bn.items()})
+    if step:
+        want.update({f"opt.{m}.{k}": s for m in "mv" for k, s in params.items()})
+    if step and config.clip_enabled:
+        sizes: dict[str, int] = {}
+        for k, s in params.items():
+            sizes[clip_group_of(k)] = sizes.get(clip_group_of(k), 0) + math.prod(s)
+        want.update({f"clip.{g}": (n,) for g, n in sizes.items()})
+    if config.momentum_encoder:
+        want.update({f"target.{k}": s for k, s in params.items()})
+        want.update({f"target_bn.{k}": s for k, s in bn.items()})
+    if "metrics" in arrays:
+        want["metrics"] = arrays["metrics"].shape[:1] + (len(METRIC_FIELDS),)
+    wrong = {
+        "missing": sorted(want.keys() - arrays.keys()),
+        "unexpected": sorted(arrays.keys() - want.keys()),
+        "wrong shape or dtype": sorted(
+            k for k in want.keys() & arrays.keys()
+            if arrays[k].shape != want[k] or arrays[k].dtype != np.float64),
+    }
+    found = [f"{what} {', '.join(names[:3])}"
+             + (f" and {len(names) - 3} more" if len(names) > 3 else "")
+             for what, names in wrong.items() if names]
+    if found:
+        raise CheckpointError(f"{path}: arrays do not match its config: "
+                              + "; ".join(found))
+
+
 def checkpoint_load(path) -> TrainState:
     """A state saved by :func:`checkpoint_save`. The config fixes each clip
     group's m and alpha and whether a target network is present, and each
     step makes exactly one optimizer step; meta keys beyond ``kind``,
     ``config``, ``step`` and ``rng_state``, as older checkpoints carry, are
-    ignored."""
+    ignored. Arrays that do not match the config and step, by name, shape
+    or dtype, raise :class:`CheckpointError`."""
     arrays, meta = load_arrays(path)
     if meta.get("kind") != "train_state":
         raise CheckpointError(f"{path} is not a training checkpoint")
@@ -679,6 +817,8 @@ def checkpoint_load(path) -> TrainState:
     step = meta["step"]
     if not (type(step) is int and step >= 0):
         raise CheckpointError(f"{path}: step must be a non-negative int")
+
+    _check_arrays(path, arrays, config, step)
 
     def group(prefix):
         return {k[len(prefix):]: v for k, v in arrays.items()

@@ -323,6 +323,23 @@ class TestTrainAndProbe:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "rng_state" in err
 
+    def test_probe_checkpoint_missing_an_array_fails_closed(self, tmp_path,
+                                                            capsys):
+        cfg = self.write_train_config(tmp_path, total_steps=2)
+        out = tmp_path / "out"
+        assert run_cli("train", "--config", cfg, "--out", str(out)) == 0
+        ckpt = out / "final.ckpt"
+        arrays, meta = load_arrays(ckpt)
+        del arrays["params.embed.w"]
+        save_arrays(ckpt, arrays, meta)
+        capsys.readouterr()
+        assert run_cli("probe", "--checkpoint", str(ckpt),
+                       "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "missing params.embed.w" in err
+        assert not (tmp_path / "o").exists()
+
     def test_probe_rejects_k_below_one(self, tmp_path, capsys):
         cfg = self.write_train_config(tmp_path, total_steps=2)
         out = tmp_path / "out"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import fd_gradient, micro_batch, micro_model, rel_err, sample_coords
@@ -6,8 +8,9 @@ from asympatch.encoder import (BACKBONES, HEADS, BackboneConfig, HeadConfig,
                                _block_backward, _block_forward,
                                attention_backward, attention_forward,
                                backward_branch, encode, encode_backward,
-                               forward_branch, init_params, layernorm_backward,
-                               layernorm_forward, patchify, patchify_backward,
+                               encode_view, forward_branch, init_params,
+                               layernorm_backward, layernorm_forward,
+                               param_shapes, patchify, patchify_backward,
                                predict, project, sincos_position_table)
 
 
@@ -57,6 +60,18 @@ class TestConfigs:
                            image_size=16)
         with pytest.raises(ValueError):
             HeadConfig(proj_dims=(64, 32), pred_dims=(64, 16))
+
+    @pytest.mark.parametrize("bb", [
+        BACKBONES["vit-micro"],
+        BackboneConfig(patch_size=4, n_blocks=2, n_heads=2, token_dim=16,
+                       image_size=16, pos_mode="sincos")],
+        ids=["micro", "sincos"])
+    def test_param_shapes_are_init_params_shapes_in_order(self, bb):
+        hc = HeadConfig(proj_dims=(8, 6), pred_dims=(6,))
+        params, bn = init_params(bb, hc, np.random.default_rng(0))
+        shapes, bn_shapes = param_shapes(bb, hc)
+        assert list(shapes.items()) == [(k, a.shape) for k, a in params.items()]
+        assert list(bn_shapes.items()) == [(k, a.shape) for k, a in bn.items()]
 
     def test_shapes_fully_determined_by_config(self):
         for name, cfg in BACKBONES.items():
@@ -144,8 +159,33 @@ class TestEncode:
         params["blocks.2.mlp.w2"][0, 0] = np.nan
         pixels, indices = micro_batch()
         tokens, _ = patchify(bb, params, pixels, indices)
-        with pytest.raises(FloatingPointError, match="block 2"):
-            encode(bb, params, tokens)
+        for cache in (True, False):
+            with pytest.raises(FloatingPointError, match="block 2"):
+                encode(bb, params, tokens, cache=cache)
+
+    @pytest.mark.parametrize("ratio", [0.25, 1.0])
+    def test_rep_without_caches_is_byte_equal(self, ratio):
+        bb, hc, params, _ = micro_model()
+        pixels, indices = micro_batch(batch=5, ratio=ratio)
+        rep, cache = encode_view(bb, params, pixels, indices)
+        bare, none = encode_view(bb, params, pixels, indices, cache=False)
+        assert cache is not None and none is None
+        assert bare.dtype == rep.dtype and bare.shape == rep.shape
+        assert bare.tobytes() == rep.tobytes()
+
+    def test_a_pass_without_caches_holds_one_block_at_a_time(self):
+        bb, hc, params, _ = micro_model()
+        pixels, indices = micro_batch(batch=16, ratio=1.0)
+        tokens, _ = patchify(bb, params, pixels, indices)
+        peaks = []
+        for cache in (True, False):
+            tracemalloc.start()
+            out = encode(bb, params, tokens, cache=cache)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            del out
+        # four blocks' intermediates against one block's at most
+        assert peaks[1] < peaks[0] / 2, peaks
 
 
 class TestClassTokenLastBlock:

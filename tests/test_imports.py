@@ -1,6 +1,6 @@
 """What an ``asympatch`` process imports: the scipy subpackages in ``HEAVY``
-stay unloaded, at import and through a whole job, and ``scipy.special``
-loads only once the encoder runs."""
+stay unloaded, at import and through a whole job, and ``scipy.special``,
+``mmap`` and ``multiprocessing`` are not loaded by analyze or demo."""
 
 import json
 import os
@@ -57,5 +57,7 @@ def test_jobs_leave_heavy_scipy_subpackages_unloaded(tmp_path):
     assert loaded == []
     assert not [m for m in result["before_train"]
                 if m == LAZY or m.startswith(LAZY + ".")]
+    # the encoder workers' modules load only when a step forks them
+    assert not {"mmap", "multiprocessing"} & set(result["before_train"])
     # the checks mean something only if scipy itself was loaded, by the GELU
     assert LAZY in result["modules"]

@@ -1,10 +1,12 @@
 import functools
+import multiprocessing.connection
 import os
 import time
 import warnings
 
 import numpy as np
 import pytest
+from multiprocessing.reduction import ForkingPickler
 
 import asympatch.train as train_mod
 from asympatch.asymmetry import monte_carlo_overlap
@@ -259,6 +261,23 @@ def mark_then_fail(path, i):
     return i
 
 
+def dict_total(arrays):
+    """The sum of every array in ``arrays``, and this process's id."""
+    return sum(float(a.sum()) for a in arrays.values()), os.getpid()
+
+
+def scaled(arrays):
+    """Yield this process's id; sent a factor, yield ``arrays`` times it."""
+    factor = yield os.getpid()
+    yield {name: a * factor for name, a in arrays.items()}
+
+
+def draw_batch(state, records):
+    pick = state.rng.choice(len(records), size=state.config.batch_size,
+                            replace=False)
+    return [records[i] for i in pick]
+
+
 MULTIVIEW = dict(batch_size=16, clip_enabled=True, momentum_encoder=True,
                  sampler=SamplerConfig(s1=0.25, s2=0.25, gamma=3.0,
                                        n_views=4))
@@ -368,6 +387,99 @@ class TestParallelStep:
         mine, theirs = train_mod._parallel_map([(pid_of, (i,))
                                                 for i in range(2)])
         assert mine == os.getpid() and theirs not in (mine, proc.pid)
+
+    def test_workers_read_the_dicts_as_they_are_at_each_map(self, workers):
+        workers(2)
+        params = {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(4)}
+        calls = [(dict_total, (params,))] * 2
+        first = train_mod._parallel_map(calls)
+        params["a"] += 10.0                     # in place, between two maps
+        second = train_mod._parallel_map(calls)
+        assert [t for t, _ in first] == [19.0, 19.0]
+        assert [t for t, _ in second] == [79.0, 79.0]
+        assert second[1][1] != second[0][1] == os.getpid()
+
+    def test_a_map_that_outgrows_the_buffer_restarts_the_workers(self,
+                                                                  workers):
+        workers(2)
+        small = {"w": np.arange(4.0)}
+        assert train_mod._parallel_map([(dict_total, (small,))] * 2)[1][0] == 6.0
+        (proc, _), = train_mod._procs
+        big = {"w": np.arange(200_000.0), "v": np.ones((3, 5))}
+        assert big["w"].nbytes > len(train_mod._buffer)
+        calls = [(scaled, (big,)), (scaled, (big,)), (dict_total, (small,))]
+        mine, theirs, (total, _) = train_mod._parallel_map(calls)
+        (again, _), = train_mod._procs
+        assert not proc.is_alive() and again.pid == theirs != proc.pid
+        assert mine == os.getpid() and total == 6.0
+        # a worker's yielded dict comes back through its slot of the buffer
+        here, there = train_mod._parallel_send([2.0, 3.0])
+        for out, factor in ((here, 2.0), (there, 3.0)):
+            assert list(out) == ["w", "v"]
+            assert out["w"].tobytes() == (big["w"] * factor).tobytes()
+            assert out["v"].tobytes() == (big["v"] * factor).tobytes()
+        assert isinstance(there["w"].base, type(train_mod._buffer))
+
+    def test_a_worker_lost_between_steps_fails_one_step_only(self, workers):
+        workers(2)
+        cfg = train_mod.smoke_config(total_steps=20, **MULTIVIEW)
+        records = load_dataset(cfg.dataset)
+        parallel, serial = init_train_state(cfg), init_train_state(cfg)
+        train_step(parallel, draw_batch(parallel, records))
+        serial_step(serial, draw_batch(serial, records))
+        (proc, _), = train_mod._procs
+        proc.kill()
+        proc.join(timeout=10)
+        assert not proc.is_alive()
+        with pytest.raises(RuntimeError, match="worker process ended"):
+            train_step(parallel, draw_batch(parallel, records))
+        # the failed step drew its batch and views and changed nothing else
+        train_mod._draw_views(serial, draw_batch(serial, records))
+        train_step(parallel, draw_batch(parallel, records))
+        serial_step(serial, draw_batch(serial, records))
+        (again, _), = train_mod._procs
+        assert again.pid != proc.pid
+        assert parallel.metrics == serial.metrics
+        assert parallel.rng.bit_generator.state == serial.rng.bit_generator.state
+        for a, b in [(parallel.params, serial.params),
+                     (parallel.bn_stats, serial.bn_stats),
+                     (parallel.opt.m, serial.opt.m),
+                     (parallel.opt.v, serial.opt.v),
+                     (parallel.target_params, serial.target_params),
+                     (parallel.target_bn, serial.target_bn),
+                     ({k: c.ema_grad for k, c in parallel.clip.items()},
+                      {k: c.ema_grad for k, c in serial.clip.items()})]:
+            assert same_bytes(a, b)
+
+    @pytest.mark.parametrize("overrides", [{}, MULTIVIEW],
+                             ids=["smoke", "multiview"])
+    def test_a_step_sends_workers_no_parameters(self, workers, monkeypatch,
+                                                overrides):
+        # each map message holds its tasks' pixels and patch indices, and
+        # beyond them only names, layouts and the like
+        workers(2)
+        cfg = train_mod.smoke_config(total_steps=20, **overrides)
+        records = load_dataset(cfg.dataset)
+        state = init_train_state(cfg)
+        train_step(state, draw_batch(state, records))   # workers started
+        sent = []
+        send = multiprocessing.connection.Connection.send
+
+        def recording(conn, obj):
+            sent.append(obj)
+            send(conn, obj)
+
+        monkeypatch.setattr(multiprocessing.connection.Connection, "send",
+                            recording)
+        train_step(state, draw_batch(state, records))
+        maps = [obj for obj in sent if obj[0] == "map"]
+        assert len(maps) == 1 and maps[0][2]
+        for message in maps:
+            arrays = {id(a): a for _, payload in message[2]
+                      for a in payload[1] if isinstance(a, np.ndarray)}
+            data = sum(a.nbytes for a in arrays.values())
+            size = len(ForkingPickler.dumps(message))
+            assert size <= data + 8 * 1024, (size, data)
 
     def test_first_failing_view_in_order_names_the_block(self, workers,
                                                          monkeypatch):
@@ -553,6 +665,44 @@ class TestCheckpointing:
         meta[key] = value
         save_arrays(path, arrays, meta)
         with pytest.raises(CheckpointError, match=key.split("_")[-1]):
+            checkpoint_load(path)
+
+    @pytest.mark.parametrize("change,steps,message", [
+        ("del params.embed.w", 1, "missing params.embed.w"),
+        ("del bn.proj.bn0.mean", 1, "missing bn.proj.bn0.mean"),
+        ("del opt.v.cls", 1, "missing opt.v.cls"),
+        ("del target.pos", 1, "missing target.pos"),
+        ("del target_bn.pred.bn2.var", 1, "missing target_bn.pred.bn2.var"),
+        ("del clip.block1", 1, "missing clip.block1"),
+        ("add params.extra", 1, "unexpected params.extra"),
+        ("add opt.m.cls", 0, "unexpected opt.m.cls"),
+        ("add clip.stem", 0, "unexpected clip.stem"),
+        ("reshape params.blocks.0.mlp.w1", 1,
+         "wrong shape or dtype params.blocks.0.mlp.w1"),
+        ("reshape opt.m.norm.g", 1, "wrong shape or dtype opt.m.norm.g"),
+        ("reshape clip.proj", 1, "wrong shape or dtype clip.proj"),
+        ("reshape metrics", 1, "wrong shape or dtype metrics"),
+        ("float32 target.embed.b", 1, "wrong shape or dtype target.embed.b"),
+    ])
+    def test_arrays_that_do_not_match_the_config_fail_closed(
+            self, tmp_path, change, steps, message):
+        cfg = tiny_config(clip_enabled=True, momentum_encoder=True)
+        state, _ = run_steps(cfg, steps)
+        path = tmp_path / "x.ckpt"
+        checkpoint_save(state, path)
+        arrays, meta = load_arrays(path)
+        checkpoint_load(path)                   # the file as saved loads
+        how, name = change.split()
+        if how == "del":
+            del arrays[name]
+        elif how == "add":
+            arrays[name] = np.zeros(3)
+        elif how == "reshape":
+            arrays[name] = arrays[name].ravel()[1:]
+        else:
+            arrays[name] = arrays[name].astype(np.float32)
+        save_arrays(path, arrays, meta)
+        with pytest.raises(CheckpointError, match=message):
             checkpoint_load(path)
 
     def test_warmup_beyond_total_rejected(self):
