@@ -4,10 +4,12 @@ checkpoints); there is no interactive mode.
 
 Config files are flat ``key = value`` text with one ``[section]`` per
 subcommand; unknown sections or keys are rejected outright so a typo cannot
-silently fall back to a default. Every subcommand honors ``--seed`` (output
-files are byte-identical across runs for a fixed seed) and exits 0 on
-success, nonzero with a single machine-parseable ``error: ...`` line on
-failure.
+silently fall back to a default. Each subcommand accepts only the flags it
+reads: ``analyze``, ``demo`` and ``train`` take ``--seed`` (output files are
+byte-identical across runs for a fixed seed), ``train`` alone takes
+``--dry-run``, and ``probe``, which reads its seed from the checkpoint, takes
+``--checkpoint``. Every subcommand exits 0 on success, nonzero with a single
+machine-parseable ``error: ...`` line on failure.
 """
 
 from __future__ import annotations
@@ -336,10 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--dry-run", action="store_true")
         if name == "probe":
             p.add_argument("--checkpoint", default=None)
+        else:
+            p.add_argument("--seed", type=int, default=None,
+                           help="seed override")
+        if name == "train":
+            p.add_argument("--dry-run", action="store_true")
         p.set_defaults(fn=fn)
     return parser
 

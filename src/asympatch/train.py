@@ -17,25 +17,26 @@ disjoint selective samples weighted against the union of branch-1's sampled
 patches, and the loss averages over ordered cross-branch pairs only
 (within-branch pairs share crop geometry and provide little asymmetry).
 
-The views meet only in the loss, so each view's encoder pass, forward and
-backward, and each chunk of the kNN probe's embeddings, runs as one task of
-:func:`_parallel_map`. Tasks run on the calling process and on worker
-processes forked at the first parallel call, one process per core the
-process may use, divided by the BLAS threads per call; so they run in
-parallel only where BLAS is limited (say ``OPENBLAS_NUM_THREADS=1``), and
-never on one core. A view's backward runs in the process that ran its
-forward, where its cache stays. Work that is not independent stays on the
-calling process in view order: the heads, whose batch norms update running
-statistics in place, and the sum of the views' gradients. Every value is
-therefore byte-identical to the serial loop, whatever the process count.
+The views meet only in the loss, so each view's encoder pass, and each chunk
+of the kNN probe's embeddings, runs as one encoder job of :func:`_encode`.
+Jobs run on the calling process and on worker processes forked at the first
+parallel encode, one process per core the process may use, divided by the
+BLAS threads per call; so they run in parallel only where BLAS is limited
+(say ``OPENBLAS_NUM_THREADS=1``), and never on one core. A view's backward
+(:func:`_encode_backward`) runs in the process that ran its forward, where
+its cache stays. Work that is not independent stays on the calling process
+in view order: the heads, whose batch norms update running statistics in
+place, and the sum of the views' gradients. Every value is therefore
+byte-identical to the serial loop, whatever the process count.
 
-The parameters do not cross by pickling. At every map the caller copies
-them, and the target network's, into an anonymous shared buffer that the
-workers were forked with (train-multiview's 3.6 MB: about 0.8 ms, where
-pickling took 6.5 ms), and a worker writes each view's encoder gradients
-into that view's slot of the same buffer. The caller sums them there, so
-they are valid only until the next map. Only a task's function, pixels,
-patch indices and the buffer's name/shape/offset layout go through a pipe.
+The networks do not cross by pickling. At every encode the caller copies
+them into an anonymous shared buffer that the workers were forked with
+(train-multiview's two, 3.6 MB: about 0.8 ms, where pickling took 6.5 ms),
+and a worker writes each view's encoder gradients into that view's slot of
+the same buffer. The caller sums them there, so they are valid only until
+the next encode. Only pixels, patch indices, representations, their
+gradients and the buffer's name/shape/offset layout go through a pipe, and
+a worker runs only the encoder's own passes.
 
 Processes, not threads: threads hand the interpreter lock back and forth
 at every numpy operation of an encoder pass, so a thread that loses its
@@ -47,10 +48,8 @@ quarter of the serial median (100); 10 runs of the processes spread 7
 
 from __future__ import annotations
 
-import inspect
 import math
 import os
-import types
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 
@@ -79,11 +78,11 @@ _BLAS_THREAD_VARS = {
 
 
 def _pool_size(blas: str, environ, cores: int) -> int:
-    """Processes that run encoder tasks, the caller's included: as many BLAS
+    """Processes that run encoder jobs, the caller's included: as many BLAS
     thread teams as fit the cores, for the BLAS named ``blas`` (numpy's
-    build configuration). Tasks that each start a whole team oversubscribe
+    build configuration). Jobs that each start a whole team oversubscribe
     the cores: on a 2-core host a smoke step ran about 30% slower than
-    serially. So a BLAS of unknown family leaves the tasks serial. A limit
+    serially. So a BLAS of unknown family leaves the jobs serial. A limit
     set at run time (say by threadpoolctl) is not seen here."""
     family = next((f for f in _BLAS_THREAD_VARS if f in blas.lower()), None)
     for var in _BLAS_THREAD_VARS.get(family, ()):
@@ -93,15 +92,17 @@ def _pool_size(blas: str, environ, cores: int) -> int:
     return 1
 
 
+# workers are forked; where the platform cannot fork, every job runs serially
 _WORKERS = _pool_size(
     np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
     .get("name", ""), os.environ,
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-    else os.cpu_count() or 1)
-_procs = []        # (process, connection) per worker, made by the first parallel call
+    else os.cpu_count() or 1) if hasattr(os, "fork") else 1
+_procs = []        # (process, connection) per worker, forked by the first parallel encode
 _buffer = None     # the anonymous shared memory the workers were forked with
-_spread = []       # the connections the last map's tasks went out on
-_kept = {}         # task index -> generator the last map left suspended here
+_layout = {}       # name -> (shape, offset) of each array of a network in _buffer
+_kept = {}         # job index -> cache or None, of the last encode's jobs run here
+_away = {}         # job index -> (connection, gradient slot), of each kept on a worker
 
 
 @dataclass(frozen=True)
@@ -293,123 +294,78 @@ def _draw_views(state: TrainState, batch_records):
     return pix[:b], pix[b:], views1, views2, profiles
 
 
-def _view_pass(bb, params, pix, idx):
-    """One view's encoder pass as a task: yields the representation, then,
-    sent its gradient, the encoder's parameter gradients."""
-    rep, cache = enc.encode_view(bb, params, pix, idx)
-    drep = yield rep
-    yield enc.encode_view_backward(bb, drep, cache)
-
-
-def _view_rep(bb, params, pix, idx):
-    """A view's representation alone, computed without backward caches."""
-    return enc.encode_view(bb, params, pix, idx, cache=False)[0]
-
-
 _ALIGN = 64        # bytes; each array in the shared buffer starts on a multiple
 
 
-def _span(arrays: dict) -> int:
-    """Bytes that :func:`_store` takes for ``arrays``."""
-    return sum(-(-a.nbytes // _ALIGN) * _ALIGN for a in arrays.values())
+def _at(buffer, layout: dict, base: int) -> dict:
+    """Views of the network that ``layout``, name -> (shape, offset), places
+    in ``buffer`` from byte ``base`` on."""
+    return {name: np.ndarray(shape, float, buffer, base + offset)
+            for name, (shape, offset) in layout.items()}
 
 
-class _InBuffer(list):
-    """Where a dict of arrays lies in the workers' shared buffer: (name,
-    shape, dtype, offset) of each array. It crosses between processes in
-    place of the arrays."""
-
-    def view(self, buffer) -> dict:
-        return {name: np.ndarray(shape, dtype, buffer, offset)
-                for name, shape, dtype, offset in self}
-
-
-def _store(buffer, arrays: dict, start: int) -> _InBuffer:
-    """Copy ``arrays`` into ``buffer`` from byte ``start`` on."""
-    layout, offset = _InBuffer(), start
-    for name, a in arrays.items():
-        np.ndarray(a.shape, a.dtype, buffer, offset)[...] = a
-        layout.append((name, a.shape, a.dtype.str, offset))
-        offset += -(-a.nbytes // _ALIGN) * _ALIGN
-    return layout
-
-
-def _run_here(kind, kept, tasks) -> list:
-    """Run ``tasks``, pairs (task index, payload), in this process; returns
-    triples (task index, ok, result or exception). A ``"map"`` payload is a
-    call ``(fn, args)``; when it returns a generator, the first yield is the
-    result and the generator is kept under the task index. A ``"send"``
-    payload goes to the generator kept under its index.
-
-    Kept generators, and the caches they hold, are dropped only when the
-    next map starts, so that its tasks reuse their memory: dropped after
-    each send, glibc handed it back and the next step faulted it in again
-    (a serial multiview step: about 10,000 page faults and 26 ms of system
-    time, against 1,300 and 4 ms).
-    """
-    if kind == "map":
-        kept.clear()
+def _run(fn, jobs) -> list:
+    """Triples (job index, ok, ``fn(*job)`` or its exception) for ``jobs``,
+    tuples that start with the job's index."""
     out = []
-    for i, payload in tasks:
+    for job in jobs:
         try:
-            if kind == "send":
-                value = kept[i].send(payload)
-            else:
-                fn, args = payload
-                value = fn(*args)
-                if isinstance(value, types.GeneratorType):
-                    kept[i], value = value, next(value)
-            out.append((i, True, value))
+            out.append((job[0], True, fn(*job)))
         except Exception as exc:  # noqa: BLE001 -- raised by the caller, in order
-            out.append((i, False, exc))
+            out.append((job[0], False, exc))
     return out
 
 
 def _worker(conn, inherited, buffer) -> None:
-    """A worker process: run each batch of tasks the caller sends, under the
+    """A worker process: run each batch of jobs the caller sends, under the
     caller's ``np.errstate``, and send back the outcomes and the warnings.
-    A map's task is ``(fn, args, slot)``: each :class:`_InBuffer` in ``args``
-    is read as views of ``buffer``, and a dict that the task's generator
-    yields after a send is written to ``slot``, (start, size) in ``buffer``,
-    and sent back as an :class:`_InBuffer`. It closes its copies of the
-    caller's ends of the pipes, ``inherited``, so that it reads end-of-file,
-    and ends, when the caller closes its own; an interrupt from the terminal
-    is the caller's to handle.
+    An ``"encode"`` job ``(i, base, pixels, indices, keep)`` encodes with
+    the network at byte ``base`` of ``buffer`` and returns the
+    representation; if ``keep``, it keeps the cache, until the next encode,
+    for the ``"backward"`` job ``(i, drep, slot)``, which writes the encoder
+    gradients to the network-sized ``slot`` and returns their names.
+    It closes its copies of the caller's ends of the pipes, ``inherited``,
+    so that it reads end-of-file, and ends, when the caller closes its own;
+    an interrupt from the terminal is the caller's to handle.
     """
     import signal
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     for other in inherited:
         other.close()
-    kept, slots = {}, {}
+    kept = {}
+
+    def forward(i, base, pixels, indices, keep):
+        rep, kept[i] = enc.encode_view(bb, _at(buffer, layout, base), pixels,
+                                       indices, cache=keep)
+        return rep
+
+    def backward(i, drep, slot):
+        grads = enc.encode_view_backward(bb, drep, kept[i])
+        place = _at(buffer, layout, slot)
+        for name, g in grads.items():
+            place[name][...] = g
+        # held with the cache until the next encode: freed here, glibc gave
+        # their pages back and each forward faulted them in again (smoke:
+        # about 4,000 page faults per forward, against none held)
+        kept[i] = kept[i], grads
+        return list(grads)
+
     while True:
         try:
-            kind, err, tasks = conn.recv()
+            kind, err, bb, layout, jobs = conn.recv()
         except EOFError:
             return
-        if kind == "map":
-            slots = {i: slot for i, (_, _, slot) in tasks}
-            tasks = [(i, (fn, tuple(a.view(buffer) if isinstance(a, _InBuffer)
-                                    else a for a in args)))
-                     for i, (fn, args, _) in tasks]
+        if kind == "encode":
+            kept.clear()
         with warnings.catch_warnings(record=True) as caught, \
                 np.errstate(**err):
             warnings.simplefilter("always")
-            out = _run_here(kind, kept, tasks)
-        for n, (i, ok, value) in enumerate(out):
-            if kind != "send" or not ok or not isinstance(value, dict):
-                continue
-            start, size = slots[i]
-            if _span(value) > size:
-                out[n] = (i, False, ValueError(
-                    f"task {i}: a {_span(value)}-byte result exceeds its "
-                    f"{size}-byte slot"))
-            else:
-                out[n] = (i, True, _store(buffer, value, start))
+            out = _run(forward if kind == "encode" else backward, jobs)
         caught = [(w.message, w.category, w.filename, w.lineno) for w in caught]
         try:
             conn.send((out, caught))
         except Exception as exc:  # noqa: BLE001 -- an outcome that does not pickle
-            conn.send(([(i, False, RuntimeError(f"task {i}: {exc!r}"))
+            conn.send(([(i, False, RuntimeError(f"job {i}: {exc!r}"))
                         for i, _, _ in out], caught))
 
 
@@ -420,8 +376,6 @@ def _start_workers(size: int) -> None:
     # load multiprocessing or mmap
     import mmap
     import multiprocessing
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return
     ctx = multiprocessing.get_context("fork")
     _buffer = mmap.mmap(-1, max(size, mmap.PAGESIZE))
     for _ in range(_WORKERS - 1):
@@ -437,7 +391,7 @@ def _start_workers(size: int) -> None:
 
 def _stop_workers() -> None:
     """End the worker processes and let their buffer go, once no view of it
-    is left; the next parallel call forks new ones."""
+    is left; the next parallel encode forks new ones."""
     global _buffer
     for proc, conn in _procs:
         conn.close()
@@ -445,26 +399,23 @@ def _stop_workers() -> None:
         if proc.is_alive():
             proc.terminate()
     _procs.clear()
-    _spread.clear()
     _buffer = None
 
 
-def _dispatch(kind, tasks) -> list:
-    """Run ``tasks``, pairs (task index, payload): task i on the calling
-    process if i % n == 0, else on connection i % n - 1 of ``_spread``, n
-    being one more than their number. Every task ends before the first
-    exception in task order is raised."""
-    n = len(_spread) + 1
+def _dispatch(messages: dict, fn, jobs) -> list:
+    """Send each worker connection its message ``(kind, bb, layout, jobs)``
+    with the caller's ``np.errstate``, run ``fn`` on the caller's own
+    ``jobs``, and gather the workers' outcomes; returns every job's result
+    in job order. A worker's warnings are issued again here, and every job
+    ends before the first exception in job order is raised."""
     err = np.geterr()
     try:
-        for k, conn in enumerate(_spread, start=1):
-            conn.send((kind, err, [t for t in tasks if t[0] % n == k]))
-        outcomes = _run_here(kind, _kept, [t for t in tasks if t[0] % n == 0])
-        for conn in _spread:
+        for conn, (kind, *rest) in messages.items():
+            conn.send((kind, err, *rest))
+        outcomes = _run(fn, jobs)
+        for conn in messages:
             out, caught = conn.recv()
-            outcomes += [(i, ok, value.view(_buffer)
-                          if isinstance(value, _InBuffer) else value)
-                         for i, ok, value in out]
+            outcomes += out
             for message, category, filename, lineno in caught:
                 warnings.warn_explicit(message, category, filename, lineno)
     except BaseException as exc:
@@ -480,79 +431,97 @@ def _dispatch(kind, tasks) -> list:
     return [value for _, _, value in outcomes]
 
 
-def _parallel_map(calls) -> list:
-    """``[fn(*args) for fn, args in calls]``, run by the calling process and
-    up to ``_WORKERS - 1`` worker processes together, task i on process
-    i % n. A call that returns a generator gives its first yield, and the
-    generator stays suspended in the process that ran it until
-    :func:`_parallel_send`, so what it holds (a view's backward cache) never
-    crosses. Tasks run under the caller's ``np.errstate``, and a worker's
-    warnings are issued again in the caller. While the encoder's functions
-    are wrapped, as ``bench/tracer.py`` wraps them to time spans, tasks run
-    in order in the caller.
+def _encode(bb, nets: list, jobs: list) -> list:
+    """The representation of each job ``(net, pixels, indices, keep)``: an
+    ``enc.encode_view`` pass of ``nets[net]``, run by the calling process and
+    up to ``_WORKERS - 1`` worker processes together, job i on process
+    i % n. A kept job's cache stays in the process that ran it, for
+    :func:`_encode_backward`, until the next encode starts, so that its jobs
+    reuse the memory: dropped after each backward, glibc handed it back and
+    the next step faulted it in again (a serial multiview step: about 10,000
+    page faults and 26 ms of system time, against 1,300 and 4 ms).
 
-    The dicts among a worker task's arguments (the parameters) do not cross
-    by pickling: the caller copies each into a buffer it shares with the
-    workers, forked with it, and the worker reads views of the copy, made
-    anew at every map. The buffer is sized from the first map; a map that
-    needs more room restarts the workers with a larger one. Everything else,
-    ``fn`` by its importable name, the other arguments and the results,
-    crosses by pickling.
+    Jobs run in order on the caller when there is one process (as where
+    ``fork`` is missing) or one job, and while the encoder's functions are
+    wrapped, as ``bench/tracer.py`` wraps them to time spans. Otherwise the
+    networks, each with ``nets[0]``'s names and shapes, are copied one after
+    another into the buffer the workers were forked with, followed by a
+    network-sized gradient slot for each job that a worker keeps; an encode
+    that needs more room restarts the workers with a larger buffer.
     """
-    _spread.clear()
-    n = _WORKERS
-    if n < 2 or len(calls) < 2 or hasattr(enc.encode_view, "__wrapped__"):
-        return _dispatch("map", list(enumerate(calls)))
-    # the buffer holds each dict a worker's task reads, and a slot for each
-    # worker's generator task, as large as its dicts, for what it yields
-    # after a send (a view's gradients)
-    remote = [(i, fn, args) for i, (fn, args) in enumerate(calls) if i % n]
-    dicts, slots, end = {}, {}, 0
-    for i, fn, args in remote:
-        mine = [a for a in args if isinstance(a, dict)]
-        for a in mine:
-            if id(a) not in dicts:
-                dicts[id(a)] = (a, end)
-                end += _span(a)
-        if inspect.isgeneratorfunction(fn):
-            slots[i] = (end, sum(map(_span, mine)))
-            end += slots[i][1]
-    if _procs and len(_buffer) < end:
-        _stop_workers()
-    if not _procs:
-        _start_workers(end)
-    if not _procs:                       # no fork on this platform
-        return _dispatch("map", list(enumerate(calls)))
-    placed = {key: _store(_buffer, a, start) for key, (a, start) in dicts.items()}
-    tasks = [(i, call) for i, call in enumerate(calls) if i % n == 0]
-    tasks += [(i, (fn, tuple(placed[id(a)] if isinstance(a, dict) else a
-                             for a in args), slots.get(i)))
-              for i, fn, args in remote]
-    _spread[:] = [conn for _, conn in _procs]
-    return _dispatch("map", tasks)
+    _kept.clear()
+    _away.clear()
+    n = 1 if len(jobs) < 2 or hasattr(enc.encode_view, "__wrapped__") \
+        else _WORKERS
+    if n > 1:
+        _layout.clear()
+        span = 0
+        for name, a in nets[0].items():
+            _layout[name] = (a.shape, span)
+            span += -(-a.nbytes // _ALIGN) * _ALIGN
+        end = span * len(nets)           # where the gradient slots start
+        size = end + span * sum(job[3] for i, job in enumerate(jobs) if i % n)
+        if _procs and len(_buffer) < size:
+            _stop_workers()
+        if not _procs:
+            _start_workers(size)
+        for j, net in enumerate(nets):
+            for name, place in _at(_buffer, _layout, span * j).items():
+                place[...] = net[name]
+    messages = {}
+    for i, (net, pixels, indices, keep) in enumerate(jobs):
+        if i % n:
+            conn = _procs[i % n - 1][1]
+            if keep:
+                _away[i] = conn, end + span * len(_away)
+            messages.setdefault(conn, ("encode", bb, _layout, []))[3].append(
+                (i, span * net, pixels, indices, keep))
+
+    def here(i, net, pixels, indices, keep):
+        rep, _kept[i] = enc.encode_view(bb, nets[net], pixels, indices,
+                                        cache=keep)
+        return rep
+
+    return _dispatch(messages, here, [(i, *job) for i, job in enumerate(jobs)
+                                      if i % n == 0])
 
 
-def _parallel_send(values) -> list:
-    """Send ``values[i]`` to the generator that task i of the last
-    :func:`_parallel_map` left suspended, in its process; returns what each
-    yields next. A dict that a worker's generator yields comes back as views
-    of the shared buffer, valid only until the next map overwrites it."""
-    return _dispatch("send", list(enumerate(values)))
+def _encode_backward(bb, dreps: list) -> list:
+    """The encoder gradients of job i of the last :func:`_encode`, which must
+    have kept it, from ``dreps[i]``, its representation's gradient, computed
+    in the process that holds the job's cache. A worker's gradients are
+    views of the job's slot of the shared buffer, valid only until the next
+    encode."""
+    messages = {}
+    for i, drep in enumerate(dreps):
+        if i in _away:
+            conn, slot = _away[i]
+            messages.setdefault(conn, ("backward", bb, _layout, []))[3].append(
+                (i, drep, slot))
+    grads = _dispatch(
+        messages, lambda i, drep: enc.encode_view_backward(bb, drep, _kept[i]),
+        [(i, drep) for i, drep in enumerate(dreps) if i not in _away])
+    for i, names in enumerate(grads):
+        if i in _away:
+            place = _at(_buffer, _layout, _away[i][1])
+            grads[i] = {name: place[name] for name in names}
+    return grads
 
 
 def train_step(state: TrainState, batch_records, dump_path=None) -> float:
     """One full optimization step on a batch of image records; the encoder
-    passes of its views run as parallel tasks (see the module docstring)."""
+    passes of its views run as parallel encoder jobs (see the module
+    docstring)."""
     cfg = state.config
     bb = cfg.backbone_config()
     hc = cfg.head_config()
     pix1, pix2, views1, views2, _ = _draw_views(state, batch_records)
     views = [(pix1, idx) for idx in views1] + [(pix2, idx) for idx in views2]
-    calls = [(_view_pass, (bb, state.params, pix, idx)) for pix, idx in views]
+    nets, jobs = [state.params], [(0, pix, idx, True) for pix, idx in views]
     if cfg.momentum_encoder:     # the target network needs no backward
-        calls += [(_view_rep, (bb, state.target_params, pix, idx))
-                  for pix, idx in views]
-    reps = _parallel_map(calls)
+        nets.append(state.target_params)
+        jobs += [(1, pix, idx, False) for pix, idx in views]
+    reps = _encode(bb, nets, jobs)
 
     pairs, head_caches = [], []      # (q, z_for_targets), heads' caches
     for rep in reps[:len(views)]:
@@ -581,14 +550,11 @@ def train_step(state: TrainState, batch_records, dump_path=None) -> float:
 
     heads = [enc.heads_backward(hc, c, dq)
              for c, dq in zip(head_caches, result.grad_q)]
-    enc_grads = _parallel_send([drep for drep, _ in heads])
+    enc_grads = _encode_backward(bb, [drep for drep, _ in heads])
     grads = {}
     for (_, view_grads), encoder_grads in zip(heads, enc_grads):
         view_grads.update(encoder_grads)
         enc.accumulate_grads(grads, view_grads)
-    for name, p in state.params.items():
-        if name not in grads:
-            grads[name] = np.zeros_like(p)
 
     clip_hit = False
     if cfg.clip_enabled:
@@ -642,19 +608,16 @@ def embed_records(config: TrainConfig, params: dict, records,
                   batch: int = 16) -> np.ndarray:
     """Full-image (all patches kept) class-token representations.
 
-    Records are encoded in chunks of ``batch``, one chunk per task of
-    :func:`_parallel_map`. No encoder operation mixes records, so the result
-    does not depend on ``batch``. A chunk's backward caches live only while
-    it is encoded, so each process's peak memory grows with ``batch``: a
-    smoke-config probe process peaks at 103 MB for 16-record chunks against
-    230 MB for 64-record chunks.
+    Records are encoded in chunks of ``batch``, one encoder job per chunk.
+    No encoder operation mixes records, so the result does not depend on
+    ``batch``.
     """
     bb = config.backbone_config()
     all_idx = np.arange(bb.n_patches)
     chunks = [records[i:i + batch] for i in range(0, len(records), batch)]
-    return np.concatenate(_parallel_map([
-        (_view_rep, (bb, params, np.stack([r.pixels for r in chunk]),
-                     np.broadcast_to(all_idx, (len(chunk), bb.n_patches))))
+    return np.concatenate(_encode(bb, [params], [
+        (0, np.stack([r.pixels for r in chunk]),
+         np.broadcast_to(all_idx, (len(chunk), bb.n_patches)), False)
         for chunk in chunks]), axis=0)
 
 

@@ -375,6 +375,17 @@ class TestTrainAndProbe:
             run_cli()
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--dry-run"), ("demo", "--dry-run"),
+        ("probe", "--dry-run"), ("probe", "--seed", "1")])
+    def test_a_flag_the_subcommand_does_not_read_exits_with_usage(
+            self, tmp_path, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--out", str(out))
+        assert exc.value.code == 2
+        assert not out.exists()
+
 
 # for every [train] key: a value other than smoke_config()'s, as written in
 # a config file, and the TrainConfig field it sets

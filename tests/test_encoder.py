@@ -362,6 +362,28 @@ class TestGradients:
         for name in g0:
             assert not g0[name].any()
 
+    @pytest.mark.parametrize("heads", sorted(HEADS))
+    @pytest.mark.parametrize("bb", [
+        BACKBONES["vit-micro"],
+        BackboneConfig(patch_size=4, n_blocks=2, n_heads=2, token_dim=16,
+                       image_size=16, pos_mode="sincos")],
+        ids=["learnable", "sincos"])
+    def test_a_view_has_a_gradient_for_every_parameter(self, bb, heads):
+        # each preset's head depths at width 8: a training step's summed
+        # view gradients cover every parameter, in its shape, unfilled
+        depths = HEADS[heads]
+        hc = HeadConfig(proj_dims=(8,) * len(depths.proj_dims),
+                        pred_dims=(8,) * len(depths.pred_dims))
+        params, bn = init_params(bb, hc, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        pixels = rng.random((4, bb.image_size, bb.image_size, 3))
+        indices = np.stack([rng.choice(bb.n_patches, size=bb.n_patches // 4,
+                                       replace=False) for _ in range(4)])
+        _, q, cache = forward_branch(bb, hc, params, bn, pixels, indices)
+        grads = backward_branch(bb, hc, cache, np.ones_like(q))
+        assert {k: g.shape for k, g in grads.items()} == \
+            {k: p.shape for k, p in params.items()}
+
 
 class TestForwardSweep:
     @pytest.mark.parametrize("bname,hname", [

@@ -187,7 +187,7 @@ class TestTrainStep:
 
 @pytest.fixture
 def workers(monkeypatch):
-    """Set how many processes run encoder tasks, the caller's included (on
+    """Set how many processes run encoder jobs, the caller's included (on
     fresh worker processes), so the parallel path runs whatever the host's
     core count."""
     def use(n):
@@ -243,33 +243,42 @@ def same_bytes(a: dict, b: dict) -> bool:
         and a[k].tobytes() == b[k].tobytes() for k in a)
 
 
-def pid_of(_):
-    return os.getpid()
+BB = train_mod.enc.BACKBONES["vit-micro"]
 
 
-def divide_by_zero(x):
-    """x / 0 in whichever process runs it, and that process's id."""
-    return np.full(3, x) / 0.0, os.getpid()
+def fake_encode_view(bb, params, pixels, indices, cache=True):
+    """A stand-in for ``enc.encode_view``: the representation is this
+    process's id, the sum of the network's arrays, then ``pixels / indices``;
+    the cache is the network."""
+    rep = np.concatenate([[os.getpid(), sum(float(a.sum())
+                                            for a in params.values())],
+                          pixels / indices])
+    return rep, (params if cache else None)
 
 
-def mark_then_fail(path, i):
-    """Task i: wait (task 1 least), leave a file, fail if i < 2."""
-    time.sleep(0.2 * (i != 1))
-    open(f"{path}/ended-{i}", "w").close()
-    if i < 2:
-        raise ValueError(f"task {i}")
-    return i
+def fake_encode_view_backward(bb, drep, cache):
+    """A stand-in for ``enc.encode_view_backward``: the network times
+    ``drep``, its arrays in reverse order."""
+    return {name: cache[name] * drep for name in reversed(cache)}
 
 
-def dict_total(arrays):
-    """The sum of every array in ``arrays``, and this process's id."""
-    return sum(float(a.sum()) for a in arrays.values()), os.getpid()
+@pytest.fixture
+def fake_encoder(monkeypatch):
+    """Encoder jobs run the fakes above, in the caller and, forked with
+    them, in the workers; jobs are data, so the fakes are never pickled."""
+    monkeypatch.setattr(train_mod.enc, "encode_view", fake_encode_view)
+    monkeypatch.setattr(train_mod.enc, "encode_view_backward",
+                        fake_encode_view_backward)
 
 
-def scaled(arrays):
-    """Yield this process's id; sent a factor, yield ``arrays`` times it."""
-    factor = yield os.getpid()
-    yield {name: a * factor for name, a in arrays.items()}
+def small_net():
+    """A small network; the sum of its arrays is 19."""
+    return {"w": np.arange(6.0).reshape(2, 3), "b": np.ones(4)}
+
+
+def job(x, net=0, keep=False):
+    """A job whose ``pixels / indices`` is ``[x]`` under the fake encoder."""
+    return (net, np.full(1, float(x)), np.ones(1), keep)
 
 
 def draw_batch(state, records):
@@ -299,7 +308,7 @@ class TestParallelStep:
                 pick = state.rng.choice(len(records),
                                         size=cfg.batch_size, replace=False)
                 step(state, [records[i] for i in pick])
-        assert len(train_mod._procs) == n - 1       # the workers did tasks
+        assert len(train_mod._procs) == n - 1       # the workers ran jobs
         assert parallel.metrics == serial.metrics
         assert same_bytes(parallel.params, serial.params)
         assert same_bytes(parallel.bn_stats, serial.bn_stats)
@@ -336,84 +345,112 @@ class TestParallelStep:
         assert train_mod._pool_size(blas, environ, cores) == expected
 
     def test_tasks_stay_on_the_caller_while_the_encoder_is_wrapped(
-            self, workers, monkeypatch):
+            self, fake_encoder, workers, monkeypatch):
         # a span-timing wrapper keeps its spans in the calling process
         workers(2)
-        original = train_mod.enc.encode_view
         monkeypatch.setattr(train_mod.enc, "encode_view",
-                            functools.wraps(original)(
-                                lambda *a, **k: original(*a, **k)))
-        ran = train_mod._parallel_map([(pid_of, (i,)) for i in range(4)])
-        assert ran == [os.getpid()] * 4
+                            functools.wraps(fake_encode_view)(
+                                lambda *a, **k: fake_encode_view(*a, **k)))
+        reps = train_mod._encode(BB, [small_net()],
+                                 [job(i, keep=True) for i in range(4)])
+        assert [r[0] for r in reps] == [os.getpid()] * 4
+        grads = train_mod._encode_backward(BB, [2.0, 3.0])
+        assert [g["w"].tolist() for g in grads] == \
+            [(small_net()["w"] * f).tolist() for f in (2.0, 3.0)]
         assert train_mod._procs == []
 
     @pytest.mark.parametrize("mode", ["raise", "ignore", "warn"])
-    def test_tasks_run_under_the_callers_errstate(self, workers, mode):
+    def test_tasks_run_under_the_callers_errstate(self, fake_encoder, workers,
+                                                  mode):
+        # the worker, forked under numpy's default errstate, divides by zero
         workers(2)
-        calls = [(divide_by_zero, (x,)) for x in (1.0, 2.0)]
+        jobs = [job(1.0), (0, np.full(3, 2.0), np.zeros(3), False)]
+        train_mod._encode(BB, [small_net()], [job(0.0)] * 2)
         with warnings.catch_warnings(record=True) as caught, \
                 np.errstate(all=mode):
             warnings.simplefilter("always")
             if mode == "raise":
                 with pytest.raises(FloatingPointError):
-                    train_mod._parallel_map(calls)
+                    train_mod._encode(BB, [small_net()], jobs)
             else:
-                out = train_mod._parallel_map(calls)
-                assert np.isinf(np.concatenate([o for o, _ in out])).all()
-                assert out[1][1] != out[0][1] == os.getpid()
+                here, there = train_mod._encode(BB, [small_net()], jobs)
+                assert np.isinf(there[2:]).all()
+                assert there[0] != here[0] == os.getpid()
         # a worker's warning is issued again in the caller
         assert [w.category for w in caught] == \
-            ([RuntimeWarning] * 2 if mode == "warn" else [])
+            ([RuntimeWarning] if mode == "warn" else [])
 
-    def test_map_raises_the_first_error_in_task_order_after_all_end(
-            self, workers, tmp_path):
+    def test_encode_raises_the_first_error_in_job_order_after_all_end(
+            self, workers, monkeypatch, tmp_path):
+        def mark_then_fail(bb, params, pixels, indices, cache=True):
+            # job i waits (job 1 least), leaves a file, fails if i < 2
+            i = int(pixels[0])
+            time.sleep(0.2 * (i != 1))
+            (tmp_path / f"ended-{i}").touch()
+            if i < 2:
+                raise ValueError(f"job {i}")
+            return pixels, None
+
+        monkeypatch.setattr(train_mod.enc, "encode_view", mark_then_fail)
         workers(2)
-        with pytest.raises(ValueError, match="task 0"):
-            train_mod._parallel_map(
-                [(mark_then_fail, (str(tmp_path), i)) for i in range(4)])
+        with pytest.raises(ValueError, match="job 0"):
+            train_mod._encode(BB, [small_net()], [job(i) for i in range(4)])
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             [f"ended-{i}" for i in range(4)]
-        assert train_mod._parallel_map(
-            [(abs, (-i,)) for i in range(5)]) == [0, 1, 2, 3, 4]
+        reps = train_mod._encode(BB, [small_net()],
+                                 [job(i) for i in range(2, 7)])
+        assert [r[0] for r in reps] == [2, 3, 4, 5, 6]
 
-    def test_a_lost_worker_fails_the_call_and_is_replaced(self, workers):
+    def test_a_lost_worker_fails_the_call_and_is_replaced(self, fake_encoder,
+                                                          workers):
         workers(2)
-        assert train_mod._parallel_map([(pid_of, (i,)) for i in range(2)])
+        jobs = [job(i, keep=True) for i in range(2)]
+        lost = []
+        for call in (lambda: train_mod._encode_backward(BB, [1.0, 1.0]),
+                     lambda: train_mod._encode(BB, [small_net()], jobs)):
+            assert train_mod._encode(BB, [small_net()], jobs)
+            (proc, _), = train_mod._procs
+            proc.kill()
+            proc.join(timeout=10)
+            assert not proc.is_alive()
+            with pytest.raises(RuntimeError, match="worker process ended"):
+                call()
+            lost.append(proc.pid)
+        mine, theirs = (r[0] for r in
+                        train_mod._encode(BB, [small_net()], jobs))
+        assert mine == os.getpid() and theirs not in [mine] + lost
+
+    def test_workers_read_the_networks_as_they_are_at_each_encode(
+            self, fake_encoder, workers):
+        workers(2)
+        online = small_net()
+        target = {name: 2.0 * a for name, a in online.items()}
+        jobs = [job(0), job(0), job(0, net=1), job(0, net=1)]
+        first = train_mod._encode(BB, [online, target], jobs)
+        online["w"] += 10.0                     # in place, between two encodes
+        second = train_mod._encode(BB, [online, target], jobs)
+        assert [r[1] for r in first] == [19.0, 19.0, 38.0, 38.0]
+        assert [r[1] for r in second] == [79.0, 79.0, 38.0, 38.0]
+        here, there = second[0][0], second[1][0]
+        assert here == os.getpid() != there
+        assert [r[0] for r in second] == [here, there] * 2
+
+    def test_an_encode_that_outgrows_the_buffer_restarts_the_workers(
+            self, fake_encoder, workers):
+        workers(2)
+        assert train_mod._encode(BB, [small_net()], [job(0)] * 2)[1][1] == 19.0
         (proc, _), = train_mod._procs
-        proc.kill()
-        proc.join()
-        with pytest.raises(RuntimeError, match="worker process ended"):
-            train_mod._parallel_map([(pid_of, (i,)) for i in range(2)])
-        mine, theirs = train_mod._parallel_map([(pid_of, (i,))
-                                                for i in range(2)])
-        assert mine == os.getpid() and theirs not in (mine, proc.pid)
-
-    def test_workers_read_the_dicts_as_they_are_at_each_map(self, workers):
-        workers(2)
-        params = {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(4)}
-        calls = [(dict_total, (params,))] * 2
-        first = train_mod._parallel_map(calls)
-        params["a"] += 10.0                     # in place, between two maps
-        second = train_mod._parallel_map(calls)
-        assert [t for t, _ in first] == [19.0, 19.0]
-        assert [t for t, _ in second] == [79.0, 79.0]
-        assert second[1][1] != second[0][1] == os.getpid()
-
-    def test_a_map_that_outgrows_the_buffer_restarts_the_workers(self,
-                                                                  workers):
-        workers(2)
-        small = {"w": np.arange(4.0)}
-        assert train_mod._parallel_map([(dict_total, (small,))] * 2)[1][0] == 6.0
-        (proc, _), = train_mod._procs
-        big = {"w": np.arange(200_000.0), "v": np.ones((3, 5))}
+        big = {"v": np.ones((3, 5)), "w": np.arange(200_000.0)}
         assert big["w"].nbytes > len(train_mod._buffer)
-        calls = [(scaled, (big,)), (scaled, (big,)), (dict_total, (small,))]
-        mine, theirs, (total, _) = train_mod._parallel_map(calls)
+        mine, theirs, _ = train_mod._encode(
+            BB, [big], [job(0, keep=True), job(0, keep=True), job(0)])
         (again, _), = train_mod._procs
-        assert not proc.is_alive() and again.pid == theirs != proc.pid
-        assert mine == os.getpid() and total == 6.0
-        # a worker's yielded dict comes back through its slot of the buffer
-        here, there = train_mod._parallel_send([2.0, 3.0])
+        assert not proc.is_alive() and again.pid == theirs[0] != proc.pid
+        assert mine[0] == os.getpid()
+        assert mine[1] == theirs[1] == float(big["w"].sum() + 15)
+        # a worker's gradients come back through its job's slot of the
+        # buffer, in the order the encoder gave them
+        here, there = train_mod._encode_backward(BB, [2.0, 3.0])
         for out, factor in ((here, 2.0), (there, 3.0)):
             assert list(out) == ["w", "v"]
             assert out["w"].tobytes() == (big["w"] * factor).tobytes()
@@ -455,8 +492,8 @@ class TestParallelStep:
                              ids=["smoke", "multiview"])
     def test_a_step_sends_workers_no_parameters(self, workers, monkeypatch,
                                                 overrides):
-        # each map message holds its tasks' pixels and patch indices, and
-        # beyond them only names, layouts and the like
+        # each encode message holds its jobs' pixels and patch indices, and
+        # beyond them only names, a layout and the like
         workers(2)
         cfg = train_mod.smoke_config(total_steps=20, **overrides)
         records = load_dataset(cfg.dataset)
@@ -472,11 +509,11 @@ class TestParallelStep:
         monkeypatch.setattr(multiprocessing.connection.Connection, "send",
                             recording)
         train_step(state, draw_batch(state, records))
-        maps = [obj for obj in sent if obj[0] == "map"]
-        assert len(maps) == 1 and maps[0][2]
-        for message in maps:
-            arrays = {id(a): a for _, payload in message[2]
-                      for a in payload[1] if isinstance(a, np.ndarray)}
+        encodes = [obj for obj in sent if obj[0] == "encode"]
+        assert len(encodes) == 1 and encodes[0][4]
+        for message in encodes:
+            arrays = {id(a): a for entry in message[4] for a in entry
+                      if isinstance(a, np.ndarray)}
             data = sum(a.nbytes for a in arrays.values())
             size = len(ForkingPickler.dumps(message))
             assert size <= data + 8 * 1024, (size, data)
