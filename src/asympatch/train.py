@@ -26,7 +26,14 @@ BLAS threads per call; so they run in parallel only where BLAS is limited
 (:func:`_encode_backward`) runs in the process that ran its forward, where
 its cache stays. Work that is not independent stays on the calling process
 in view order: the heads, whose batch norms update running statistics in
-place, and the sum of the views' gradients. Every value is therefore
+place, the sum of the views' gradients and the optimizer. The draw is the
+exception: it continues the run's one generator, but it reads no parameter,
+so it runs one step ahead. While the calling process sums the gradients and
+runs the optimizer, the first worker draws the next step's views
+(:func:`_draw`) on a copy of the generator taken after the next batch pick,
+and returns them with the generator's state after them; the next step uses
+them only if it finds the generator in the state and the batch the draw
+was made for, and draws its own otherwise. Every value is therefore
 byte-identical to the serial loop, whatever the process count.
 
 The networks do not cross by pickling. At every encode the caller copies
@@ -36,7 +43,8 @@ and a worker writes each view's encoder gradients into that view's slot of
 the same buffer. The caller sums them there, so they are valid only until
 the next encode. Only pixels, patch indices, representations, their
 gradients and the buffer's name/shape/offset layout go through a pipe, and
-a worker runs only the encoder's own passes.
+for a draw its config, generator state and records; a worker runs only the
+encoder's own passes and the draw.
 
 Processes, not threads: threads hand the interpreter lock back and forth
 at every numpy operation of an encoder pass, so a thread that loses its
@@ -103,6 +111,7 @@ _buffer = None     # the anonymous shared memory the workers were forked with
 _layout = {}       # name -> (shape, offset) of each array of a network in _buffer
 _kept = {}         # job index -> cache or None, of the last encode's jobs run here
 _away = {}         # job index -> (connection, gradient slot), of each kept on a worker
+_ahead = {}        # the draw sent ahead: what it was made for, and its connection or reply
 
 
 @dataclass(frozen=True)
@@ -280,18 +289,35 @@ def init_train_state(config: TrainConfig) -> TrainState:
     return state
 
 
-def _draw_views(state: TrainState, batch_records):
-    """Crop 1 then crop 2 of every record, and every sampled view of them:
-    ``(pix1, pix2, views1, views2, profiles)``."""
-    cfg = state.config
-    records = list(batch_records)
+def _pick(rng: np.random.Generator, records, batch_size: int) -> list:
+    """A step's batch: ``batch_size`` distinct records drawn from ``rng``."""
+    return [records[i] for i in rng.choice(len(records), size=batch_size,
+                                           replace=False)]
+
+
+def _draw(cfg: TrainConfig, rng: np.random.Generator, records):
+    """Crop 1 then crop 2 of every record, and every sampled view of them,
+    drawn from ``rng``: ``(pix1, pix2, views1, views2, profiles)``."""
+    records = list(records)
     b = len(records)
     pix, box, flip = augment_batch(records + records, cfg.augment_params(),
-                                   state.rng)
+                                   rng)
     views1, views2, profiles = sample_views(
-        state.rng, box[:, :b], box[:, b:], cfg.backbone_config().grid_side,
+        rng, box[:, :b], box[:, b:], cfg.backbone_config().grid_side,
         cfg.sampler, flip[:b], flip[b:])
     return pix[:b], pix[b:], views1, views2, profiles
+
+
+def _draw_views(state: TrainState, batch_records):
+    """:func:`_draw` of ``batch_records`` on the state's generator."""
+    return _draw(state.config, state.rng, batch_records)
+
+
+def _generator(rng_state: dict) -> np.random.Generator:
+    """A generator in the state ``rng_state`` of ``bit_generator.state``."""
+    rng = np.random.default_rng()
+    rng.bit_generator.state = rng_state
+    return rng
 
 
 _ALIGN = 64        # bytes; each array in the shared buffer starts on a multiple
@@ -323,7 +349,10 @@ def _worker(conn, inherited, buffer) -> None:
     the network at byte ``base`` of ``buffer`` and returns the
     representation; if ``keep``, it keeps the cache, until the next encode,
     for the ``"backward"`` job ``(i, drep, slot)``, which writes the encoder
-    gradients to the network-sized ``slot`` and returns their names.
+    gradients to the network-sized ``slot`` and returns their names. A
+    ``"draw"`` message's one job ``(0, cfg, rng state, records)`` runs
+    :func:`_draw` on a generator in that state and returns ``(pix1, pix2,
+    views1, views2, rng state after)``.
     It closes its copies of the caller's ends of the pipes, ``inherited``,
     so that it reads end-of-file, and ends, when the caller closes its own;
     an interrupt from the terminal is the caller's to handle.
@@ -350,17 +379,26 @@ def _worker(conn, inherited, buffer) -> None:
         kept[i] = kept[i], grads
         return list(grads)
 
+    def draw(i, cfg, rng_state, records):
+        rng = _generator(rng_state)
+        return (*_draw(cfg, rng, records)[:4], rng.bit_generator.state)
+
     while True:
         try:
-            kind, err, bb, layout, jobs = conn.recv()
+            kind, err, *args = conn.recv()
         except EOFError:
             return
+        if kind == "draw":
+            fn, jobs = draw, [(0, *args)]
+        else:
+            bb, layout, jobs = args
+            fn = forward if kind == "encode" else backward
         if kind == "encode":
             kept.clear()
         with warnings.catch_warnings(record=True) as caught, \
                 np.errstate(**err):
             warnings.simplefilter("always")
-            out = _run(forward if kind == "encode" else backward, jobs)
+            out = _run(fn, jobs)
         caught = [(w.message, w.category, w.filename, w.lineno) for w in caught]
         try:
             conn.send((out, caught))
@@ -390,9 +428,12 @@ def _start_workers(size: int) -> None:
 
 
 def _stop_workers() -> None:
-    """End the worker processes and let their buffer go, once no view of it
-    is left; the next parallel encode forks new ones."""
+    """End the worker processes, once the draw sent ahead is read and
+    dropped, and let their buffer go, once no view of it is left; the next
+    parallel encode forks new ones."""
     global _buffer
+    _settle_draw()
+    _ahead.clear()
     for proc, conn in _procs:
         conn.close()
         proc.join(timeout=5)
@@ -400,6 +441,12 @@ def _stop_workers() -> None:
             proc.terminate()
     _procs.clear()
     _buffer = None
+
+
+def _warn_again(caught) -> None:
+    """Issue again the warnings a worker caught."""
+    for message, category, filename, lineno in caught:
+        warnings.warn_explicit(message, category, filename, lineno)
 
 
 def _dispatch(messages: dict, fn, jobs) -> list:
@@ -416,8 +463,7 @@ def _dispatch(messages: dict, fn, jobs) -> list:
         for conn in messages:
             out, caught = conn.recv()
             outcomes += out
-            for message, category, filename, lineno in caught:
-                warnings.warn_explicit(message, category, filename, lineno)
+            _warn_again(caught)
     except BaseException as exc:
         # a worker's reply may still be in flight: start afresh next time
         _stop_workers()
@@ -447,8 +493,10 @@ def _encode(bb, nets: list, jobs: list) -> list:
     networks, each with ``nets[0]``'s names and shapes, are copied one after
     another into the buffer the workers were forked with, followed by a
     network-sized gradient slot for each job that a worker keeps; an encode
-    that needs more room restarts the workers with a larger buffer.
+    that needs more room restarts the workers with a larger buffer. The
+    reply to a draw sent ahead is read first, so that no reply crosses it.
     """
+    _settle_draw()
     _kept.clear()
     _away.clear()
     n = 1 if len(jobs) < 2 or hasattr(enc.encode_view, "__wrapped__") \
@@ -508,14 +556,83 @@ def _encode_backward(bb, dreps: list) -> list:
     return grads
 
 
-def train_step(state: TrainState, batch_records, dump_path=None) -> float:
+def _draw_ahead(state: TrainState, records) -> None:
+    """Send the first worker the next step's draw: :func:`_draw` of the
+    batch that :func:`_pick` takes from ``records`` on a copy of
+    ``state.rng``, continuing the copy, under the caller's ``np.errstate``.
+    None is sent with one process, or while the encoder is wrapped (see
+    :func:`_encode`)."""
+    if not _procs or hasattr(enc.encode_view, "__wrapped__"):
+        return
+    rng = _generator(state.rng.bit_generator.state)
+    batch = _pick(rng, records, state.config.batch_size)
+    conn = _procs[0][1]
+    try:
+        conn.send(("draw", np.geterr(), state.config, rng.bit_generator.state,
+                   batch))
+    except OSError:             # a lost worker: start afresh
+        _stop_workers()
+        return
+    except BaseException:
+        _stop_workers()         # it may be half sent: start afresh
+        raise
+    _ahead.update(config=state.config, rng=rng.bit_generator.state,
+                  records=batch, conn=conn)
+
+
+def _settle_draw() -> None:
+    """Read the reply to the draw sent ahead, if it is still in flight. A
+    worker lost meanwhile leaves none, and the next encode finds it lost."""
+    conn = _ahead.pop("conn", None)
+    if conn is None:
+        return
+    try:
+        _ahead["reply"] = conn.recv()
+    except (EOFError, OSError):
+        _ahead.clear()
+    except BaseException:
+        _ahead.clear()
+        _stop_workers()         # it may be half read: start afresh
+        raise
+
+
+def _drawn_ahead(state: TrainState, records: list):
+    """``(pix1, pix2, views1, views2)`` of the draw sent ahead, if it was
+    made for ``state.config``, for ``state.rng`` as it is now and for these
+    record objects; ``state.rng`` then continues after it, and the draw's
+    warnings are issued again here. Otherwise None: the draw is dropped."""
+    _settle_draw()
+    ahead = _ahead.copy()
+    _ahead.clear()
+    if "reply" not in ahead or ahead["config"] != state.config \
+            or ahead["rng"] != state.rng.bit_generator.state \
+            or list(map(id, ahead["records"])) != list(map(id, records)):
+        return None
+    ((_, ok, value),), caught = ahead["reply"]
+    if not ok:                  # drawn again by the step, which raises it
+        return None
+    _warn_again(caught)
+    state.rng.bit_generator.state = value[4]
+    return value[:4]
+
+
+def train_step(state: TrainState, batch_records, dump_path=None,
+               dataset=None) -> float:
     """One full optimization step on a batch of image records; the encoder
     passes of its views run as parallel encoder jobs (see the module
-    docstring)."""
+    docstring).
+
+    ``dataset``, if given, holds the records that the next step's batch is
+    picked from, with :func:`_pick` on ``state.rng``, as :func:`run_training`
+    picks it. A worker then draws the next step's views while this step
+    ends, and the next step uses them if its generator state and batch are
+    the ones the draw was made for. Results do not depend on ``dataset``."""
     cfg = state.config
     bb = cfg.backbone_config()
     hc = cfg.head_config()
-    pix1, pix2, views1, views2, _ = _draw_views(state, batch_records)
+    records = list(batch_records)
+    pix1, pix2, views1, views2 = (_drawn_ahead(state, records)
+                                  or _draw_views(state, records)[:4])
     views = [(pix1, idx) for idx in views1] + [(pix2, idx) for idx in views2]
     nets, jobs = [state.params], [(0, pix, idx, True) for pix, idx in views]
     if cfg.momentum_encoder:     # the target network needs no backward
@@ -551,6 +668,8 @@ def train_step(state: TrainState, batch_records, dump_path=None) -> float:
     heads = [enc.heads_backward(hc, c, dq)
              for c, dq in zip(head_caches, result.grad_q)]
     enc_grads = _encode_backward(bb, [drep for drep, _ in heads])
+    if dataset is not None:
+        _draw_ahead(state, dataset)
     grads = {}
     for (_, view_grads), encoder_grads in zip(heads, enc_grads):
         view_grads.update(encoder_grads)
@@ -673,10 +792,10 @@ def run_training(config: TrainConfig, out_dir=None,
     stop = min(config.total_steps, state.step + steps) if steps else config.total_steps
     dump_path = os.path.join(out_dir, "nan_state.ckpt") if out_dir else None
     while state.step < stop:
-        pick = state.rng.choice(len(records), size=config.batch_size,
-                                replace=False)
-        batch = [records[i] for i in pick]
-        train_step(state, batch, dump_path=dump_path)
+        batch = _pick(state.rng, records, config.batch_size)
+        # no draw ahead past the run's last step
+        train_step(state, batch, dump_path=dump_path,
+                   dataset=records if state.step + 1 < stop else None)
         if out_dir and config.checkpoint_every \
                 and state.step % config.checkpoint_every == 0:
             checkpoint_save(state, os.path.join(out_dir,
@@ -792,12 +911,13 @@ def checkpoint_load(path) -> TrainState:
     clip = {gname: ClipState(m=config.clip_m, alpha=config.clip_alpha,
                              ema_grad=ema)
             for gname, ema in group("clip.").items()}
-    rng = np.random.default_rng()
     try:
-        rng.bit_generator.state = meta["rng_state"]
+        rng = _generator(meta["rng_state"])
     except (TypeError, KeyError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"{path}: bad rng_state: {exc!r}") from exc
-    metrics = [tuple(row) for row in arrays.get("metrics", np.empty((0, 5)))]
+    # as Python floats: a numpy scalar's repr would reach metrics.csv
+    metrics = [tuple(row) for row in
+               arrays.get("metrics", np.empty((0, 5))).tolist()]
     state = TrainState(
         config=config, step=step, params=group("params."),
         bn_stats=group("bn."), opt=opt, clip=clip, rng=rng, metrics=metrics,

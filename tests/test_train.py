@@ -287,6 +287,47 @@ def draw_batch(state, records):
     return [records[i] for i in pick]
 
 
+def record_sends(monkeypatch) -> list:
+    """From now on, every object sent through a pipe, in order."""
+    sent = []
+    send = multiprocessing.connection.Connection.send
+
+    def recording(conn, obj):
+        sent.append(obj)
+        send(conn, obj)
+
+    monkeypatch.setattr(multiprocessing.connection.Connection, "send",
+                        recording)
+    return sent
+
+
+def count_calls(monkeypatch, name) -> list:
+    """From now on, one entry per call of ``train_mod.<name>``."""
+    calls, fn = [], getattr(train_mod, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(train_mod, name, counting)
+    return calls
+
+
+def assert_same_bytes(parallel, serial):
+    """Two states hold byte-equal values, as ``serial_step`` leaves them."""
+    assert parallel.metrics == serial.metrics
+    assert parallel.rng.bit_generator.state == serial.rng.bit_generator.state
+    for a, b in [(parallel.params, serial.params),
+                 (parallel.bn_stats, serial.bn_stats),
+                 (parallel.opt.m, serial.opt.m),
+                 (parallel.opt.v, serial.opt.v),
+                 (parallel.target_params or {}, serial.target_params or {}),
+                 (parallel.target_bn or {}, serial.target_bn or {}),
+                 ({k: c.ema_grad for k, c in parallel.clip.items()},
+                  {k: c.ema_grad for k, c in serial.clip.items()})]:
+        assert same_bytes(a, b)
+
+
 MULTIVIEW = dict(batch_size=16, clip_enabled=True, momentum_encoder=True,
                  sampler=SamplerConfig(s1=0.25, s2=0.25, gamma=3.0,
                                        n_views=4))
@@ -476,39 +517,23 @@ class TestParallelStep:
         serial_step(serial, draw_batch(serial, records))
         (again, _), = train_mod._procs
         assert again.pid != proc.pid
-        assert parallel.metrics == serial.metrics
-        assert parallel.rng.bit_generator.state == serial.rng.bit_generator.state
-        for a, b in [(parallel.params, serial.params),
-                     (parallel.bn_stats, serial.bn_stats),
-                     (parallel.opt.m, serial.opt.m),
-                     (parallel.opt.v, serial.opt.v),
-                     (parallel.target_params, serial.target_params),
-                     (parallel.target_bn, serial.target_bn),
-                     ({k: c.ema_grad for k, c in parallel.clip.items()},
-                      {k: c.ema_grad for k, c in serial.clip.items()})]:
-            assert same_bytes(a, b)
+        assert_same_bytes(parallel, serial)
 
     @pytest.mark.parametrize("overrides", [{}, MULTIVIEW],
                              ids=["smoke", "multiview"])
     def test_a_step_sends_workers_no_parameters(self, workers, monkeypatch,
                                                 overrides):
         # each encode message holds its jobs' pixels and patch indices, and
-        # beyond them only names, a layout and the like
+        # beyond them only names, a layout and the like; the draw message
+        # holds the next batch's records, and beyond them only the config
+        # and a generator state
         workers(2)
         cfg = train_mod.smoke_config(total_steps=20, **overrides)
         records = load_dataset(cfg.dataset)
         state = init_train_state(cfg)
         train_step(state, draw_batch(state, records))   # workers started
-        sent = []
-        send = multiprocessing.connection.Connection.send
-
-        def recording(conn, obj):
-            sent.append(obj)
-            send(conn, obj)
-
-        monkeypatch.setattr(multiprocessing.connection.Connection, "send",
-                            recording)
-        train_step(state, draw_batch(state, records))
+        sent = record_sends(monkeypatch)
+        train_step(state, draw_batch(state, records), dataset=records)
         encodes = [obj for obj in sent if obj[0] == "encode"]
         assert len(encodes) == 1 and encodes[0][4]
         for message in encodes:
@@ -517,6 +542,13 @@ class TestParallelStep:
             data = sum(a.nbytes for a in arrays.values())
             size = len(ForkingPickler.dumps(message))
             assert size <= data + 8 * 1024, (size, data)
+        draw, = [obj for obj in sent if obj[0] == "draw"]
+        batch = draw[4]
+        assert len(batch) == cfg.batch_size
+        assert all(any(r is d for d in records) for r in batch)
+        data = sum(r.pixels.nbytes for r in batch)
+        size = len(ForkingPickler.dumps(draw))
+        assert size <= data + 8 * 1024, (size, data)
 
     def test_first_failing_view_in_order_names_the_block(self, workers,
                                                          monkeypatch):
@@ -542,6 +574,175 @@ class TestParallelStep:
                 step(state, records)
             messages.append(str(err.value))
         assert messages == ["non-finite activations after block 2"] * 2
+        assert train_mod._procs
+
+
+def run_files(cfg, out) -> dict:
+    """``run_training`` of ``cfg`` into the new directory ``out``: the bytes
+    of every file it writes, by name."""
+    out.mkdir()
+    run_training(cfg, out_dir=str(out))
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+PADDING = dict(sampler=SamplerConfig(s1=0.5, s2=0.5, gamma=3.0, n_views=4))
+
+
+class TestDrawAhead:
+    """The next step's views, drawn on a worker while a step ends."""
+
+    @pytest.mark.parametrize("overrides", [{}, MULTIVIEW],
+                             ids=["smoke", "multiview"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_a_run_writes_the_serial_runs_bytes(self, workers, monkeypatch,
+                                                tmp_path, overrides, n):
+        cfg = train_mod.smoke_config(total_steps=6, warmup_steps=2,
+                                     checkpoint_every=2, **overrides)
+        workers(1)
+        serial = run_files(cfg, tmp_path / "serial")
+        workers(n)
+        sent = record_sends(monkeypatch)
+        draws = count_calls(monkeypatch, "_draw_views")
+        parallel = run_files(cfg, tmp_path / "parallel")
+        assert list(serial) == ["dataset_manifest.txt", "final.ckpt",
+                                "metrics.csv", "step000002.ckpt",
+                                "step000004.ckpt", "step000006.ckpt"]
+        assert parallel == serial
+        # every step but the first used the views drawn ahead for it
+        assert [obj[0] for obj in sent].count("draw") == cfg.total_steps - 1
+        assert len(draws) == 1
+        assert len(train_mod._procs) == n - 1 and not train_mod._ahead
+
+    def test_a_resumed_run_equals_the_unbroken_run(self, workers, tmp_path):
+        workers(2)
+        cfg = tiny_config(total_steps=6, checkpoint_every=2, **MULTIVIEW)
+        unbroken = run_files(cfg, tmp_path / "unbroken")
+        resumed = tmp_path / "resumed"
+        resumed.mkdir()
+        state = checkpoint_load(tmp_path / "unbroken" / "step000002.ckpt")
+        run_training(cfg, out_dir=str(resumed), state=state, steps=2)
+        run_training(cfg, out_dir=str(resumed), state=state)
+        for name in ("step000004.ckpt", "step000006.ckpt", "final.ckpt",
+                     "metrics.csv"):
+            assert (resumed / name).read_bytes() == unbroken[name]
+
+    @pytest.mark.parametrize("stale", ["other-batch", "rng-moved"])
+    def test_a_stale_draw_is_dropped(self, workers, monkeypatch, stale):
+        workers(2)
+        cfg = tiny_config(**MULTIVIEW)
+        records = load_dataset(cfg.dataset)
+        parallel, serial = init_train_state(cfg), init_train_state(cfg)
+        train_step(parallel, draw_batch(parallel, records), dataset=records)
+        serial_step(serial, draw_batch(serial, records))
+        assert train_mod._ahead
+        # the batch the draw was made for, then a generator that moved on
+        # after the pick, or a batch in another order
+        batches = [draw_batch(state, records) for state in (parallel, serial)]
+        for state in (parallel, serial):
+            if stale == "rng-moved":
+                state.rng.random()
+        if stale == "other-batch":
+            batches = [batch[::-1] for batch in batches]
+        draws = count_calls(monkeypatch, "_draw_views")
+        train_step(parallel, batches[0])
+        assert len(draws) == 1 and not train_mod._ahead
+        serial_step(serial, batches[1])
+        assert_same_bytes(parallel, serial)
+
+    def test_a_draw_made_ahead_warns_in_the_step_that_uses_it(
+            self, workers, monkeypatch):
+        # four views at s = 0.5 leave the rows too few positive weights, so
+        # the draw pads them and warns
+        workers(2)
+        cfg = tiny_config(**PADDING)
+        records = load_dataset(cfg.dataset)
+        parallel, serial = init_train_state(cfg), init_train_state(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            train_step(parallel, draw_batch(parallel, records),
+                       dataset=records)
+            serial_step(serial, draw_batch(serial, records))
+        draws = count_calls(monkeypatch, "_draw_views")
+        caught = []
+        for step, state in ((train_step, parallel), (serial_step, serial)):
+            with warnings.catch_warnings(record=True) as got:
+                warnings.simplefilter("always")
+                step(state, draw_batch(state, records))
+            caught.append([str(w.message) for w in got])
+        assert draws == ["_draw_views"]          # serial_step's own draw
+        assert caught[0] == caught[1]
+        assert any("padding" in message for message in caught[0])
+        assert_same_bytes(parallel, serial)
+
+    @pytest.mark.parametrize("lost", ["before-its-reply", "after-its-reply"])
+    def test_a_worker_lost_holding_a_draw_fails_one_step_only(
+            self, workers, monkeypatch, lost):
+        draw, caller = train_mod._draw, os.getpid()
+
+        def slow_on_a_worker(*args):
+            if os.getpid() != caller:
+                time.sleep(5.0)
+            return draw(*args)
+
+        if lost == "before-its-reply":
+            monkeypatch.setattr(train_mod, "_draw", slow_on_a_worker)
+        workers(2)
+        cfg = tiny_config(**MULTIVIEW)
+        records = load_dataset(cfg.dataset)
+        parallel, serial = init_train_state(cfg), init_train_state(cfg)
+        train_step(parallel, draw_batch(parallel, records), dataset=records)
+        serial_step(serial, draw_batch(serial, records))
+        if lost == "after-its-reply":
+            assert train_mod._ahead["conn"].poll(10)
+        (proc, _), = train_mod._procs
+        proc.kill()
+        proc.join(timeout=10)
+        assert not proc.is_alive()
+        with pytest.raises(RuntimeError, match="worker process ended"):
+            train_step(parallel, draw_batch(parallel, records),
+                       dataset=records)
+        # the failed step drew its batch and views and changed nothing else
+        train_mod._draw_views(serial, draw_batch(serial, records))
+        train_step(parallel, draw_batch(parallel, records))
+        serial_step(serial, draw_batch(serial, records))
+        assert_same_bytes(parallel, serial)
+
+    def test_an_encode_after_a_step_that_drew_ahead(self, workers,
+                                                    monkeypatch):
+        # the probe's encode reads the draw's reply first, and the next step
+        # still uses the draw
+        workers(2)
+        cfg = tiny_config(**MULTIVIEW)
+        records = load_dataset(cfg.dataset)
+        parallel, serial = init_train_state(cfg), init_train_state(cfg)
+        train_step(parallel, draw_batch(parallel, records), dataset=records)
+        serial_step(serial, draw_batch(serial, records))
+        assert "conn" in train_mod._ahead
+        embedded = train_mod.embed_records(cfg, parallel.params, records)
+        params = {k: v.copy() for k, v in parallel.params.items()}
+        draws = count_calls(monkeypatch, "_draw_views")
+        train_step(parallel, draw_batch(parallel, records))
+        assert draws == []
+        serial_step(serial, draw_batch(serial, records))
+        assert_same_bytes(parallel, serial)
+        workers(1)
+        assert embedded.tobytes() == \
+            train_mod.embed_records(cfg, params, records).tobytes()
+
+    def test_no_draw_is_sent_while_the_encoder_is_wrapped(self, workers,
+                                                          monkeypatch):
+        workers(2)
+        cfg = tiny_config()
+        records = load_dataset(cfg.dataset)
+        state = init_train_state(cfg)
+        train_step(state, draw_batch(state, records))   # workers started
+        encode_view = train_mod.enc.encode_view
+        monkeypatch.setattr(train_mod.enc, "encode_view",
+                            functools.wraps(encode_view)(
+                                lambda *a, **k: encode_view(*a, **k)))
+        sent = record_sends(monkeypatch)
+        train_step(state, draw_batch(state, records), dataset=records)
+        assert sent == [] and not train_mod._ahead
         assert train_mod._procs
 
 
@@ -747,6 +948,15 @@ class TestCheckpointing:
             tiny_config(warmup_steps=11)
         with pytest.raises(ValueError, match="warmup_steps"):
             tiny_config(warmup_steps=-1)
+
+    def test_run_training_calls_train_step_once_per_step(self, monkeypatch):
+        # through the module attribute, which the benchmark's step timer
+        # wraps
+        calls = count_calls(monkeypatch, "train_step")
+        state = run_training(tiny_config(total_steps=5), steps=3)
+        assert len(calls) == 3
+        run_training(tiny_config(total_steps=5), state=state)
+        assert len(calls) == 5
 
     def test_run_training_writes_artifacts(self, tmp_path):
         cfg = tiny_config(total_steps=4, checkpoint_every=2)
