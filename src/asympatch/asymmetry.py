@@ -12,13 +12,10 @@ The closed forms:
 
 The Monte Carlo estimator simulates the actual pipeline (random or identical
 crops, uniform view-1 sampling, weighted view-2 sampling without
-replacement) and reports the mean pair overlap ratio: the summed overlap of
-view-2's sampled patches against view-1's sampled union, normalized by the
-full view-2 grid area. Under identical crops this makes the naive estimator
-an exact, unbiased probe of ``s1 * s2``.
-
-Pair overlap of a trial is ``sum_i r_i / N`` over view-2's sampled patches,
-i.e. the fraction of the view-2 crop covered by both sampled views.
+replacement) and reports the mean pair overlap ``sum_i r_i / N`` over
+view-2's sampled patches: the fraction of the view-2 crop covered by both
+sampled views. Under identical crops this makes the naive estimator an
+exact, unbiased probe of ``s1 * s2``.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sampling
+from . import pool, sampling
 
 CROP_MODELS = ("identical", "random")
 
@@ -158,7 +155,10 @@ def monte_carlo_overlap(strategy: str, s1: float, s2: float, gamma: float,
             serial execution of the same master seed agree in distribution.
         chunk: trials per child stream. ``chunk`` and ``seed`` alone fix every
             per-trial value: the array work runs in row tiles sized from
-            ``grid_size``, and the tiling never changes a value.
+            ``grid_size``, and the tiling never changes a value. Chunk i runs
+            on process i % n of the worker pool (:mod:`asympatch.pool`), and
+            the estimate is taken over all trials in chunk order, so no value
+            depends on where a chunk runs.
 
     Returns an :class:`AsymmetryReport` holding both the analytic expectation
     of the strategy's idealized model and the empirical estimate.
@@ -219,36 +219,36 @@ def _simulate_pair_overlaps(strategy, s1, s2, gamma, crop_model, grid_size,
     n = int(grid_size)
     if n < 2:
         raise ValueError("grid_size must be at least 2")
-    big_n = n * n
-    k1, k2 = sampling.sample_count(s1, big_n), sampling.sample_count(s2, big_n)
+    k1, k2 = sampling.sample_count(s1, n * n), sampling.sample_count(s2, n * n)
     seq = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
-    n_chunks = (trials + chunk - 1) // chunk
-    streams = [np.random.default_rng(s) for s in seq.spawn(n_chunks)]
-    work = sampling.Workspace(max(1, _TILE_CELLS // big_n), n)
-    out = np.empty(trials)
-    done = 0
-    for rng in streams:
-        c = min(chunk, trials - done)
-        _simulate_chunk(out[done:done + c], rng, work, strategy, gamma,
-                        crop_model, k1, k2, area_range, aspect_range)
-        done += c
-    return out
+    return np.concatenate(pool._chunks([
+        (strategy, gamma, crop_model, k1, k2, area_range, aspect_range, n,
+         min(chunk, trials - i * chunk), child)
+        for i, child in enumerate(seq.spawn(-(-trials // chunk)))]))
 
 
-def _simulate_chunk(out, rng, work, strategy, gamma, crop_model, k1, k2,
-                    area_range, aspect_range):
-    """Fill ``out`` with one chunk's pair overlaps, one row tile at a time.
+_workspaces = {}   # (rows, n) -> the Workspace this process's chunks reuse
 
-    ``rng`` is read in the order of a single whole-chunk pass, so no value
-    depends on the tile height: both views' crops, the view-1 mask uniforms
-    (``c * N`` doubles), the view-2 mask uniforms (naive only, another
-    ``c * N``), the exponential keys of the positive weights in row-major
-    order (selective only), then the padding draws of rows with fewer than
-    ``k2`` positive weights.
+
+def _simulate_chunk(strategy, gamma, crop_model, k1, k2, area_range,
+                    aspect_range, n, c, seed):
+    """One chunk's ``c`` pair overlaps on ``n``-square grids, one row tile
+    at a time; a worker job (see :mod:`asympatch.pool`).
+
+    ``default_rng(seed)`` is read in the order of a single whole-chunk pass,
+    so no value depends on the tile height: both views' crops, the view-1
+    mask uniforms (``c * N`` doubles), the view-2 mask uniforms (naive only,
+    another ``c * N``), the exponential keys of the positive weights in
+    row-major order (selective only), then the padding draws of rows with
+    fewer than ``k2`` positive weights.
     """
-    c = out.size
-    big_n = work.n * work.n
+    big_n = n * n
+    shape = (max(1, _TILE_CELLS // big_n), n)
+    if shape not in _workspaces:
+        _workspaces[shape] = sampling.Workspace(*shape)
+    work, out = _workspaces[shape], np.empty(c)
+    rng = np.random.default_rng(seed)
     box1, box2 = _chunk_crops(rng, c, crop_model, area_range, aspect_range)
     u1 = _fork(rng, c * big_n)
     u2 = _fork(rng, c * big_n) if strategy == "naive" else None
@@ -277,6 +277,7 @@ def _simulate_chunk(out, rng, work, strategy, gamma, crop_model, k1, k2,
         kept = np.flatnonzero(keys_i < np.inf)
         pad = sampling.padded_race_order(keys_i, rng)[kept.size:k2]
         out[i] = r_i[np.concatenate([kept, pad])].sum() / big_n
+    return out
 
 
 def _fork(rng, skip):

@@ -18,52 +18,24 @@ patches, and the loss averages over ordered cross-branch pairs only
 (within-branch pairs share crop geometry and provide little asymmetry).
 
 The views meet only in the loss, so each view's encoder pass, and each chunk
-of the kNN probe's embeddings, runs as one encoder job of :func:`_encode`.
-Jobs run on the calling process and on worker processes forked at the first
-parallel encode, one process per core the process may use, divided by the
-BLAS threads per call; so they run in parallel only where BLAS is limited
-(say ``OPENBLAS_NUM_THREADS=1``), and never on one core. A view's backward
-(:func:`_encode_backward`) runs in the process that ran its forward, where
-its cache stays. Work that is not independent stays on the calling process
-in view order: the heads, whose batch norms update running statistics in
-place, the sum of the views' gradients and the optimizer. The draw is the
-exception: it continues the run's one generator, but it reads no parameter,
-so it runs one step ahead. While the calling process sums the gradients and
-runs the optimizer, the first worker draws the next step's views
-(:func:`_draw`) on a copy of the generator taken after the next batch pick,
-and returns them with the generator's state after them; the next step uses
-them only if it finds the generator in the state and the batch the draw
-was made for, and draws its own otherwise. Every value is therefore
-byte-identical to the serial loop, whatever the process count.
-
-The networks do not cross by pickling. At every encode the caller copies
-them into an anonymous shared buffer that the workers were forked with
-(train-multiview's two, 3.6 MB: about 0.8 ms, where pickling took 6.5 ms),
-and a worker writes each view's encoder gradients into that view's slot of
-the same buffer. The caller sums them there, so they are valid only until
-the next encode. Only pixels, patch indices, representations, their
-gradients and the buffer's name/shape/offset layout go through a pipe, and
-for a draw its config, generator state and records; a worker runs only the
-encoder's own passes and the draw.
-
-Processes, not threads: threads hand the interpreter lock back and forth
-at every numpy operation of an encoder pass, so a thread that loses its
-core stalls the other. On a 2-vCPU VM, 10 benchmark runs of a thread pool
-spread train-multiview's items/s over an interquartile range of 27, a
-quarter of the serial median (100); 10 runs of the processes spread 7
-(serial median 109).
+of the kNN probe's embeddings, runs as one encoder job on the worker pool
+(:mod:`asympatch.pool`); the heads, whose batch norms update running
+statistics in place, the gradient sum and the optimizer stay on the caller
+in view order. The next step's draw reads no parameter, so a worker makes it
+while a step ends (:func:`_draw_ahead`). Every value is byte-identical to
+the serial loop, whatever the process count.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import warnings
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import encoder as enc
+from . import pool
 from .data import (AugmentParams, ImageRecord, augment_batch,
                    cifar_augment_params, load_cifar, synth_dataset,
                    synth_manifest)
@@ -74,44 +46,6 @@ from .sampling import SamplerConfig, sample_views
 from .serialize import CheckpointError, load_arrays, save_arrays
 
 METRIC_FIELDS = ("step", "lr", "loss", "grad_norm", "clip_triggered")
-
-
-# The variables each BLAS family reads its thread count from at load, first
-# set positive one winning; with none set it takes every core.
-_BLAS_THREAD_VARS = {
-    "openblas": ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                 "OMP_NUM_THREADS"),
-    "mkl": ("MKL_NUM_THREADS", "OMP_NUM_THREADS"),
-}
-
-
-def _pool_size(blas: str, environ, cores: int) -> int:
-    """Processes that run encoder jobs, the caller's included: as many BLAS
-    thread teams as fit the cores, for the BLAS named ``blas`` (numpy's
-    build configuration). Jobs that each start a whole team oversubscribe
-    the cores: on a 2-core host a smoke step ran about 30% slower than
-    serially. So a BLAS of unknown family leaves the jobs serial. A limit
-    set at run time (say by threadpoolctl) is not seen here."""
-    family = next((f for f in _BLAS_THREAD_VARS if f in blas.lower()), None)
-    for var in _BLAS_THREAD_VARS.get(family, ()):
-        value = environ.get(var, "")
-        if value.isdigit() and int(value) > 0:
-            return max(1, cores // int(value))
-    return 1
-
-
-# workers are forked; where the platform cannot fork, every job runs serially
-_WORKERS = _pool_size(
-    np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
-    .get("name", ""), os.environ,
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-    else os.cpu_count() or 1) if hasattr(os, "fork") else 1
-_procs = []        # (process, connection) per worker, forked by the first parallel encode
-_buffer = None     # the anonymous shared memory the workers were forked with
-_layout = {}       # name -> (shape, offset) of each array of a network in _buffer
-_kept = {}         # job index -> cache or None, of the last encode's jobs run here
-_away = {}         # job index -> (connection, gradient slot), of each kept on a worker
-_ahead = {}        # the draw sent ahead: what it was made for, and its connection or reply
 
 
 @dataclass(frozen=True)
@@ -320,280 +254,27 @@ def _generator(rng_state: dict) -> np.random.Generator:
     return rng
 
 
-_ALIGN = 64        # bytes; each array in the shared buffer starts on a multiple
-
-
-def _at(buffer, layout: dict, base: int) -> dict:
-    """Views of the network that ``layout``, name -> (shape, offset), places
-    in ``buffer`` from byte ``base`` on."""
-    return {name: np.ndarray(shape, float, buffer, base + offset)
-            for name, (shape, offset) in layout.items()}
-
-
-def _run(fn, jobs) -> list:
-    """Triples (job index, ok, ``fn(*job)`` or its exception) for ``jobs``,
-    tuples that start with the job's index."""
-    out = []
-    for job in jobs:
-        try:
-            out.append((job[0], True, fn(*job)))
-        except Exception as exc:  # noqa: BLE001 -- raised by the caller, in order
-            out.append((job[0], False, exc))
-    return out
-
-
-def _worker(conn, inherited, buffer) -> None:
-    """A worker process: run each batch of jobs the caller sends, under the
-    caller's ``np.errstate``, and send back the outcomes and the warnings.
-    An ``"encode"`` job ``(i, base, pixels, indices, keep)`` encodes with
-    the network at byte ``base`` of ``buffer`` and returns the
-    representation; if ``keep``, it keeps the cache, until the next encode,
-    for the ``"backward"`` job ``(i, drep, slot)``, which writes the encoder
-    gradients to the network-sized ``slot`` and returns their names. A
-    ``"draw"`` message's one job ``(0, cfg, rng state, records)`` runs
-    :func:`_draw` on a generator in that state and returns ``(pix1, pix2,
-    views1, views2, rng state after)``.
-    It closes its copies of the caller's ends of the pipes, ``inherited``,
-    so that it reads end-of-file, and ends, when the caller closes its own;
-    an interrupt from the terminal is the caller's to handle.
-    """
-    import signal
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for other in inherited:
-        other.close()
-    kept = {}
-
-    def forward(i, base, pixels, indices, keep):
-        rep, kept[i] = enc.encode_view(bb, _at(buffer, layout, base), pixels,
-                                       indices, cache=keep)
-        return rep
-
-    def backward(i, drep, slot):
-        grads = enc.encode_view_backward(bb, drep, kept[i])
-        place = _at(buffer, layout, slot)
-        for name, g in grads.items():
-            place[name][...] = g
-        # held with the cache until the next encode: freed here, glibc gave
-        # their pages back and each forward faulted them in again (smoke:
-        # about 4,000 page faults per forward, against none held)
-        kept[i] = kept[i], grads
-        return list(grads)
-
-    def draw(i, cfg, rng_state, records):
-        rng = _generator(rng_state)
-        return (*_draw(cfg, rng, records)[:4], rng.bit_generator.state)
-
-    while True:
-        try:
-            kind, err, *args = conn.recv()
-        except EOFError:
-            return
-        if kind == "draw":
-            fn, jobs = draw, [(0, *args)]
-        else:
-            bb, layout, jobs = args
-            fn = forward if kind == "encode" else backward
-        if kind == "encode":
-            kept.clear()
-        with warnings.catch_warnings(record=True) as caught, \
-                np.errstate(**err):
-            warnings.simplefilter("always")
-            out = _run(fn, jobs)
-        caught = [(w.message, w.category, w.filename, w.lineno) for w in caught]
-        try:
-            conn.send((out, caught))
-        except Exception as exc:  # noqa: BLE001 -- an outcome that does not pickle
-            conn.send(([(i, False, RuntimeError(f"job {i}: {exc!r}"))
-                        for i, _, _ in out], caught))
-
-
-def _start_workers(size: int) -> None:
-    """Fork ``_WORKERS - 1`` workers that share a buffer of ``size`` bytes."""
-    global _buffer
-    # imported here: a process that never encodes (analyze, demo) need not
-    # load multiprocessing or mmap
-    import mmap
-    import multiprocessing
-    ctx = multiprocessing.get_context("fork")
-    _buffer = mmap.mmap(-1, max(size, mmap.PAGESIZE))
-    for _ in range(_WORKERS - 1):
-        mine, theirs = ctx.Pipe()
-        proc = ctx.Process(target=_worker, daemon=True,
-                           args=(theirs, [mine] + [c for _, c in _procs],
-                                 _buffer),
-                           name="asympatch-encoder")
-        proc.start()
-        theirs.close()
-        _procs.append((proc, mine))
-
-
-def _stop_workers() -> None:
-    """End the worker processes, once the draw sent ahead is read and
-    dropped, and let their buffer go, once no view of it is left; the next
-    parallel encode forks new ones."""
-    global _buffer
-    _settle_draw()
-    _ahead.clear()
-    for proc, conn in _procs:
-        conn.close()
-        proc.join(timeout=5)
-        if proc.is_alive():
-            proc.terminate()
-    _procs.clear()
-    _buffer = None
-
-
-def _warn_again(caught) -> None:
-    """Issue again the warnings a worker caught."""
-    for message, category, filename, lineno in caught:
-        warnings.warn_explicit(message, category, filename, lineno)
-
-
-def _dispatch(messages: dict, fn, jobs) -> list:
-    """Send each worker connection its message ``(kind, bb, layout, jobs)``
-    with the caller's ``np.errstate``, run ``fn`` on the caller's own
-    ``jobs``, and gather the workers' outcomes; returns every job's result
-    in job order. A worker's warnings are issued again here, and every job
-    ends before the first exception in job order is raised."""
-    err = np.geterr()
-    try:
-        for conn, (kind, *rest) in messages.items():
-            conn.send((kind, err, *rest))
-        outcomes = _run(fn, jobs)
-        for conn in messages:
-            out, caught = conn.recv()
-            outcomes += out
-            _warn_again(caught)
-    except BaseException as exc:
-        # a worker's reply may still be in flight: start afresh next time
-        _stop_workers()
-        if isinstance(exc, (EOFError, ConnectionError)):
-            raise RuntimeError("an encoder worker process ended") from exc
-        raise
-    outcomes.sort(key=lambda o: o[0])
-    for _, ok, value in outcomes:
-        if not ok:
-            raise value
-    return [value for _, _, value in outcomes]
-
-
-def _encode(bb, nets: list, jobs: list) -> list:
-    """The representation of each job ``(net, pixels, indices, keep)``: an
-    ``enc.encode_view`` pass of ``nets[net]``, run by the calling process and
-    up to ``_WORKERS - 1`` worker processes together, job i on process
-    i % n. A kept job's cache stays in the process that ran it, for
-    :func:`_encode_backward`, until the next encode starts, so that its jobs
-    reuse the memory: dropped after each backward, glibc handed it back and
-    the next step faulted it in again (a serial multiview step: about 10,000
-    page faults and 26 ms of system time, against 1,300 and 4 ms).
-
-    Jobs run in order on the caller when there is one process (as where
-    ``fork`` is missing) or one job, and while the encoder's functions are
-    wrapped, as ``bench/tracer.py`` wraps them to time spans. Otherwise the
-    networks, each with ``nets[0]``'s names and shapes, are copied one after
-    another into the buffer the workers were forked with, followed by a
-    network-sized gradient slot for each job that a worker keeps; an encode
-    that needs more room restarts the workers with a larger buffer. The
-    reply to a draw sent ahead is read first, so that no reply crosses it.
-    """
-    _settle_draw()
-    _kept.clear()
-    _away.clear()
-    n = 1 if len(jobs) < 2 or hasattr(enc.encode_view, "__wrapped__") \
-        else _WORKERS
-    if n > 1:
-        _layout.clear()
-        span = 0
-        for name, a in nets[0].items():
-            _layout[name] = (a.shape, span)
-            span += -(-a.nbytes // _ALIGN) * _ALIGN
-        end = span * len(nets)           # where the gradient slots start
-        size = end + span * sum(job[3] for i, job in enumerate(jobs) if i % n)
-        if _procs and len(_buffer) < size:
-            _stop_workers()
-        if not _procs:
-            _start_workers(size)
-        for j, net in enumerate(nets):
-            for name, place in _at(_buffer, _layout, span * j).items():
-                place[...] = net[name]
-    messages = {}
-    for i, (net, pixels, indices, keep) in enumerate(jobs):
-        if i % n:
-            conn = _procs[i % n - 1][1]
-            if keep:
-                _away[i] = conn, end + span * len(_away)
-            messages.setdefault(conn, ("encode", bb, _layout, []))[3].append(
-                (i, span * net, pixels, indices, keep))
-
-    def here(i, net, pixels, indices, keep):
-        rep, _kept[i] = enc.encode_view(bb, nets[net], pixels, indices,
-                                        cache=keep)
-        return rep
-
-    return _dispatch(messages, here, [(i, *job) for i, job in enumerate(jobs)
-                                      if i % n == 0])
-
-
-def _encode_backward(bb, dreps: list) -> list:
-    """The encoder gradients of job i of the last :func:`_encode`, which must
-    have kept it, from ``dreps[i]``, its representation's gradient, computed
-    in the process that holds the job's cache. A worker's gradients are
-    views of the job's slot of the shared buffer, valid only until the next
-    encode."""
-    messages = {}
-    for i, drep in enumerate(dreps):
-        if i in _away:
-            conn, slot = _away[i]
-            messages.setdefault(conn, ("backward", bb, _layout, []))[3].append(
-                (i, drep, slot))
-    grads = _dispatch(
-        messages, lambda i, drep: enc.encode_view_backward(bb, drep, _kept[i]),
-        [(i, drep) for i, drep in enumerate(dreps) if i not in _away])
-    for i, names in enumerate(grads):
-        if i in _away:
-            place = _at(_buffer, _layout, _away[i][1])
-            grads[i] = {name: place[name] for name in names}
-    return grads
-
-
 def _draw_ahead(state: TrainState, records) -> None:
     """Send the first worker the next step's draw: :func:`_draw` of the
     batch that :func:`_pick` takes from ``records`` on a copy of
     ``state.rng``, continuing the copy, under the caller's ``np.errstate``.
-    None is sent with one process, or while the encoder is wrapped (see
-    :func:`_encode`)."""
-    if not _procs or hasattr(enc.encode_view, "__wrapped__"):
+    None is sent with one process, or while the encoder is wrapped."""
+    if not pool._procs or pool._wrapped():
         return
     rng = _generator(state.rng.bit_generator.state)
     batch = _pick(rng, records, state.config.batch_size)
-    conn = _procs[0][1]
+    conn = pool._procs[0][1]
     try:
         conn.send(("draw", np.geterr(), state.config, rng.bit_generator.state,
                    batch))
     except OSError:             # a lost worker: start afresh
-        _stop_workers()
+        pool._stop_workers()
         return
     except BaseException:
-        _stop_workers()         # it may be half sent: start afresh
+        pool._stop_workers()    # it may be half sent: start afresh
         raise
-    _ahead.update(config=state.config, rng=rng.bit_generator.state,
-                  records=batch, conn=conn)
-
-
-def _settle_draw() -> None:
-    """Read the reply to the draw sent ahead, if it is still in flight. A
-    worker lost meanwhile leaves none, and the next encode finds it lost."""
-    conn = _ahead.pop("conn", None)
-    if conn is None:
-        return
-    try:
-        _ahead["reply"] = conn.recv()
-    except (EOFError, OSError):
-        _ahead.clear()
-    except BaseException:
-        _ahead.clear()
-        _stop_workers()         # it may be half read: start afresh
-        raise
+    pool._ahead.update(config=state.config, rng=rng.bit_generator.state,
+                       records=batch, conn=conn)
 
 
 def _drawn_ahead(state: TrainState, records: list):
@@ -601,9 +282,9 @@ def _drawn_ahead(state: TrainState, records: list):
     made for ``state.config``, for ``state.rng`` as it is now and for these
     record objects; ``state.rng`` then continues after it, and the draw's
     warnings are issued again here. Otherwise None: the draw is dropped."""
-    _settle_draw()
-    ahead = _ahead.copy()
-    _ahead.clear()
+    pool._settle_draw()
+    ahead = pool._ahead.copy()
+    pool._ahead.clear()
     if "reply" not in ahead or ahead["config"] != state.config \
             or ahead["rng"] != state.rng.bit_generator.state \
             or list(map(id, ahead["records"])) != list(map(id, records)):
@@ -611,22 +292,17 @@ def _drawn_ahead(state: TrainState, records: list):
     ((_, ok, value),), caught = ahead["reply"]
     if not ok:                  # drawn again by the step, which raises it
         return None
-    _warn_again(caught)
+    pool._warn_again(caught)
     state.rng.bit_generator.state = value[4]
     return value[:4]
 
 
 def train_step(state: TrainState, batch_records, dump_path=None,
                dataset=None) -> float:
-    """One full optimization step on a batch of image records; the encoder
-    passes of its views run as parallel encoder jobs (see the module
-    docstring).
-
-    ``dataset``, if given, holds the records that the next step's batch is
-    picked from, with :func:`_pick` on ``state.rng``, as :func:`run_training`
-    picks it. A worker then draws the next step's views while this step
-    ends, and the next step uses them if its generator state and batch are
-    the ones the draw was made for. Results do not depend on ``dataset``."""
+    """One full optimization step on a batch of image records (see the module
+    docstring). ``dataset``, if given, holds the records that the next
+    step's batch is picked from, as :func:`run_training` picks it, and that
+    step's views are drawn ahead. Results do not depend on ``dataset``."""
     cfg = state.config
     bb = cfg.backbone_config()
     hc = cfg.head_config()
@@ -638,7 +314,7 @@ def train_step(state: TrainState, batch_records, dump_path=None,
     if cfg.momentum_encoder:     # the target network needs no backward
         nets.append(state.target_params)
         jobs += [(1, pix, idx, False) for pix, idx in views]
-    reps = _encode(bb, nets, jobs)
+    reps = pool._encode(bb, nets, jobs)
 
     pairs, head_caches = [], []      # (q, z_for_targets), heads' caches
     for rep in reps[:len(views)]:
@@ -667,7 +343,7 @@ def train_step(state: TrainState, batch_records, dump_path=None,
 
     heads = [enc.heads_backward(hc, c, dq)
              for c, dq in zip(head_caches, result.grad_q)]
-    enc_grads = _encode_backward(bb, [drep for drep, _ in heads])
+    enc_grads = pool._encode_backward(bb, [drep for drep, _ in heads])
     if dataset is not None:
         _draw_ahead(state, dataset)
     grads = {}
@@ -734,7 +410,7 @@ def embed_records(config: TrainConfig, params: dict, records,
     bb = config.backbone_config()
     all_idx = np.arange(bb.n_patches)
     chunks = [records[i:i + batch] for i in range(0, len(records), batch)]
-    return np.concatenate(_encode(bb, [params], [
+    return np.concatenate(pool._encode(bb, [params], [
         (0, np.stack([r.pixels for r in chunk]),
          np.broadcast_to(all_idx, (len(chunk), bb.n_patches)), False)
         for chunk in chunks]), axis=0)

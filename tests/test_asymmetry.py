@@ -1,10 +1,15 @@
+import json
+import multiprocessing.connection
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from asympatch import asymmetry
+from asympatch import asymmetry, cli, pool
 from asympatch.asymmetry import (DEFAULT_AREA_RANGE, DEFAULT_ASPECT_RANGE,
                                  AsymmetryReport, expected_overlap_naive,
                                  expected_overlap_selective,
@@ -344,3 +349,146 @@ class TestTiledKernel:
                 strategy, s1, s2, gamma, crop_model, grid, trials, 11, chunk,
                 DEFAULT_AREA_RANGE, DEFAULT_ASPECT_RANGE)
         assert low <= len(record) / trials <= high
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo chunks on the worker pool
+
+@pytest.fixture
+def processes(monkeypatch):
+    """Set how many processes run pool jobs, the caller's included (on fresh
+    workers), so the parallel path runs whatever the host's core count."""
+    def use(n):
+        pool._stop_workers()
+        monkeypatch.setattr(pool, "_WORKERS", n)
+    yield use
+    pool._stop_workers()
+
+
+def pooled(strategy, crop_model, trials, gamma=3.0):
+    """Grid-8 pair overlaps in chunks of 1000 trials, the last one short
+    unless ``trials`` is a multiple of 1000."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return asymmetry._simulate_pair_overlaps(
+            strategy, 0.25, 0.25, gamma, crop_model, 8, trials, 13, 1000,
+            DEFAULT_AREA_RANGE, DEFAULT_ASPECT_RANGE)
+
+
+def sent_chunks(monkeypatch) -> list:
+    """From now on, the chunk indices of every chunk message sent."""
+    sent = []
+    send = multiprocessing.connection.Connection.send
+
+    def recording(conn, obj):
+        if obj[0] == "chunk":
+            sent.append([job[0] for job in obj[2]])
+        send(conn, obj)
+
+    monkeypatch.setattr(multiprocessing.connection.Connection, "send",
+                        recording)
+    return sent
+
+
+ANALYZE_INI = "[analyze]\ngrid = 8\ntrials = 5000\ngammas = 0,3\n"
+
+
+def analyze_files(tmp_path, name) -> dict:
+    """The bytes of the report and density files of a two-chunk analyze."""
+    cfg = tmp_path / "analyze.ini"
+    cfg.write_text(ANALYZE_INI)
+    out = tmp_path / name
+    assert cli.main(["analyze", "--config", str(cfg), "--out", str(out),
+                     "--seed", "0"]) == 0
+    return {f: (out / f).read_bytes()
+            for f in ("analyze_report.csv", "density_curves.csv")}
+
+
+class TestChunkPool:
+    @pytest.mark.parametrize("trials", [1000, 1700, 2500],
+                             ids=["1-chunk", "2-chunks", "3-chunks"])
+    @pytest.mark.parametrize("crop_model", ["identical", "random"])
+    @pytest.mark.parametrize("strategy", ["naive", "selective", "mean-field"])
+    def test_overlaps_do_not_depend_on_the_process_count(
+            self, processes, strategy, crop_model, trials):
+        values = []
+        for n in (1, 2):
+            processes(n)
+            values.append(pooled(strategy, crop_model, trials))
+            # one chunk, or one process, forks nothing
+            assert len(pool._procs) == (n - 1 if trials > 1000 else 0)
+        assert values[0].size == trials
+        assert values[1].tobytes() == values[0].tobytes()
+
+    def test_chunk_i_runs_on_process_i_mod_n(self, processes, monkeypatch):
+        processes(3)
+        sent = sent_chunks(monkeypatch)
+        many = pooled("selective", "random", 4500)
+        assert sent == [[1, 4], [2]]
+        processes(1)
+        assert many.tobytes() == pooled("selective", "random", 4500).tobytes()
+
+    def test_analyze_files_do_not_depend_on_the_process_count(
+            self, processes, tmp_path, monkeypatch):
+        processes(1)
+        serial = analyze_files(tmp_path, "serial")
+        processes(2)
+        sent = sent_chunks(monkeypatch)
+        assert analyze_files(tmp_path, "pooled") == serial
+        assert sent == [[1]] * 3            # one call per report, two chunks
+
+    def test_a_chunk_that_raises_on_a_worker_raises_in_the_caller(
+            self, processes, monkeypatch):
+        simulate_chunk, caller = asymmetry._simulate_chunk, os.getpid()
+
+        def fails_on_a_worker(*args):
+            if os.getpid() != caller and args[1] == 7.0:     # gamma
+                raise ZeroDivisionError("chunk failed on a worker")
+            return simulate_chunk(*args)
+
+        monkeypatch.setattr(asymmetry, "_simulate_chunk", fails_on_a_worker)
+        processes(2)
+        with pytest.raises(ZeroDivisionError, match="on a worker"):
+            pooled("selective", "random", 2500, gamma=7.0)
+        (proc, _), = pool._procs
+        again = pooled("selective", "random", 2500)
+        (same, _), = pool._procs
+        assert same is proc and proc.is_alive()
+        processes(1)
+        assert again.tobytes() == pooled("selective", "random", 2500).tobytes()
+
+    def test_an_analyze_process_exits_and_leaves_no_worker(self, tmp_path):
+        # a worker that kept its copy of the caller's pipe end would never
+        # read end-of-file: stopping it would wait out the join timeout, and
+        # at exit it would hold the output pipe open
+        cfg = tmp_path / "analyze.ini"
+        cfg.write_text(ANALYZE_INI)
+        script = (
+            "import json, sys, time\n"
+            "from asympatch import cli, pool\n"
+            "pool._WORKERS = 2\n"
+            "argv = ['analyze', '--config', sys.argv[1], '--out', sys.argv[2]]\n"
+            "codes = [cli.main(argv)]\n"
+            "pids = [proc.pid for proc, _ in pool._procs]\n"
+            "start = time.perf_counter()\n"
+            "pool._stop_workers()\n"
+            "stop_s = time.perf_counter() - start\n"
+            "codes.append(cli.main(argv))\n"
+            "pids += [proc.pid for proc, _ in pool._procs]\n"
+            "print(json.dumps({'codes': codes, 'pids': pids, "
+            "'stop_s': stop_s}))\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (
+            os.path.join(os.path.dirname(os.path.dirname(
+                os.path.abspath(__file__))), "src"), env.get("PYTHONPATH"))
+            if p)
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(cfg), str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout.splitlines()[-1])
+        assert result["codes"] == [0, 0]
+        assert len(result["pids"]) == 2 and result["stop_s"] < 3.0
+        for pid in result["pids"]:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)

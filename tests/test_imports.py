@@ -1,6 +1,7 @@
 """What an ``asympatch`` process imports: the scipy subpackages in ``HEAVY``
-stay unloaded, at import and through a whole job, and ``scipy.special``,
-``mmap`` and ``multiprocessing`` are not loaded by analyze or demo."""
+stay unloaded, at import and through a whole job, ``scipy.special`` is not
+loaded by analyze or demo, and ``mmap`` and ``multiprocessing`` are not
+loaded by a one-chunk analyze or by demo."""
 
 import json
 import os

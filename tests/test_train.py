@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from multiprocessing.reduction import ForkingPickler
 
+import asympatch.pool as pool_mod
 import asympatch.train as train_mod
+from asympatch import asymmetry
 from asympatch.asymmetry import monte_carlo_overlap
 from asympatch.encoder import (accumulate_grads, backward_branch, encode,
                                forward_branch, patchify, project)
@@ -191,10 +193,10 @@ def workers(monkeypatch):
     fresh worker processes), so the parallel path runs whatever the host's
     core count."""
     def use(n):
-        train_mod._stop_workers()
-        monkeypatch.setattr(train_mod, "_WORKERS", n)
+        pool_mod._stop_workers()
+        monkeypatch.setattr(pool_mod, "_WORKERS", n)
     yield use
-    train_mod._stop_workers()
+    pool_mod._stop_workers()
 
 
 def serial_step(state, batch):
@@ -343,13 +345,13 @@ class TestParallelStep:
         cfg = train_mod.smoke_config(total_steps=20, **overrides)
         records = load_dataset(cfg.dataset)
         parallel, serial = init_train_state(cfg), init_train_state(cfg)
-        for _ in range(6):
+        for _ in range(4):
             for state, step in ((parallel, train_step),
                                 (serial, serial_step)):
                 pick = state.rng.choice(len(records),
                                         size=cfg.batch_size, replace=False)
                 step(state, [records[i] for i in pick])
-        assert len(train_mod._procs) == n - 1       # the workers ran jobs
+        assert len(pool_mod._procs) == n - 1       # the workers ran jobs
         assert parallel.metrics == serial.metrics
         assert same_bytes(parallel.params, serial.params)
         assert same_bytes(parallel.bn_stats, serial.bn_stats)
@@ -383,7 +385,7 @@ class TestParallelStep:
     ])
     def test_pool_leaves_room_for_the_linked_blas_threads(
             self, blas, environ, cores, expected):
-        assert train_mod._pool_size(blas, environ, cores) == expected
+        assert pool_mod._pool_size(blas, environ, cores) == expected
 
     def test_tasks_stay_on_the_caller_while_the_encoder_is_wrapped(
             self, fake_encoder, workers, monkeypatch):
@@ -392,13 +394,13 @@ class TestParallelStep:
         monkeypatch.setattr(train_mod.enc, "encode_view",
                             functools.wraps(fake_encode_view)(
                                 lambda *a, **k: fake_encode_view(*a, **k)))
-        reps = train_mod._encode(BB, [small_net()],
+        reps = pool_mod._encode(BB, [small_net()],
                                  [job(i, keep=True) for i in range(4)])
         assert [r[0] for r in reps] == [os.getpid()] * 4
-        grads = train_mod._encode_backward(BB, [2.0, 3.0])
+        grads = pool_mod._encode_backward(BB, [2.0, 3.0])
         assert [g["w"].tolist() for g in grads] == \
             [(small_net()["w"] * f).tolist() for f in (2.0, 3.0)]
-        assert train_mod._procs == []
+        assert pool_mod._procs == []
 
     @pytest.mark.parametrize("mode", ["raise", "ignore", "warn"])
     def test_tasks_run_under_the_callers_errstate(self, fake_encoder, workers,
@@ -406,15 +408,15 @@ class TestParallelStep:
         # the worker, forked under numpy's default errstate, divides by zero
         workers(2)
         jobs = [job(1.0), (0, np.full(3, 2.0), np.zeros(3), False)]
-        train_mod._encode(BB, [small_net()], [job(0.0)] * 2)
+        pool_mod._encode(BB, [small_net()], [job(0.0)] * 2)
         with warnings.catch_warnings(record=True) as caught, \
                 np.errstate(all=mode):
             warnings.simplefilter("always")
             if mode == "raise":
                 with pytest.raises(FloatingPointError):
-                    train_mod._encode(BB, [small_net()], jobs)
+                    pool_mod._encode(BB, [small_net()], jobs)
             else:
-                here, there = train_mod._encode(BB, [small_net()], jobs)
+                here, there = pool_mod._encode(BB, [small_net()], jobs)
                 assert np.isinf(there[2:]).all()
                 assert there[0] != here[0] == os.getpid()
         # a worker's warning is issued again in the caller
@@ -435,10 +437,10 @@ class TestParallelStep:
         monkeypatch.setattr(train_mod.enc, "encode_view", mark_then_fail)
         workers(2)
         with pytest.raises(ValueError, match="job 0"):
-            train_mod._encode(BB, [small_net()], [job(i) for i in range(4)])
+            pool_mod._encode(BB, [small_net()], [job(i) for i in range(4)])
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             [f"ended-{i}" for i in range(4)]
-        reps = train_mod._encode(BB, [small_net()],
+        reps = pool_mod._encode(BB, [small_net()],
                                  [job(i) for i in range(2, 7)])
         assert [r[0] for r in reps] == [2, 3, 4, 5, 6]
 
@@ -447,10 +449,10 @@ class TestParallelStep:
         workers(2)
         jobs = [job(i, keep=True) for i in range(2)]
         lost = []
-        for call in (lambda: train_mod._encode_backward(BB, [1.0, 1.0]),
-                     lambda: train_mod._encode(BB, [small_net()], jobs)):
-            assert train_mod._encode(BB, [small_net()], jobs)
-            (proc, _), = train_mod._procs
+        for call in (lambda: pool_mod._encode_backward(BB, [1.0, 1.0]),
+                     lambda: pool_mod._encode(BB, [small_net()], jobs)):
+            assert pool_mod._encode(BB, [small_net()], jobs)
+            (proc, _), = pool_mod._procs
             proc.kill()
             proc.join(timeout=10)
             assert not proc.is_alive()
@@ -458,7 +460,7 @@ class TestParallelStep:
                 call()
             lost.append(proc.pid)
         mine, theirs = (r[0] for r in
-                        train_mod._encode(BB, [small_net()], jobs))
+                        pool_mod._encode(BB, [small_net()], jobs))
         assert mine == os.getpid() and theirs not in [mine] + lost
 
     def test_workers_read_the_networks_as_they_are_at_each_encode(
@@ -467,9 +469,9 @@ class TestParallelStep:
         online = small_net()
         target = {name: 2.0 * a for name, a in online.items()}
         jobs = [job(0), job(0), job(0, net=1), job(0, net=1)]
-        first = train_mod._encode(BB, [online, target], jobs)
+        first = pool_mod._encode(BB, [online, target], jobs)
         online["w"] += 10.0                     # in place, between two encodes
-        second = train_mod._encode(BB, [online, target], jobs)
+        second = pool_mod._encode(BB, [online, target], jobs)
         assert [r[1] for r in first] == [19.0, 19.0, 38.0, 38.0]
         assert [r[1] for r in second] == [79.0, 79.0, 38.0, 38.0]
         here, there = second[0][0], second[1][0]
@@ -479,24 +481,24 @@ class TestParallelStep:
     def test_an_encode_that_outgrows_the_buffer_restarts_the_workers(
             self, fake_encoder, workers):
         workers(2)
-        assert train_mod._encode(BB, [small_net()], [job(0)] * 2)[1][1] == 19.0
-        (proc, _), = train_mod._procs
+        assert pool_mod._encode(BB, [small_net()], [job(0)] * 2)[1][1] == 19.0
+        (proc, _), = pool_mod._procs
         big = {"v": np.ones((3, 5)), "w": np.arange(200_000.0)}
-        assert big["w"].nbytes > len(train_mod._buffer)
-        mine, theirs, _ = train_mod._encode(
+        assert big["w"].nbytes > len(pool_mod._buffer)
+        mine, theirs, _ = pool_mod._encode(
             BB, [big], [job(0, keep=True), job(0, keep=True), job(0)])
-        (again, _), = train_mod._procs
+        (again, _), = pool_mod._procs
         assert not proc.is_alive() and again.pid == theirs[0] != proc.pid
         assert mine[0] == os.getpid()
         assert mine[1] == theirs[1] == float(big["w"].sum() + 15)
         # a worker's gradients come back through its job's slot of the
         # buffer, in the order the encoder gave them
-        here, there = train_mod._encode_backward(BB, [2.0, 3.0])
+        here, there = pool_mod._encode_backward(BB, [2.0, 3.0])
         for out, factor in ((here, 2.0), (there, 3.0)):
             assert list(out) == ["w", "v"]
             assert out["w"].tobytes() == (big["w"] * factor).tobytes()
             assert out["v"].tobytes() == (big["v"] * factor).tobytes()
-        assert isinstance(there["w"].base, type(train_mod._buffer))
+        assert isinstance(there["w"].base, type(pool_mod._buffer))
 
     def test_a_worker_lost_between_steps_fails_one_step_only(self, workers):
         workers(2)
@@ -505,7 +507,7 @@ class TestParallelStep:
         parallel, serial = init_train_state(cfg), init_train_state(cfg)
         train_step(parallel, draw_batch(parallel, records))
         serial_step(serial, draw_batch(serial, records))
-        (proc, _), = train_mod._procs
+        (proc, _), = pool_mod._procs
         proc.kill()
         proc.join(timeout=10)
         assert not proc.is_alive()
@@ -515,7 +517,7 @@ class TestParallelStep:
         train_mod._draw_views(serial, draw_batch(serial, records))
         train_step(parallel, draw_batch(parallel, records))
         serial_step(serial, draw_batch(serial, records))
-        (again, _), = train_mod._procs
+        (again, _), = pool_mod._procs
         assert again.pid != proc.pid
         assert_same_bytes(parallel, serial)
 
@@ -574,7 +576,7 @@ class TestParallelStep:
                 step(state, records)
             messages.append(str(err.value))
         assert messages == ["non-finite activations after block 2"] * 2
-        assert train_mod._procs
+        assert pool_mod._procs
 
 
 def run_files(cfg, out) -> dict:
@@ -596,7 +598,7 @@ class TestDrawAhead:
     @pytest.mark.parametrize("n", [2, 3])
     def test_a_run_writes_the_serial_runs_bytes(self, workers, monkeypatch,
                                                 tmp_path, overrides, n):
-        cfg = train_mod.smoke_config(total_steps=6, warmup_steps=2,
+        cfg = train_mod.smoke_config(total_steps=4, warmup_steps=2,
                                      checkpoint_every=2, **overrides)
         workers(1)
         serial = run_files(cfg, tmp_path / "serial")
@@ -606,23 +608,23 @@ class TestDrawAhead:
         parallel = run_files(cfg, tmp_path / "parallel")
         assert list(serial) == ["dataset_manifest.txt", "final.ckpt",
                                 "metrics.csv", "step000002.ckpt",
-                                "step000004.ckpt", "step000006.ckpt"]
+                                "step000004.ckpt"]
         assert parallel == serial
         # every step but the first used the views drawn ahead for it
         assert [obj[0] for obj in sent].count("draw") == cfg.total_steps - 1
         assert len(draws) == 1
-        assert len(train_mod._procs) == n - 1 and not train_mod._ahead
+        assert len(pool_mod._procs) == n - 1 and not pool_mod._ahead
 
     def test_a_resumed_run_equals_the_unbroken_run(self, workers, tmp_path):
         workers(2)
-        cfg = tiny_config(total_steps=6, checkpoint_every=2, **MULTIVIEW)
+        cfg = tiny_config(total_steps=4, checkpoint_every=1, **MULTIVIEW)
         unbroken = run_files(cfg, tmp_path / "unbroken")
         resumed = tmp_path / "resumed"
         resumed.mkdir()
         state = checkpoint_load(tmp_path / "unbroken" / "step000002.ckpt")
-        run_training(cfg, out_dir=str(resumed), state=state, steps=2)
+        run_training(cfg, out_dir=str(resumed), state=state, steps=1)
         run_training(cfg, out_dir=str(resumed), state=state)
-        for name in ("step000004.ckpt", "step000006.ckpt", "final.ckpt",
+        for name in ("step000003.ckpt", "step000004.ckpt", "final.ckpt",
                      "metrics.csv"):
             assert (resumed / name).read_bytes() == unbroken[name]
 
@@ -634,7 +636,7 @@ class TestDrawAhead:
         parallel, serial = init_train_state(cfg), init_train_state(cfg)
         train_step(parallel, draw_batch(parallel, records), dataset=records)
         serial_step(serial, draw_batch(serial, records))
-        assert train_mod._ahead
+        assert pool_mod._ahead
         # the batch the draw was made for, then a generator that moved on
         # after the pick, or a batch in another order
         batches = [draw_batch(state, records) for state in (parallel, serial)]
@@ -645,7 +647,7 @@ class TestDrawAhead:
             batches = [batch[::-1] for batch in batches]
         draws = count_calls(monkeypatch, "_draw_views")
         train_step(parallel, batches[0])
-        assert len(draws) == 1 and not train_mod._ahead
+        assert len(draws) == 1 and not pool_mod._ahead
         serial_step(serial, batches[1])
         assert_same_bytes(parallel, serial)
 
@@ -693,8 +695,8 @@ class TestDrawAhead:
         train_step(parallel, draw_batch(parallel, records), dataset=records)
         serial_step(serial, draw_batch(serial, records))
         if lost == "after-its-reply":
-            assert train_mod._ahead["conn"].poll(10)
-        (proc, _), = train_mod._procs
+            assert pool_mod._ahead["conn"].poll(10)
+        (proc, _), = pool_mod._procs
         proc.kill()
         proc.join(timeout=10)
         assert not proc.is_alive()
@@ -717,7 +719,7 @@ class TestDrawAhead:
         parallel, serial = init_train_state(cfg), init_train_state(cfg)
         train_step(parallel, draw_batch(parallel, records), dataset=records)
         serial_step(serial, draw_batch(serial, records))
-        assert "conn" in train_mod._ahead
+        assert "conn" in pool_mod._ahead
         embedded = train_mod.embed_records(cfg, parallel.params, records)
         params = {k: v.copy() for k, v in parallel.params.items()}
         draws = count_calls(monkeypatch, "_draw_views")
@@ -742,8 +744,55 @@ class TestDrawAhead:
                                 lambda *a, **k: encode_view(*a, **k)))
         sent = record_sends(monkeypatch)
         train_step(state, draw_batch(state, records), dataset=records)
-        assert sent == [] and not train_mod._ahead
-        assert train_mod._procs
+        assert sent == [] and not pool_mod._ahead
+        assert pool_mod._procs
+
+
+def mc_overlaps():
+    """Three chunks of grid-8 selective pair overlaps."""
+    return asymmetry._simulate_pair_overlaps(
+        "selective", 0.25, 0.25, 3.0, "random", 8, 2500, 21, 1000,
+        asymmetry.DEFAULT_AREA_RANGE, asymmetry.DEFAULT_ASPECT_RANGE)
+
+
+class TestSharedPool:
+    """The trainer and the analyzer run their jobs on one worker pool."""
+
+    def test_an_analyze_after_a_step_that_drew_ahead(self, workers,
+                                                     monkeypatch):
+        # the chunks wait for the draw's reply, and the next step still
+        # uses the draw
+        workers(1)
+        expected = mc_overlaps()
+        workers(2)
+        cfg = tiny_config(**MULTIVIEW)
+        records = load_dataset(cfg.dataset)
+        parallel, serial = init_train_state(cfg), init_train_state(cfg)
+        train_step(parallel, draw_batch(parallel, records), dataset=records)
+        serial_step(serial, draw_batch(serial, records))
+        assert "conn" in pool_mod._ahead
+        (proc, _), = pool_mod._procs
+        assert mc_overlaps().tobytes() == expected.tobytes()
+        assert "reply" in pool_mod._ahead
+        draws = count_calls(monkeypatch, "_draw_views")
+        train_step(parallel, draw_batch(parallel, records))
+        assert draws == []
+        serial_step(serial, draw_batch(serial, records))
+        assert_same_bytes(parallel, serial)
+        (same, _), = pool_mod._procs
+        assert same is proc
+
+    def test_a_run_after_an_analyze_writes_the_serial_runs_bytes(
+            self, workers, tmp_path):
+        cfg = tiny_config(total_steps=3, checkpoint_every=2)
+        workers(1)
+        serial = run_files(cfg, tmp_path / "serial")
+        workers(2)
+        mc_overlaps()                   # forks the worker, with a small buffer
+        (proc, _), = pool_mod._procs
+        assert run_files(cfg, tmp_path / "parallel") == serial
+        (again, _), = pool_mod._procs
+        assert again is not proc and not proc.is_alive()
 
 
 class TestRealizedOverlap:
@@ -1020,8 +1069,8 @@ class TestKnnProbe:
             == reps[0].tobytes()
         ref, held = probe_split(records, cfg)
         parallel = knn_probe(cfg, state.params, ref, held)
-        assert train_mod._procs
-        monkeypatch.setattr(train_mod, "_WORKERS", 1)
+        assert pool_mod._procs
+        monkeypatch.setattr(pool_mod, "_WORKERS", 1)
         assert knn_probe(cfg, state.params, ref, held) == parallel
 
     def test_k_larger_than_reference_rejected(self):
