@@ -35,9 +35,11 @@ DEFAULT_AREA_RANGE = (0.15, 1.0)
 DEFAULT_ASPECT_RANGE = (0.75, 4.0 / 3.0)
 
 _SIDE = 32.0  # simulated source image side; the profile is scale-invariant
-# cells per row tile of the Monte Carlo kernel: 256 rows at grid 32, so each
-# float64 work array is 2 MB; the tile height never moves a value
-_TILE_CELLS = 262_144
+# cells per row tile of the Monte Carlo kernel: 64 rows at grid 32, so each
+# float64 work array is 0.5 MB and the few one operation touches fit a 2 MB
+# L2 cache (larger and smaller tiles measured slower); the tile height never
+# moves a value
+_TILE_CELLS = 65_536
 
 
 def expected_overlap_naive(s1: float, s2: float) -> float:
@@ -154,11 +156,12 @@ def monte_carlo_overlap(strategy: str, s1: float, s2: float, gamma: float,
             child streams, one per chunk, so partitioned (parallel-style) and
             serial execution of the same master seed agree in distribution.
         chunk: trials per child stream. ``chunk`` and ``seed`` alone fix every
-            per-trial value: the array work runs in row tiles sized from
-            ``grid_size``, and the tiling never changes a value. Chunk i runs
-            on process i % n of the worker pool (:mod:`asympatch.pool`), and
-            the estimate is taken over all trials in chunk order, so no value
-            depends on where a chunk runs.
+            per-trial value: the array work runs in row tiles of 65,536
+            cells (64 rows at grid 32, each work array 0.5 MB), and the
+            tiling never changes a value. Chunk i runs on process i % n of
+            the worker pool, one process per core (:mod:`asympatch.pool`),
+            and the estimate is taken over all trials in chunk order, so no
+            value depends on where a chunk runs.
 
     Returns an :class:`AsymmetryReport` holding both the analytic expectation
     of the strategy's idealized model and the empirical estimate.
@@ -266,7 +269,8 @@ def _simulate_chunk(strategy, gamma, crop_model, k1, k2, area_range,
         if strategy == "selective":
             keys, n_pos = sampling.race_keys(w, rng, work)
             take = sampling.rank_chunks(keys, k2)
-            out[a:b] = np.take_along_axis(r, take, axis=1).sum(axis=1) / big_n
+            take += np.arange(0, t * big_n, big_n)[:, None]     # flat in r
+            out[a:b] = r.take(take).sum(axis=1) / big_n
             for i in np.flatnonzero(n_pos < k2):
                 short.append((a + i, keys[i].copy(), r[i].copy()))
         else:  # mean-field integration, no draw
@@ -307,9 +311,23 @@ def _chunk_crops(rng, c, crop_model, area_range, aspect_range):
 
 def _uniform_masks(uniforms, k, work, t):
     """0/1 rows marking ``k`` uniformly random cells of each of ``t`` rows,
-    from the next ``t * N`` doubles of ``uniforms``; a view of ``work.mask``."""
-    u = uniforms.random(out=work.u[:t])
-    return sampling.index_masks(sampling.rank_chunks(u, k), work.mask[:t])
+    from the next ``t * N`` doubles of ``uniforms``; a view of ``work.mask``.
+
+    A row marks its uniforms up to its k-th smallest, found by partitioning
+    a copy in ``work.keys``: the ``k`` cells ``sampling.rank_chunks`` picks,
+    unless that value is tied. A row with such a tie marks more than ``k``
+    and is redone by ``rank_chunks``.
+    """
+    u, m = uniforms.random(out=work.u[:t]), work.mask[:t]
+    part = work.keys[:t]
+    part[...] = u
+    part.partition(k - 1, axis=1)
+    np.less_equal(u, part[:, k - 1:k], out=m)
+    tied = np.flatnonzero(m.sum(axis=1) != k)
+    if tied.size:
+        m[tied] = sampling.index_masks(sampling.rank_chunks(u[tied], k),
+                                       np.empty((tied.size, u.shape[1])))
+    return m
 
 
 def _check_ratio(name: str, value: float):

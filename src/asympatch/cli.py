@@ -354,7 +354,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (UsageError, ValueError, OSError, RuntimeError,
-            FloatingPointError) as exc:
+            FloatingPointError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,13 +8,13 @@ A job is data; a worker runs only this package's own functions (see
 next-step draw (``train._draw_ahead``), or one Monte Carlo chunk of the
 analyzer (:func:`_chunks`). Job i of a call runs on process i % n, the
 caller being process 0, and the caller gathers the results in job order.
-There is one process per core the process may use, divided by the BLAS
-threads per call (:func:`_pool_size`), so jobs run in parallel only where
-BLAS is limited (say ``OPENBLAS_NUM_THREADS=1``). They run in order on the
-caller when there is one process or one job, and while the encoder's
-functions are wrapped, as ``bench/tracer.py`` wraps them, since a span
-timed in a worker would stay there. Workers fork, and ``mmap`` and
-``multiprocessing`` load, at the first call that needs them.
+Chunk jobs run on one process per core the process may use. Encoder jobs
+run on that many divided by the BLAS threads per call (:func:`_pool_size`),
+so in parallel only where BLAS is limited (say ``OPENBLAS_NUM_THREADS=1``).
+Jobs run in order on the caller when there is one process or one job, and
+while the encoder's functions are wrapped, as ``bench/tracer.py`` wraps
+them, since a span timed in a worker would stay there. Workers fork, and
+``mmap`` and ``multiprocessing`` load, at the first call that needs them.
 
 The networks do not cross by pickling: at every parallel encode the caller
 copies them into an anonymous shared buffer the workers were forked with,
@@ -43,11 +43,13 @@ _BLAS_THREAD_VARS = {
 
 
 def _pool_size(blas: str, environ, cores: int) -> int:
-    """Processes that run jobs, the caller's included: as many BLAS thread
-    teams as fit the cores, for the BLAS named ``blas`` (numpy's build
-    configuration). Jobs that each start a whole team oversubscribe the
-    cores, so a BLAS of unknown family leaves the jobs serial. A limit set
-    at run time (say by threadpoolctl) is not seen here."""
+    """Processes that run encoder jobs, the caller's included: as many BLAS
+    thread teams as fit the cores, for the BLAS named ``blas`` (numpy's
+    build configuration). Jobs that each start a whole team oversubscribe
+    the cores, so a BLAS of unknown family leaves them serial. A limit set
+    at run time (say by threadpoolctl) is not seen here. Chunk jobs skip
+    this rule: their only matmuls, grid by grid (32 x 32 by default), are
+    too small for OpenBLAS to split across threads."""
     family = next((f for f in _BLAS_THREAD_VARS if f in blas.lower()), None)
     for var in _BLAS_THREAD_VARS.get(family, ()):
         value = environ.get(var, "")
@@ -56,12 +58,13 @@ def _pool_size(blas: str, environ, cores: int) -> int:
     return 1
 
 
-# workers are forked; where the platform cannot fork, every job runs serially
+# processes that run chunk jobs, then encoder jobs; workers are forked, and
+# where the platform cannot fork, every job runs serially
+_CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+          else os.cpu_count() or 1) if hasattr(os, "fork") else 1
 _WORKERS = _pool_size(
     np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
-    .get("name", ""), os.environ,
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-    else os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    .get("name", ""), os.environ, _CORES)
 _procs = []        # (process, connection) per worker, forked by the first parallel call
 _buffer = None     # the anonymous shared memory the workers were forked with
 _layout = {}       # name -> (shape, offset) of each array of a network in _buffer
@@ -163,11 +166,12 @@ def _worker(conn, inherited, buffer) -> None:
                         for i, _, _ in out], caught))
 
 
-def _start_workers(size: int) -> None:
-    """Fork ``_WORKERS - 1`` workers that share a buffer of ``size`` bytes,
-    unless workers with as large a buffer run; those with less are ended."""
+def _start_workers(size: int, n: int) -> None:
+    """Fork ``n - 1`` workers that share a buffer of ``size`` bytes, unless
+    that many, or more, run with as large a buffer; otherwise those that run
+    are ended first."""
     global _buffer
-    if _procs and len(_buffer) >= size:
+    if _procs and len(_procs) >= n - 1 and len(_buffer) >= size:
         return
     _stop_workers()
     # imported here: a process that forks no worker need not load them
@@ -175,7 +179,7 @@ def _start_workers(size: int) -> None:
     import multiprocessing
     ctx = multiprocessing.get_context("fork")
     _buffer = mmap.mmap(-1, max(size, mmap.PAGESIZE))
-    for _ in range(_WORKERS - 1):
+    for _ in range(n - 1):
         mine, theirs = ctx.Pipe()
         proc = ctx.Process(target=_worker, daemon=True,
                            args=(theirs, [mine] + [c for _, c in _procs],
@@ -275,7 +279,7 @@ def _encode(bb, nets: list, jobs: list) -> list:
             span += -(-a.nbytes // _ALIGN) * _ALIGN
         end = span * len(nets)           # where the gradient slots start
         size = end + span * sum(job[3] for i, job in enumerate(jobs) if i % n)
-        _start_workers(size)
+        _start_workers(size, n)
         for j, net in enumerate(nets):
             for name, place in _at(_buffer, _layout, span * j).items():
                 place[...] = net[name]
@@ -330,9 +334,9 @@ def _chunks(jobs: list) -> list:
     arguments of ``asymmetry._simulate_chunk``. A chunk's values depend on
     its arguments alone, so not on the process that runs it."""
     _settle_draw()
-    n = 1 if len(jobs) < 2 or _wrapped() else _WORKERS
+    n = 1 if len(jobs) < 2 or _wrapped() else _CORES
     if n > 1:
-        _start_workers(0)
+        _start_workers(0, n)
     messages = {}
     for i, job in enumerate(jobs):
         if i % n:

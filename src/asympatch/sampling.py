@@ -120,8 +120,10 @@ def index_masks(idx: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 class Workspace:
-    """Work arrays for up to ``rows`` samples on ``n``-square grids; reused
-    across batches, they keep the kernels on the same few pages."""
+    """Work arrays for up to ``rows`` samples on ``n``-square grids, ten of
+    ``rows * n * n`` doubles and one of booleans; reused across batches,
+    they keep the kernels on the same few pages. The trainer sizes one to
+    its batch, the analyzer to a tile of ``asymmetry._TILE_CELLS`` cells."""
 
     def __init__(self, rows: int, n: int):
         self.rows, self.n = rows, n
@@ -191,10 +193,10 @@ def selective_weights(profile: np.ndarray, gamma: float, out=None) -> np.ndarray
 
 
 def race_keys(weights: np.ndarray, rng: np.random.Generator, work=None):
-    """Exponential race keys ``E / w`` of (B, N) weights, +inf where
-    ``w = 0``, and each row's count of positive weights; the ``E`` are drawn
-    in row-major order of the positive weights. With a :class:`Workspace`,
-    the keys are a view of ``work.keys``."""
+    """Exponential race keys ``E / w`` of (B, N) nonnegative weights, +inf
+    where ``w = 0``, and each row's count of positive weights; the ``E`` are
+    drawn in row-major order of the positive weights. With a
+    :class:`Workspace`, the keys are a view of ``work.keys``."""
     t = weights.shape[0]
     if work is None:
         keys, pos, draws = np.empty(weights.shape), None, None
@@ -203,10 +205,11 @@ def race_keys(weights: np.ndarray, rng: np.random.Generator, work=None):
     pos = np.greater(weights, 0.0, out=pos)
     n_pos = np.count_nonzero(pos, axis=1)
     total = int(n_pos.sum())
-    keys.fill(np.inf)
-    np.place(keys, pos, rng.standard_exponential(
-        total, out=None if draws is None else draws[:total]))
-    np.divide(keys, weights, out=keys, where=pos)
+    keys.fill(1.0)
+    keys[pos] = rng.standard_exponential(
+        total, out=None if draws is None else draws[:total])
+    with np.errstate(divide="ignore"):
+        np.divide(keys, weights, out=keys)     # 1 / 0 = +inf
     return keys, n_pos
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from asympatch import asymmetry, cli, pool
+from asympatch import asymmetry, cli, pool, sampling
 from asympatch.asymmetry import (DEFAULT_AREA_RANGE, DEFAULT_ASPECT_RANGE,
                                  AsymmetryReport, expected_overlap_naive,
                                  expected_overlap_selective,
@@ -325,6 +325,48 @@ class TestMonteCarlo:
             monte_carlo_overlap("naive", 0.25, 0.25, 0.0, "identical", 16, 10)
 
 
+class FixedUniforms:
+    """A uniforms source that hands out ``values`` in order, as
+    ``Generator.random`` hands out its doubles."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def random(self, size=None, out=None):
+        if out is None:
+            return self.values.reshape(size).copy()
+        out[...] = self.values.reshape(out.shape)
+        return out
+
+
+class TestUniformMasks:
+    """``asymmetry._uniform_masks`` marks each row's uniforms up to its k-th
+    smallest, and redoes by argpartition only a row tied at that value."""
+
+    @pytest.mark.parametrize("tie,redone", [(5, [1]), (1, [])],
+                             ids=["tie-at-kth", "tie-below-kth"])
+    def test_masks_match_the_reference(self, tie, redone, monkeypatch):
+        k, t, big_n = 5, 3, 16
+        u = np.random.default_rng(3).random((t, big_n))
+        rank = np.argsort(u[1])
+        u[1, rank[tie]] = u[1, rank[tie - 1]]   # ranks tie-1 and tie equal
+        ranked = []
+        rank_chunks = sampling.rank_chunks
+
+        def spy(keys, *args):
+            ranked.append(keys.copy())
+            return rank_chunks(keys, *args)
+
+        monkeypatch.setattr(sampling, "rank_chunks", spy)
+        mask = asymmetry._uniform_masks(FixedUniforms(u), k,
+                                        sampling.Workspace(4, 4), t)
+        expected = _reference_uniform_masks(FixedUniforms(u), t, big_n, k)
+        assert mask.tobytes() == expected.tobytes()
+        assert (mask.sum(axis=1) == k).all()
+        assert [r.tobytes() for r in ranked] == \
+            ([u[redone].tobytes()] if redone else [])
+
+
 class TestTiledKernel:
     @pytest.mark.parametrize("case", KERNEL_CASES, ids=lambda c: "-".join(
         str(v) for v in (c[0], c[4], c[5], c[3])))
@@ -356,11 +398,12 @@ class TestTiledKernel:
 
 @pytest.fixture
 def processes(monkeypatch):
-    """Set how many processes run pool jobs, the caller's included (on fresh
-    workers), so the parallel path runs whatever the host's core count."""
+    """Set how many processes run chunk jobs, the caller's included (on
+    fresh workers), so the parallel path runs whatever the host's core
+    count."""
     def use(n):
         pool._stop_workers()
-        monkeypatch.setattr(pool, "_WORKERS", n)
+        monkeypatch.setattr(pool, "_CORES", n)
     yield use
     pool._stop_workers()
 
@@ -420,6 +463,14 @@ class TestChunkPool:
         assert values[0].size == trials
         assert values[1].tobytes() == values[0].tobytes()
 
+    def test_chunk_jobs_run_on_every_core_whatever_the_blas_rule(
+            self, processes, monkeypatch):
+        processes(2)
+        monkeypatch.setattr(pool, "_WORKERS", 1)   # as with BLAS unlimited
+        sent = sent_chunks(monkeypatch)
+        pooled("selective", "random", 2500)
+        assert len(pool._procs) == 1 and sent == [[1]]
+
     def test_chunk_i_runs_on_process_i_mod_n(self, processes, monkeypatch):
         processes(3)
         sent = sent_chunks(monkeypatch)
@@ -466,7 +517,7 @@ class TestChunkPool:
         script = (
             "import json, sys, time\n"
             "from asympatch import cli, pool\n"
-            "pool._WORKERS = 2\n"
+            "pool._CORES = 2\n"
             "argv = ['analyze', '--config', sys.argv[1], '--out', sys.argv[2]]\n"
             "codes = [cli.main(argv)]\n"
             "pids = [proc.pid for proc, _ in pool._procs]\n"

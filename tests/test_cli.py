@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import os
 import re
 import struct
@@ -136,6 +137,34 @@ class TestAnalyze:
         cfg = self.write_config(tmp_path, "[mystery]\nx = 1\n")
         assert run_cli("analyze", "--config", cfg,
                        "--out", str(tmp_path / "o")) != 0
+
+    def test_grid_too_large_to_allocate_is_one_error_line(self, tmp_path,
+                                                          capsys):
+        # one row of the work arrays would take 512 PiB, more than any
+        # address space, so the allocation fails on every host
+        cfg = self.write_config(tmp_path,
+                                "[analyze]\ngrid = 268435456\ntrials = 1000\n")
+        out = tmp_path / "o"
+        assert run_cli("analyze", "--config", cfg, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_importing_the_module_entry_runs_nothing(self):
+        # a tool that imports every module of the package, as a span tracer
+        # does, must not start the command line
+        importlib.import_module("asympatch.__main__")
+
+    def test_runs_as_a_module(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-m", "asympatch", "analyze", "--help"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: asympatch analyze")
 
 
 class TestDemo:
