@@ -159,9 +159,10 @@ def monte_carlo_overlap(strategy: str, s1: float, s2: float, gamma: float,
             per-trial value: the array work runs in row tiles of 65,536
             cells (64 rows at grid 32, each work array 0.5 MB), and the
             tiling never changes a value. Chunk i runs on process i % n of
-            the worker pool, one process per core (:mod:`asympatch.pool`),
-            and the estimate is taken over all trials in chunk order, so no
-            value depends on where a chunk runs.
+            the worker pool, up to one process per core at grids up to 64
+            (:mod:`asympatch.pool`), and the estimate is taken over all
+            trials in chunk order, so no value depends on where a chunk
+            runs.
 
     Returns an :class:`AsymmetryReport` holding both the analytic expectation
     of the strategy's idealized model and the empirical estimate.
@@ -228,7 +229,7 @@ def _simulate_pair_overlaps(strategy, s1, s2, gamma, crop_model, grid_size,
     return np.concatenate(pool._chunks([
         (strategy, gamma, crop_model, k1, k2, area_range, aspect_range, n,
          min(chunk, trials - i * chunk), child)
-        for i, child in enumerate(seq.spawn(-(-trials // chunk)))]))
+        for i, child in enumerate(seq.spawn(-(-trials // chunk)))], n ** 3))
 
 
 _workspaces = {}   # (rows, n) -> the Workspace this process's chunks reuse
@@ -269,8 +270,7 @@ def _simulate_chunk(strategy, gamma, crop_model, k1, k2, area_range,
         if strategy == "selective":
             keys, n_pos = sampling.race_keys(w, rng, work)
             take = sampling.rank_chunks(keys, k2)
-            take += np.arange(0, t * big_n, big_n)[:, None]     # flat in r
-            out[a:b] = r.take(take).sum(axis=1) / big_n
+            out[a:b] = np.take_along_axis(r, take, axis=1).sum(axis=1) / big_n
             for i in np.flatnonzero(n_pos < k2):
                 short.append((a + i, keys[i].copy(), r[i].copy()))
         else:  # mean-field integration, no draw

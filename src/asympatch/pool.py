@@ -8,9 +8,11 @@ A job is data; a worker runs only this package's own functions (see
 next-step draw (``train._draw_ahead``), or one Monte Carlo chunk of the
 analyzer (:func:`_chunks`). Job i of a call runs on process i % n, the
 caller being process 0, and the caller gathers the results in job order.
-Chunk jobs run on one process per core the process may use. Encoder jobs
-run on that many divided by the BLAS threads per call (:func:`_pool_size`),
-so in parallel only where BLAS is limited (say ``OPENBLAS_NUM_THREADS=1``).
+Encoder jobs run on one process per core the process may use, divided by
+the BLAS threads per call (:func:`_pool_size`), so in parallel only where
+BLAS is limited (say ``OPENBLAS_NUM_THREADS=1``). Chunk jobs whose matrix
+products OpenBLAS runs on one thread run on one process per core, but on
+no more processes than there are chunks.
 Jobs run in order on the caller when there is one process or one job, and
 while the encoder's functions are wrapped, as ``bench/tracer.py`` wraps
 them, since a span timed in a worker would stay there. Workers fork, and
@@ -47,9 +49,8 @@ def _pool_size(blas: str, environ, cores: int) -> int:
     thread teams as fit the cores, for the BLAS named ``blas`` (numpy's
     build configuration). Jobs that each start a whole team oversubscribe
     the cores, so a BLAS of unknown family leaves them serial. A limit set
-    at run time (say by threadpoolctl) is not seen here. Chunk jobs skip
-    this rule: their only matmuls, grid by grid (32 x 32 by default), are
-    too small for OpenBLAS to split across threads."""
+    at run time (say by threadpoolctl) is not seen here. Small chunk jobs
+    skip this rule (see :func:`_chunks`)."""
     family = next((f for f in _BLAS_THREAD_VARS if f in blas.lower()), None)
     for var in _BLAS_THREAD_VARS.get(family, ()):
         value = environ.get(var, "")
@@ -58,13 +59,16 @@ def _pool_size(blas: str, environ, cores: int) -> int:
     return 1
 
 
-# processes that run chunk jobs, then encoder jobs; workers are forked, and
-# where the platform cannot fork, every job runs serially
+# processes that run small chunk jobs, then encoder jobs; workers are
+# forked, and where the platform cannot fork, every job runs serially
 _CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
           else os.cpu_count() or 1) if hasattr(os, "fork") else 1
-_WORKERS = _pool_size(
-    np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
-    .get("name", ""), os.environ, _CORES)
+_BLAS = (np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
+         .get("name", ""))
+_WORKERS = _pool_size(_BLAS, os.environ, _CORES)
+# m * n * k up to which OpenBLAS runs a matrix product on one thread (its
+# default GEMM_MULTITHREAD_THRESHOLD, 4, times 65,536): grid 64
+_ONE_THREAD_GEMM = 262_144
 _procs = []        # (process, connection) per worker, forked by the first parallel call
 _buffer = None     # the anonymous shared memory the workers were forked with
 _layout = {}       # name -> (shape, offset) of each array of a network in _buffer
@@ -329,12 +333,17 @@ def _chunk(i, *args):
     return _simulate_chunk(*args)
 
 
-def _chunks(jobs: list) -> list:
+def _chunks(jobs: list, gemm: int) -> list:
     """The pair overlaps of each Monte Carlo chunk, ``jobs[i]`` holding the
     arguments of ``asymmetry._simulate_chunk``. A chunk's values depend on
-    its arguments alone, so not on the process that runs it."""
+    its arguments alone, so not on the process that runs it. ``gemm`` is
+    m * n * k of a chunk's matrix products: up to ``_ONE_THREAD_GEMM`` on
+    OpenBLAS, each runs on one thread, so the chunks run on one process per
+    core, as many as there are chunks; otherwise they keep the BLAS rule."""
     _settle_draw()
-    n = 1 if len(jobs) < 2 or _wrapped() else _CORES
+    small = "openblas" in _BLAS.lower() and gemm <= _ONE_THREAD_GEMM
+    n = 1 if len(jobs) < 2 or _wrapped() else min(
+        _CORES if small else _WORKERS, len(jobs))
     if n > 1:
         _start_workers(0, n)
     messages = {}

@@ -400,10 +400,11 @@ class TestTiledKernel:
 def processes(monkeypatch):
     """Set how many processes run chunk jobs, the caller's included (on
     fresh workers), so the parallel path runs whatever the host's core
-    count."""
+    count and BLAS."""
     def use(n):
         pool._stop_workers()
         monkeypatch.setattr(pool, "_CORES", n)
+        monkeypatch.setattr(pool, "_WORKERS", n)
     yield use
     pool._stop_workers()
 
@@ -467,9 +468,31 @@ class TestChunkPool:
             self, processes, monkeypatch):
         processes(2)
         monkeypatch.setattr(pool, "_WORKERS", 1)   # as with BLAS unlimited
+        monkeypatch.setattr(pool, "_BLAS", "scipy-openblas")
         sent = sent_chunks(monkeypatch)
         pooled("selective", "random", 2500)
         assert len(pool._procs) == 1 and sent == [[1]]
+
+    @pytest.mark.parametrize("blas,grid", [("scipy-openblas", 65), ("mkl", 8)],
+                             ids=["threaded-grid", "other-blas"])
+    def test_other_chunk_jobs_keep_the_blas_rule(self, processes, monkeypatch,
+                                                 blas, grid):
+        processes(2)
+        monkeypatch.setattr(pool, "_WORKERS", 1)
+        monkeypatch.setattr(pool, "_BLAS", blas)
+        sent = sent_chunks(monkeypatch)
+        values = asymmetry._simulate_pair_overlaps(
+            "selective", 0.25, 0.25, 3.0, "random", grid, 30, 13, 10,
+            DEFAULT_AREA_RANGE, DEFAULT_ASPECT_RANGE)
+        assert values.size == 30 and pool._procs == [] and sent == []
+
+    def test_no_more_processes_than_chunks(self, processes, monkeypatch):
+        processes(4)
+        sent = sent_chunks(monkeypatch)
+        two = pooled("selective", "random", 1700)
+        assert len(pool._procs) == 1 and sent == [[1]]
+        processes(1)
+        assert two.tobytes() == pooled("selective", "random", 1700).tobytes()
 
     def test_chunk_i_runs_on_process_i_mod_n(self, processes, monkeypatch):
         processes(3)
@@ -517,7 +540,7 @@ class TestChunkPool:
         script = (
             "import json, sys, time\n"
             "from asympatch import cli, pool\n"
-            "pool._CORES = 2\n"
+            "pool._CORES = pool._WORKERS = 2\n"
             "argv = ['analyze', '--config', sys.argv[1], '--out', sys.argv[2]]\n"
             "codes = [cli.main(argv)]\n"
             "pids = [proc.pid for proc, _ in pool._procs]\n"

@@ -189,12 +189,13 @@ class TestTrainStep:
 
 @pytest.fixture
 def workers(monkeypatch):
-    """Set how many processes run encoder jobs, the caller's included (on
-    fresh worker processes), so the parallel path runs whatever the host's
-    core count."""
+    """Set how many processes run encoder and chunk jobs, the caller's
+    included (on fresh worker processes), so the parallel path runs whatever
+    the host's core count."""
     def use(n):
         pool_mod._stop_workers()
         monkeypatch.setattr(pool_mod, "_WORKERS", n)
+        monkeypatch.setattr(pool_mod, "_CORES", n)
     yield use
     pool_mod._stop_workers()
 
