@@ -159,10 +159,9 @@ def monte_carlo_overlap(strategy: str, s1: float, s2: float, gamma: float,
             per-trial value: the array work runs in row tiles of 65,536
             cells (64 rows at grid 32, each work array 0.5 MB), and the
             tiling never changes a value. Chunk i runs on process i % n of
-            the worker pool, up to one process per core at grids up to 64
-            (:mod:`asympatch.pool`), and the estimate is taken over all
-            trials in chunk order, so no value depends on where a chunk
-            runs.
+            the worker pool (:mod:`asympatch.pool`), and the estimate is
+            taken over all trials in chunk order, so no value depends on
+            where a chunk runs.
 
     Returns an :class:`AsymmetryReport` holding both the analytic expectation
     of the strategy's idealized model and the empirical estimate.
@@ -314,9 +313,8 @@ def _uniform_masks(uniforms, k, work, t):
     from the next ``t * N`` doubles of ``uniforms``; a view of ``work.mask``.
 
     A row marks its uniforms up to its k-th smallest, found by partitioning
-    a copy in ``work.keys``: the ``k`` cells ``sampling.rank_chunks`` picks,
-    unless that value is tied. A row with such a tie marks more than ``k``
-    and is redone by ``rank_chunks``.
+    a copy in ``work.keys``: the ``k`` cells ``sampling.rank_chunks`` picks.
+    A row tied at that value marks more, and is redone by ``rank_chunks``.
     """
     u, m = uniforms.random(out=work.u[:t]), work.mask[:t]
     part = work.keys[:t]

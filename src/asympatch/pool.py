@@ -8,15 +8,14 @@ A job is data; a worker runs only this package's own functions (see
 next-step draw (``train._draw_ahead``), or one Monte Carlo chunk of the
 analyzer (:func:`_chunks`). Job i of a call runs on process i % n, the
 caller being process 0, and the caller gathers the results in job order.
-Encoder jobs run on one process per core the process may use, divided by
-the BLAS threads per call (:func:`_pool_size`), so in parallel only where
-BLAS is limited (say ``OPENBLAS_NUM_THREADS=1``). Chunk jobs whose matrix
-products OpenBLAS runs on one thread run on one process per core, but on
-no more processes than there are chunks.
-Jobs run in order on the caller when there is one process or one job, and
-while the encoder's functions are wrapped, as ``bench/tracer.py`` wraps
-them, since a span timed in a worker would stay there. Workers fork, and
-``mmap`` and ``multiprocessing`` load, at the first call that needs them.
+There is one process per core the process may use, divided by the BLAS
+threads per call (:func:`_pool_size`), so jobs run in parallel only where
+BLAS is limited (say ``OPENBLAS_NUM_THREADS=1``) or, as for small chunks
+(:func:`_chunks`), runs them on one thread. They run in order on the
+caller when there is one process or one job, and while the encoder's
+functions are wrapped, as ``bench/tracer.py`` wraps them, since a span
+timed in a worker would stay there. Workers fork, and ``mmap`` and
+``multiprocessing`` load, at the first call that needs them.
 
 The networks do not cross by pickling: at every parallel encode the caller
 copies them into an anonymous shared buffer the workers were forked with,
@@ -45,12 +44,11 @@ _BLAS_THREAD_VARS = {
 
 
 def _pool_size(blas: str, environ, cores: int) -> int:
-    """Processes that run encoder jobs, the caller's included: as many BLAS
-    thread teams as fit the cores, for the BLAS named ``blas`` (numpy's
-    build configuration). Jobs that each start a whole team oversubscribe
-    the cores, so a BLAS of unknown family leaves them serial. A limit set
-    at run time (say by threadpoolctl) is not seen here. Small chunk jobs
-    skip this rule (see :func:`_chunks`)."""
+    """Processes that run jobs, the caller's included: as many BLAS thread
+    teams as fit the cores, for the BLAS named ``blas`` (numpy's build
+    configuration). Jobs that each start a whole team oversubscribe the
+    cores, so a BLAS of unknown family leaves the jobs serial. A limit set
+    at run time (say by threadpoolctl) is not seen here."""
     family = next((f for f in _BLAS_THREAD_VARS if f in blas.lower()), None)
     for var in _BLAS_THREAD_VARS.get(family, ()):
         value = environ.get(var, "")
