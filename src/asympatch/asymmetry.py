@@ -44,15 +44,15 @@ _TILE_CELLS = 65_536
 
 def expected_overlap_naive(s1: float, s2: float) -> float:
     """Expected pair overlap when both views sample one crop uniformly."""
-    _check_ratio("s1", s1)
-    _check_ratio("s2", s2)
+    sampling._check_ratio("s1", s1)
+    sampling._check_ratio("s2", s2)
     return s1 * s2
 
 
 def expected_overlap_selective(s1: float, s2: float, gamma: float) -> float:
     """Expected pair overlap of the selective strategy, continuous-r model."""
-    _check_ratio("s1", s1)
-    _check_ratio("s2", s2)
+    sampling._check_ratio("s1", s1)
+    sampling._check_ratio("s2", s2)
     sampling._check_gamma(gamma)
     return s1 * s2 / (gamma + 2.0)
 
@@ -70,7 +70,7 @@ def pdf_normalization(gamma: float, s1: float) -> float:
     to verify; the result must equal ``s1``.
     """
     sampling._check_gamma(gamma)
-    _check_ratio("s1", s1)
+    sampling._check_ratio("s1", s1)
     # imported here: no CLI or benchmark path integrates, and scipy.integrate
     # (with the special, optimize and linalg it pulls in) costs ~0.6-0.7 s and
     # ~52 MB
@@ -217,8 +217,8 @@ def mechanism_expectation(s1: float, s2: float, gamma: float, crop_model: str,
 
 def _simulate_pair_overlaps(strategy, s1, s2, gamma, crop_model, grid_size,
                             trials, seed, chunk, area_range, aspect_range):
-    _check_ratio("s1", s1)
-    _check_ratio("s2", s2)
+    sampling._check_ratio("s1", s1)
+    sampling._check_ratio("s2", s2)
     n = int(grid_size)
     if n < 2:
         raise ValueError("grid_size must be at least 2")
@@ -326,8 +326,3 @@ def _uniform_masks(uniforms, k, work, t):
         m[tied] = sampling.index_masks(sampling.rank_chunks(u[tied], k),
                                        np.empty((tied.size, u.shape[1])))
     return m
-
-
-def _check_ratio(name: str, value: float):
-    if not 0.0 < value <= 1.0:
-        raise ValueError(f"{name} must lie in (0, 1], got {value}")

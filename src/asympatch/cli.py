@@ -281,6 +281,18 @@ def _train_config(cfg: dict, seed_override) -> TrainConfig:
     return replace(base, **top)
 
 
+def _probe_report(state, out: str, k: int) -> float:
+    """The kNN accuracy of ``state``'s network on its config's probe split,
+    written with the step count to ``probe_report.txt`` under ``out``."""
+    config = state.config
+    ref, held = probe_split(load_dataset(config.dataset), config)
+    acc = knn_probe(config, state.params, ref, held, k=k)
+    os.makedirs(out, exist_ok=True)
+    with open(os.path.join(out, "probe_report.txt"), "w") as fh:
+        fh.write(f"steps={state.step}\nknn_accuracy={acc!r}\n")
+    return acc
+
+
 def cmd_train(args) -> int:
     cfg = load_config(args.config, "train") if args.config else {}
     config = _train_config(cfg, args.seed)
@@ -299,12 +311,7 @@ def cmd_train(args) -> int:
     # loss, gradients) as one error line; numpy's warnings would precede it
     with np.errstate(all="ignore"):
         state = run_training(config, out_dir=args.out)
-    records = load_dataset(config.dataset)
-    ref, held = probe_split(records, config)
-    acc = knn_probe(config, state.params, ref, held)
-    report = os.path.join(args.out, "probe_report.txt")
-    with open(report, "w") as fh:
-        fh.write(f"steps={state.step}\nknn_accuracy={acc!r}\n")
+    acc = _probe_report(state, args.out, config.knn_k)
     print(f"trained {state.step} steps; knn accuracy {acc:.4f}")
     return 0
 
@@ -315,14 +322,7 @@ def cmd_probe(args) -> int:
     if not path:
         raise UsageError("probe needs --checkpoint or a config entry")
     state = checkpoint_load(path)
-    config = state.config
-    records = load_dataset(config.dataset)
-    ref, held = probe_split(records, config)
-    k = cfg.get("k", config.knn_k)
-    acc = knn_probe(config, state.params, ref, held, k=k)
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "probe_report.txt"), "w") as fh:
-        fh.write(f"steps={state.step}\nknn_accuracy={acc!r}\n")
+    acc = _probe_report(state, args.out, cfg.get("k", state.config.knn_k))
     print(f"knn accuracy {acc:.4f}")
     return 0
 

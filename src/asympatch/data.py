@@ -11,9 +11,11 @@ alongside the pixels: patch-overlap geometry depends only on the crop rect
 and flip flag, never on color ops. Crop coordinates are continuous
 (sub-pixel); the identity configuration (full-image crop at native size, all
 probabilities zero) reproduces the source pixels exactly. ``augment_batch``
-makes many views at once: it draws every random quantity as an array over
-all views, crops from the shared law of :func:`asympatch.sampling.random_crops`,
-then does the pixel work in array ops; ``augment`` is its one-view call.
+makes many views at once in two parts: :func:`draw_views` draws every random
+quantity as an array over all views, crops from the shared law of
+:func:`asympatch.sampling.random_crops`, and :func:`render_views` does the
+pixel work in array ops, view by view, so any subset of the views renders
+to the same bytes as the whole; ``augment`` is its one-view call.
 """
 
 from __future__ import annotations
@@ -187,35 +189,76 @@ def augment(record: ImageRecord, params: AugmentParams,
                              source_size=(float(w_img), float(h_img)))
 
 
+@dataclass(frozen=True)
+class ViewDraws:
+    """Every random quantity of N augmented views, one entry per view along
+    each array's last axis: the (4, N) crop boxes x0, y0, w, h in source
+    pixels, the (N,) horizontal flips, and for each colour op that can fire,
+    in application order, ``(op, gates, factors)``: (N,) booleans and (N,)
+    factors, None for an op without one."""
+
+    params: AugmentParams
+    box: np.ndarray
+    flip: np.ndarray
+    ops: tuple
+
+    def take(self, rows) -> ViewDraws:
+        """The draws of the views ``rows``, a slice or an index array."""
+        return ViewDraws(self.params, self.box[:, rows], self.flip[rows],
+                         tuple((op, gate[rows], None if f is None else f[rows])
+                               for op, gate, f in self.ops))
+
+
+def draw_views(n: int, height: int, width: int, params: AugmentParams,
+               rng: np.random.Generator) -> ViewDraws:
+    """The draws of ``n`` views of ``height`` x ``width`` sources, each an
+    array over all views, in this order: the crops
+    (:func:`~asympatch.sampling.random_crops`), n flip uniforms, then for
+    each colour op in application order whose probability (and jitter
+    amount) is positive, n gate uniforms and, for ops with a factor, n
+    factor uniforms."""
+    box = random_crops(rng, n, width, height, params.area_range,
+                       params.aspect_range)
+    flip = rng.random(n) < params.flip_prob
+    ops = []
+    for op in _COLOR_OPS:
+        prob, span = _op_law(params, op)
+        if prob > 0.0:
+            gates = rng.random(n) < prob
+            ops.append((op, gates,
+                        None if span is None else rng.uniform(*span, n)))
+    return ViewDraws(params, box, flip, tuple(ops))
+
+
+def render_views(src: np.ndarray, draws: ViewDraws) -> np.ndarray:
+    """The (N, S, S, 3) pixels of the N views ``draws`` of the sources
+    ``src`` (N, H, W, 3), view i of source i: one bilinear gather, then each
+    colour op on the views whose gate fired. No operation mixes views, so a
+    view's pixels do not depend on which others are rendered with it."""
+    x = _resize_bilinear_batch(src, draws.box, draws.flip,
+                               draws.params.view_size)
+    for op, gates, factors in draws.ops:
+        fired = np.flatnonzero(gates)
+        if fired.size:
+            x[fired] = _color_op(
+                op, x[fired],
+                None if factors is None else factors[fired, None, None, None],
+                draws.params)
+    return x
+
+
 def augment_batch(sources, params: AugmentParams,
                   rng: np.random.Generator):
     """One augmented view of each source record.
 
     Returns ``(views, box, flip)``: ``(N, S, S, 3)`` pixels, the (4, N) crop
-    boxes x0, y0, w, h in source pixels, and the (N,) horizontal flips.
-    Every draw is an array over all N views, in this order: the crops
-    (:func:`~asympatch.sampling.random_crops`), N flip uniforms, then for
-    each colour op in application order whose probability (and jitter
-    amount) is positive, N gate uniforms and, for ops with a factor, N
-    factor uniforms. The pixel work runs in array ops over all views: one
-    bilinear gather, then each colour op on the views whose gate fired. All
-    sources must share one image shape.
+    boxes x0, y0, w, h in source pixels, and the (N,) horizontal flips: the
+    :func:`draw_views` of the N views, rendered by :func:`render_views`.
+    All sources must share one image shape.
     """
     src = np.stack([np.asarray(r.pixels, dtype=float) for r in sources])
-    n, h_img, w_img = src.shape[:3]
-    box = random_crops(rng, n, w_img, h_img, params.area_range,
-                       params.aspect_range)
-    flip = rng.random(n) < params.flip_prob
-    x = _resize_bilinear_batch(src, box, flip, params.view_size)
-    for op in _COLOR_OPS:
-        prob, span = _op_law(params, op)
-        if prob > 0.0:
-            fired = np.flatnonzero(rng.random(n) < prob)
-            factor = None if span is None \
-                else rng.uniform(*span, n)[fired, None, None, None]
-            if fired.size:
-                x[fired] = _color_op(op, x[fired], factor, params)
-    return x, box, flip
+    draws = draw_views(len(src), *src.shape[1:3], params, rng)
+    return render_views(src, draws), draws.box, draws.flip
 
 
 def _resize_bilinear_batch(src: np.ndarray, box: np.ndarray, flip: np.ndarray,

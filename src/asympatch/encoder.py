@@ -629,7 +629,12 @@ def heads_backward(heads: HeadConfig, cache, dq: np.ndarray):
 def forward_branch(cfg: BackboneConfig, heads: HeadConfig, params: dict,
                    bn_stats: dict, pixels: np.ndarray, indices: np.ndarray,
                    train: bool = True):
-    """Full forward pass of one view. Returns (z, q, cache)."""
+    """Full forward pass of one view. Returns (z, q, cache).
+
+    No training path calls it: a step runs :func:`encode_view` as a pool job
+    and the heads on the caller. It stays as the serial reference that
+    ``tests/test_train.py`` checks the pooled step against, bit for bit, and
+    that the finite-difference gradient checks differentiate."""
     rep, enc_c = encode_view(cfg, params, pixels, indices)
     z, q, head_c = heads_forward(heads, params, bn_stats, rep, train)
     return z, q, (enc_c, head_c)
@@ -642,7 +647,8 @@ def backward_branch(cfg: BackboneConfig, heads: HeadConfig, cache,
     ``dq`` is the loss gradient at the prediction output. The projection
     output z gets its gradient through the prediction head only: under the
     stop-gradient objective the loss's partial with respect to z is zero,
-    since targets are constants.
+    since targets are constants. Like :func:`forward_branch`, a serial
+    reference that ``tests/test_train.py`` checks the pooled step against.
     """
     enc_c, head_c = cache
     drep, grads = heads_backward(heads, head_c, dq)

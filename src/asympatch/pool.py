@@ -4,18 +4,22 @@ the caller.
 
 A job is data; a worker runs only this package's own functions (see
 :func:`_worker`). A message holds jobs of one kind: an encoder pass
-(:func:`_encode`) or its backward (:func:`_encode_backward`), the trainer's
-next-step draw (``train._draw_ahead``), or one Monte Carlo chunk of the
-analyzer (:func:`_chunks`). Job i of a call runs on process i % n, the
-caller being process 0, and the caller gathers the results in job order.
-There is one process per core the process may use, divided by the BLAS
-threads per call (:func:`_pool_size`), so jobs run in parallel only where
-BLAS is limited (say ``OPENBLAS_NUM_THREADS=1``) or, as for small chunks
-(:func:`_chunks`), runs them on one thread. They run in order on the
-caller when there is one process or one job, and while the encoder's
-functions are wrapped, as ``bench/tracer.py`` wraps them, since a span
-timed in a worker would stay there. Workers fork, and ``mmap`` and
+(:func:`_encode`) or its backward (:func:`_encode_backward`), or one Monte
+Carlo chunk of the analyzer (:func:`_chunks`). Job i of a call runs on
+process i % n, the caller being process 0, and the caller gathers the
+results in job order. There is one process per core the process may use,
+divided by the BLAS threads per call (:func:`_pool_size`), so jobs run in
+parallel only where BLAS is limited (say ``OPENBLAS_NUM_THREADS=1``) or, as
+for small chunks (:func:`_chunks`), runs them on one thread. They run in
+order on the caller when there is one process or one job, and while the
+encoder's functions are wrapped, as ``bench/tracer.py`` wraps them, since a
+span timed in a worker would stay there. Workers fork, and ``mmap`` and
 ``multiprocessing`` load, at the first call that needs them.
+
+An encoder job names the crop it reads: sources and, for a training step's
+views, their augmentation draws. Each process renders the crops its own
+jobs read, once per encode (:func:`_pixels`), so rendered pixels never
+cross a pipe.
 
 The networks do not cross by pickling: at every parallel encode the caller
 copies them into an anonymous shared buffer the workers were forked with,
@@ -27,11 +31,13 @@ other.
 
 from __future__ import annotations
 
+import functools
 import os
 import warnings
 
 import numpy as np
 
+from . import data
 from . import encoder as enc
 
 # The variables each BLAS family reads its thread count from at load, first
@@ -72,7 +78,6 @@ _buffer = None     # the anonymous shared memory the workers were forked with
 _layout = {}       # name -> (shape, offset) of each array of a network in _buffer
 _kept = {}         # job index -> cache or None, of the last encode's jobs run here
 _away = {}         # job index -> (connection, gradient slot), of each kept on a worker
-_ahead = {}        # the draw sent ahead: what it was made for, and its connection or reply
 
 _ALIGN = 64        # bytes; each array in the shared buffer starts on a multiple
 
@@ -87,6 +92,17 @@ def _at(buffer, layout: dict, base: int) -> dict:
     in ``buffer`` from byte ``base`` on."""
     return {name: np.ndarray(shape, float, buffer, base + offset)
             for name, (shape, offset) in layout.items()}
+
+
+def _pixels(crops):
+    """``pixels(c)``: the pixels of crop ``crops[c]``, ``(sources, draws)``,
+    rendered by :func:`~asympatch.data.render_views` at the first call, or
+    the sources as they are where the draws are None."""
+    @functools.cache
+    def pixels(c):
+        sources, draws = crops[c]
+        return sources if draws is None else data.render_views(sources, draws)
+    return pixels
 
 
 def _run(fn, jobs) -> list:
@@ -104,15 +120,13 @@ def _run(fn, jobs) -> list:
 def _worker(conn, inherited, buffer) -> None:
     """A worker process: run each batch of jobs the caller sends, under the
     caller's ``np.errstate``, and send back the outcomes and the warnings.
-    An ``"encode"`` job ``(i, base, pixels, indices, keep)`` encodes with
-    the network at byte ``base`` of ``buffer`` and returns the
-    representation; if ``keep``, it keeps the cache, until the next encode,
-    for the ``"backward"`` job ``(i, drep, slot)``, which writes the encoder
-    gradients to the network-sized ``slot`` and returns their names. A
-    ``"draw"`` message's one job ``(0, cfg, rng state, records)`` runs
-    ``train._draw`` on a generator in that state and returns ``(pix1, pix2,
-    views1, views2, rng state after)``. A ``"chunk"`` job ``(i, *args)``
-    returns ``asymmetry._simulate_chunk(*args)``.
+    An ``"encode"`` job ``(i, base, crop, indices, keep)`` encodes the
+    message's crop ``crop`` with the network at byte ``base`` of ``buffer``
+    and returns the representation; if ``keep``, it keeps the cache, until
+    the next encode, for the ``"backward"`` job ``(i, drep, slot)``, which
+    writes the encoder gradients to the network-sized ``slot`` and returns
+    their names. A ``"chunk"`` job ``(i, *args)`` returns
+    ``asymmetry._simulate_chunk(*args)``.
     It closes its copies of the caller's ends of the pipes, ``inherited``,
     so that it reads end-of-file, and ends, when the caller closes its own;
     an interrupt from the terminal is the caller's to handle.
@@ -121,12 +135,11 @@ def _worker(conn, inherited, buffer) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     for other in inherited:
         other.close()
-    from . import train     # loaded by the package, before any fork
     kept = {}
 
-    def forward(i, base, pixels, indices, keep):
-        rep, kept[i] = enc.encode_view(bb, _at(buffer, layout, base), pixels,
-                                       indices, cache=keep)
+    def forward(i, base, crop, indices, keep):
+        rep, kept[i] = enc.encode_view(bb, _at(buffer, layout, base),
+                                       pixels(crop), indices, cache=keep)
         return rep
 
     def backward(i, drep, slot):
@@ -138,24 +151,20 @@ def _worker(conn, inherited, buffer) -> None:
         kept[i] = kept[i], grads
         return list(grads)
 
-    def draw(i, cfg, rng_state, records):
-        rng = train._generator(rng_state)
-        return (*train._draw(cfg, rng, records)[:4], rng.bit_generator.state)
-
     while True:
         try:
             kind, err, *args = conn.recv()
         except EOFError:
             return
-        if kind == "draw":
-            fn, jobs = draw, [(0, *args)]
-        elif kind == "chunk":
+        if kind == "chunk":
             fn, (jobs,) = _chunk, args
+        elif kind == "encode":
+            bb, layout, crops, jobs = args
+            fn, pixels = forward, _pixels(crops)
+            kept.clear()
         else:
             bb, layout, jobs = args
-            fn = forward if kind == "encode" else backward
-        if kind == "encode":
-            kept.clear()
+            fn = backward
         with warnings.catch_warnings(record=True) as caught, \
                 np.errstate(**err):
             warnings.simplefilter("always")
@@ -193,12 +202,9 @@ def _start_workers(size: int, n: int) -> None:
 
 
 def _stop_workers() -> None:
-    """End the worker processes, once the draw sent ahead is read and
-    dropped, and let their buffer go, once no view of it is left; the next
-    parallel call forks new ones."""
+    """End the worker processes and let their buffer go, once no view of it
+    is left; the next parallel call forks new ones."""
     global _buffer
-    _settle_draw()
-    _ahead.clear()
     for proc, conn in _procs:
         conn.close()
         proc.join(timeout=5)
@@ -206,23 +212,6 @@ def _stop_workers() -> None:
             proc.terminate()
     _procs.clear()
     _buffer = None
-
-
-def _settle_draw() -> None:
-    """Read the reply to the draw sent ahead, if it is still in flight, so
-    that no other reply crosses it. A worker lost meanwhile leaves none, and
-    the next call finds it lost."""
-    conn = _ahead.pop("conn", None)
-    if conn is None:
-        return
-    try:
-        _ahead["reply"] = conn.recv()
-    except (EOFError, OSError):
-        _ahead.clear()
-    except BaseException:
-        _ahead.clear()
-        _stop_workers()         # it may be half read: start afresh
-        raise
 
 
 def _warn_again(caught) -> None:
@@ -259,17 +248,19 @@ def _dispatch(messages: dict, fn, jobs) -> list:
     return [value for _, _, value in outcomes]
 
 
-def _encode(bb, nets: list, jobs: list) -> list:
-    """The representation of each job ``(net, pixels, indices, keep)``: an
-    ``enc.encode_view`` pass of ``nets[net]``. A kept job's cache stays in
-    the process that ran it, for :func:`_encode_backward`, until the next
-    encode, whose jobs reuse its memory (freed at once, it faulted back in).
+def _encode(bb, nets: list, crops: list, jobs: list) -> list:
+    """The representation of each job ``(net, crop, indices, keep)``: an
+    ``enc.encode_view`` pass of ``nets[net]`` over the pixels of
+    ``crops[crop]`` (see :func:`_pixels`), which each process renders once
+    for the jobs it runs; a worker is sent the crops its jobs read, each
+    once. A kept job's cache stays in the process that ran it, for
+    :func:`_encode_backward`, until the next encode, whose jobs reuse its
+    memory (freed at once, it faulted back in).
     With more than one process the networks, each with ``nets[0]``'s names
     and shapes, are copied one after another into the shared buffer, then
     comes a network-sized gradient slot for each job a worker keeps; an
     encode that needs more room restarts the workers with a larger buffer.
     """
-    _settle_draw()
     _kept.clear()
     _away.clear()
     n = 1 if len(jobs) < 2 or _wrapped() else _WORKERS
@@ -286,16 +277,18 @@ def _encode(bb, nets: list, jobs: list) -> list:
             for name, place in _at(_buffer, _layout, span * j).items():
                 place[...] = net[name]
     messages = {}
-    for i, (net, pixels, indices, keep) in enumerate(jobs):
+    for i, (net, crop, indices, keep) in enumerate(jobs):
         if i % n:
             conn = _procs[i % n - 1][1]
             if keep:
                 _away[i] = conn, end + span * len(_away)
-            messages.setdefault(conn, ("encode", bb, _layout, []))[3].append(
-                (i, span * net, pixels, indices, keep))
+            message = messages.setdefault(conn, ("encode", bb, _layout, {}, []))
+            message[3][crop] = crops[crop]
+            message[4].append((i, span * net, crop, indices, keep))
+    pixels = _pixels(crops)
 
-    def here(i, net, pixels, indices, keep):
-        rep, _kept[i] = enc.encode_view(bb, nets[net], pixels, indices,
+    def here(i, net, crop, indices, keep):
+        rep, _kept[i] = enc.encode_view(bb, nets[net], pixels(crop), indices,
                                         cache=keep)
         return rep
 
@@ -338,7 +331,6 @@ def _chunks(jobs: list, gemm: int) -> list:
     m * n * k of a chunk's matrix products: up to ``_ONE_THREAD_GEMM`` on
     OpenBLAS, each runs on one thread, so the chunks run on one process per
     core, as many as there are chunks; otherwise they keep the BLAS rule."""
-    _settle_draw()
     small = "openblas" in _BLAS.lower() and gemm <= _ONE_THREAD_GEMM
     n = 1 if len(jobs) < 2 or _wrapped() else min(
         _CORES if small else _WORKERS, len(jobs))

@@ -41,14 +41,18 @@ class SamplerConfig:
     n_views: int = 2
 
     def __post_init__(self):
-        for name, s in (("s1", self.s1), ("s2", self.s2)):
-            if not 0.0 < s <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1], got {s}")
+        _check_ratio("s1", self.s1)
+        _check_ratio("s2", self.s2)
         _check_gamma(self.gamma)
         if self.n_views < 1:
             raise ValueError(f"n_views must be >= 1, got {self.n_views}")
         if self.n_views > 2 and (self.n_views + 1) // 2 * max(self.s1, self.s2) > 1.0 + 1e-12:
             raise ValueError("disjoint multi-view reuse needs n_views/2 * s <= 1")
+
+
+def _check_ratio(name: str, value: float) -> None:
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"{name} must lie in (0, 1], got {value}")
 
 
 def _check_gamma(gamma: float) -> None:
@@ -184,7 +188,8 @@ def _interval_overlaps(starts2, len2, starts1, len1, out, lo):
 def selective_weights(profile: np.ndarray, gamma: float, out=None) -> np.ndarray:
     """Relative draw weights (1 - r)**gamma for the selective view-2 sample."""
     r = np.asarray(profile, dtype=float)
-    if r.min() < -1e-9 or r.max() > 1.0 + 1e-9:
+    # written so that NaN, which compares false, fails
+    if not (r.min() >= -1e-9 and r.max() <= 1.0 + 1e-9):
         raise ValueError("overlap profile entries must lie in [0, 1]")
     _check_gamma(gamma)
     w = np.clip(r, 0.0, 1.0, out=out)

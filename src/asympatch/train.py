@@ -7,8 +7,8 @@ All randomness in a run flows through the single generator stored on
 :class:`TrainState`, and batches are drawn per step from that generator, so
 a checkpointed state resumes bit-exactly: the resumed run reproduces the
 unbroken run's loss at the next step. A step draws the batch pick, then
-every view of the batch as arrays: both crops of every record
-(:func:`~asympatch.data.augment_batch`), then the patch samples
+every view of the batch as arrays: the augmentation draws of both crops of
+every record (:func:`~asympatch.data.draw_views`), then the patch samples
 (:func:`~asympatch.sampling.sample_views`).
 
 With more than two sampling views the views are split between the two crop
@@ -21,9 +21,11 @@ The views meet only in the loss, so each view's encoder pass, and each chunk
 of the kNN probe's embeddings, runs as one encoder job on the worker pool
 (:mod:`asympatch.pool`); the heads, whose batch norms update running
 statistics in place, the gradient sum and the optimizer stay on the caller
-in view order. The next step's draw reads no parameter, so a worker makes it
-while a step ends (:func:`_draw_ahead`). Every value is byte-identical to
-the serial loop, whatever the process count.
+in view order. A job names its crop, the batch's sources and that crop's
+slice of the draws, and the process that runs it renders the crop's pixels
+(:func:`~asympatch.data.render_views`); the jobs alternate crop by crop, so
+with two processes the caller renders crop 1 and the worker crop 2. Every
+value is byte-identical to the serial loop, whatever the process count.
 """
 
 from __future__ import annotations
@@ -36,9 +38,8 @@ import numpy as np
 
 from . import encoder as enc
 from . import pool
-from .data import (AugmentParams, ImageRecord, augment_batch,
-                   cifar_augment_params, load_cifar, synth_dataset,
-                   synth_manifest)
+from .data import (AugmentParams, ImageRecord, cifar_augment_params,
+                   draw_views, load_cifar, synth_dataset, synth_manifest)
 from .objective import multiview_loss
 from .optim import (AdamWState, ClipState, EmaSchedule, adamw_step,
                     clip_update, cosine_lr, momentum_encoder_update)
@@ -223,109 +224,54 @@ def init_train_state(config: TrainConfig) -> TrainState:
     return state
 
 
-def _pick(rng: np.random.Generator, records, batch_size: int) -> list:
-    """A step's batch: ``batch_size`` distinct records drawn from ``rng``."""
-    return [records[i] for i in rng.choice(len(records), size=batch_size,
-                                           replace=False)]
-
-
-def _draw(cfg: TrainConfig, rng: np.random.Generator, records):
+def _draw(state: TrainState, records):
     """Crop 1 then crop 2 of every record, and every sampled view of them,
-    drawn from ``rng``: ``(pix1, pix2, views1, views2, profiles)``."""
-    records = list(records)
-    b = len(records)
-    pix, box, flip = augment_batch(records + records, cfg.augment_params(),
-                                   rng)
+    drawn from ``state.rng``: ``(crop1, crop2, views1, views2, profiles)``.
+    A crop is ``(sources, draws)``, the batch's (B, H, W, 3) pixels and that
+    crop's :class:`~asympatch.data.ViewDraws`, which
+    :func:`~asympatch.data.render_views` turns into its views' pixels."""
+    cfg = state.config
+    src = np.stack([np.asarray(r.pixels, dtype=float) for r in records])
+    b = len(src)
+    draws = draw_views(2 * b, *src.shape[1:3], cfg.augment_params(),
+                       state.rng)
     views1, views2, profiles = sample_views(
-        rng, box[:, :b], box[:, b:], cfg.backbone_config().grid_side,
-        cfg.sampler, flip[:b], flip[b:])
-    return pix[:b], pix[b:], views1, views2, profiles
+        state.rng, draws.box[:, :b], draws.box[:, b:],
+        cfg.backbone_config().grid_side, cfg.sampler, draws.flip[:b],
+        draws.flip[b:])
+    return ((src, draws.take(slice(b))), (src, draws.take(slice(b, None))),
+            views1, views2, profiles)
 
 
-def _draw_views(state: TrainState, batch_records):
-    """:func:`_draw` of ``batch_records`` on the state's generator."""
-    return _draw(state.config, state.rng, batch_records)
-
-
-def _generator(rng_state: dict) -> np.random.Generator:
-    """A generator in the state ``rng_state`` of ``bit_generator.state``."""
-    rng = np.random.default_rng()
-    rng.bit_generator.state = rng_state
-    return rng
-
-
-def _draw_ahead(state: TrainState, records) -> None:
-    """Send the first worker the next step's draw: :func:`_draw` of the
-    batch that :func:`_pick` takes from ``records`` on a copy of
-    ``state.rng``, continuing the copy, under the caller's ``np.errstate``.
-    None is sent with one process, or while the encoder is wrapped."""
-    if not pool._procs or pool._wrapped():
-        return
-    rng = _generator(state.rng.bit_generator.state)
-    batch = _pick(rng, records, state.config.batch_size)
-    conn = pool._procs[0][1]
-    try:
-        conn.send(("draw", np.geterr(), state.config, rng.bit_generator.state,
-                   batch))
-    except OSError:             # a lost worker: start afresh
-        pool._stop_workers()
-        return
-    except BaseException:
-        pool._stop_workers()    # it may be half sent: start afresh
-        raise
-    pool._ahead.update(config=state.config, rng=rng.bit_generator.state,
-                       records=batch, conn=conn)
-
-
-def _drawn_ahead(state: TrainState, records: list):
-    """``(pix1, pix2, views1, views2)`` of the draw sent ahead, if it was
-    made for ``state.config``, for ``state.rng`` as it is now and for these
-    record objects; ``state.rng`` then continues after it, and the draw's
-    warnings are issued again here. Otherwise None: the draw is dropped."""
-    pool._settle_draw()
-    ahead = pool._ahead.copy()
-    pool._ahead.clear()
-    if "reply" not in ahead or ahead["config"] != state.config \
-            or ahead["rng"] != state.rng.bit_generator.state \
-            or list(map(id, ahead["records"])) != list(map(id, records)):
-        return None
-    ((_, ok, value),), caught = ahead["reply"]
-    if not ok:                  # drawn again by the step, which raises it
-        return None
-    pool._warn_again(caught)
-    state.rng.bit_generator.state = value[4]
-    return value[:4]
-
-
-def train_step(state: TrainState, batch_records, dump_path=None,
-               dataset=None) -> float:
+def train_step(state: TrainState, batch_records, dump_path=None) -> float:
     """One full optimization step on a batch of image records (see the module
-    docstring). ``dataset``, if given, holds the records that the next
-    step's batch is picked from, as :func:`run_training` picks it, and that
-    step's views are drawn ahead. Results do not depend on ``dataset``."""
+    docstring)."""
     cfg = state.config
     bb = cfg.backbone_config()
     hc = cfg.head_config()
-    records = list(batch_records)
-    pix1, pix2, views1, views2 = (_drawn_ahead(state, records)
-                                  or _draw_views(state, records)[:4])
-    views = [(pix1, idx) for idx in views1] + [(pix2, idx) for idx in views2]
-    nets, jobs = [state.params], [(0, pix, idx, True) for pix, idx in views]
+    crop1, crop2, views1, views2, _ = _draw(state, batch_records)
+    views = [(0, idx) for idx in views1] + [(1, idx) for idx in views2]
+    # jobs crop by crop, alternating: view j of crop 1, then of crop 2, ...
+    rank = [*range(len(views1)), *range(len(views2))]
+    order = sorted(range(len(views)), key=lambda v: (rank[v], v))
+    job_of = np.argsort(order)       # view -> its job
+    nets, jobs = [state.params], [(0, *views[v], True) for v in order]
     if cfg.momentum_encoder:     # the target network needs no backward
         nets.append(state.target_params)
-        jobs += [(1, pix, idx, False) for pix, idx in views]
-    reps = pool._encode(bb, nets, jobs)
+        jobs += [(1, *views[v], False) for v in order]
+    reps = pool._encode(bb, nets, [crop1, crop2], jobs)
 
     pairs, head_caches = [], []      # (q, z_for_targets), heads' caches
-    for rep in reps[:len(views)]:
+    for j in job_of:
         z, q, head_c = enc.heads_forward(hc, state.params, state.bn_stats,
-                                         rep, train=True)
+                                         reps[j], train=True)
         pairs.append((q, z))
         head_caches.append(head_c)
-    for i, rep in enumerate(reps[len(views):]):
-        z_t, _ = enc.project(hc, state.target_params, state.target_bn,
-                             rep, train=True)
-        pairs[i] = (pairs[i][0], z_t)
+    if cfg.momentum_encoder:
+        for v, j in enumerate(job_of):
+            z_t, _ = enc.project(hc, state.target_params, state.target_bn,
+                                 reps[len(views) + j], train=True)
+            pairs[v] = (pairs[v][0], z_t)
 
     ids1 = range(len(views1))
     ids2 = range(len(views1), len(views))
@@ -343,12 +289,10 @@ def train_step(state: TrainState, batch_records, dump_path=None,
 
     heads = [enc.heads_backward(hc, c, dq)
              for c, dq in zip(head_caches, result.grad_q)]
-    enc_grads = pool._encode_backward(bb, [drep for drep, _ in heads])
-    if dataset is not None:
-        _draw_ahead(state, dataset)
+    enc_grads = pool._encode_backward(bb, [heads[v][0] for v in order])
     grads = {}
-    for (_, view_grads), encoder_grads in zip(heads, enc_grads):
-        view_grads.update(encoder_grads)
+    for (_, view_grads), j in zip(heads, job_of):
+        view_grads.update(enc_grads[j])
         enc.accumulate_grads(grads, view_grads)
 
     clip_hit = False
@@ -410,10 +354,10 @@ def embed_records(config: TrainConfig, params: dict, records,
     bb = config.backbone_config()
     all_idx = np.arange(bb.n_patches)
     chunks = [records[i:i + batch] for i in range(0, len(records), batch)]
-    return np.concatenate(pool._encode(bb, [params], [
-        (0, np.stack([r.pixels for r in chunk]),
-         np.broadcast_to(all_idx, (len(chunk), bb.n_patches)), False)
-        for chunk in chunks]), axis=0)
+    crops = [(np.stack([r.pixels for r in chunk]), None) for chunk in chunks]
+    return np.concatenate(pool._encode(bb, [params], crops, [
+        (0, c, np.broadcast_to(all_idx, (len(chunk), bb.n_patches)), False)
+        for c, chunk in enumerate(chunks)]), axis=0)
 
 
 def knn_probe(config: TrainConfig, params: dict, train_records, eval_records,
@@ -468,10 +412,9 @@ def run_training(config: TrainConfig, out_dir=None,
     stop = min(config.total_steps, state.step + steps) if steps else config.total_steps
     dump_path = os.path.join(out_dir, "nan_state.ckpt") if out_dir else None
     while state.step < stop:
-        batch = _pick(state.rng, records, config.batch_size)
-        # no draw ahead past the run's last step
-        train_step(state, batch, dump_path=dump_path,
-                   dataset=records if state.step + 1 < stop else None)
+        pick = state.rng.choice(len(records), size=config.batch_size,
+                                replace=False)
+        train_step(state, [records[i] for i in pick], dump_path=dump_path)
         if out_dir and config.checkpoint_every \
                 and state.step % config.checkpoint_every == 0:
             checkpoint_save(state, os.path.join(out_dir,
@@ -588,7 +531,8 @@ def checkpoint_load(path) -> TrainState:
                              ema_grad=ema)
             for gname, ema in group("clip.").items()}
     try:
-        rng = _generator(meta["rng_state"])
+        rng = np.random.default_rng()
+        rng.bit_generator.state = meta["rng_state"]
     except (TypeError, KeyError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"{path}: bad rng_state: {exc!r}") from exc
     # as Python floats: a numpy scalar's repr would reach metrics.csv

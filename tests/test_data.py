@@ -7,9 +7,9 @@ from scipy import ndimage
 
 from asympatch.data import (AugmentParams, _hsv_to_rgb, _luma, _rgb_to_hsv,
                             _shift_hue, augment,
-                            augment_batch, cifar_augment_params,
+                            augment_batch, cifar_augment_params, draw_views,
                             identity_augment_params, load_cifar,
-                            synth_dataset, synth_manifest)
+                            render_views, synth_dataset, synth_manifest)
 from asympatch.sampling import random_crops
 
 
@@ -368,6 +368,28 @@ class TestAugmentBatch:
         with pytest.raises(ValueError):
             augment_batch(records, cifar_augment_params(16),
                           np.random.default_rng(0))
+
+
+class TestRenderViews:
+    @pytest.mark.parametrize("name", ["cifar", "every-gate"])
+    def test_any_subset_renders_the_rows_of_the_whole(self, name):
+        # a crop of a training step is one slice of the step's draws, and the
+        # process that encodes it renders that slice alone
+        params = BATCH_PRESETS[name]
+        src = np.stack([r.pixels for r in synth_dataset(12, 2, 16, seed=13)])
+        draws = draw_views(len(src), 16, 16, params,
+                           np.random.default_rng(21))
+        whole = render_views(src, draws)
+        rng = np.random.default_rng(4)
+        subsets = [slice(12), slice(12, None), slice(5, 6),
+                   np.array([23, 0, 7])]
+        subsets += [rng.choice(len(src), size, replace=False)
+                    for size in (1, 2, 5, 11, 17)]
+        for rows in subsets:
+            part = render_views(src[rows], draws.take(rows))
+            assert part.tobytes() == whole[rows].tobytes()
+        if name == "every-gate":
+            assert all(gates.all() for _, gates, _ in draws.ops)
 
 
 class TestHsv:

@@ -159,6 +159,11 @@ class TestSelectiveWeights:
         with pytest.raises(ValueError):
             selective_weights(np.array([1.2]), 1.0)
 
+    def test_rejects_nan_entries(self):
+        # NaN compares false both ways, so it must fail the range check
+        with pytest.raises(ValueError, match="must lie in"):
+            selective_weights(np.array([[np.nan, 0.5, 0.0, 1.0]]), 3.0)
+
     @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_gamma(self, gamma):
         # 1**nan == 1 would keep only the zero-overlap patches: gamma = inf

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import multiprocessing.connection
 import os
@@ -12,6 +13,7 @@ import asympatch.pool as pool_mod
 import asympatch.train as train_mod
 from asympatch import asymmetry
 from asympatch.asymmetry import monte_carlo_overlap
+from asympatch.data import render_views
 from asympatch.encoder import (accumulate_grads, backward_branch, encode,
                                forward_branch, patchify, project)
 from asympatch.objective import MultiviewLossResult, contrastive_loss, multiview_loss
@@ -206,7 +208,8 @@ def serial_step(state, batch):
     accumulate_grads in view order, all on the calling thread."""
     cfg = state.config
     bb, hc = cfg.backbone_config(), cfg.head_config()
-    pix1, pix2, views1, views2, _ = train_mod._draw_views(state, batch)
+    crop1, crop2, views1, views2, _ = train_mod._draw(state, batch)
+    pix1, pix2 = render_views(*crop1), render_views(*crop2)
     views = [(pix1, idx) for idx in views1] + [(pix2, idx) for idx in views2]
     branch = [list(forward_branch(bb, hc, state.params, state.bn_stats,
                                   pix, idx)) for pix, idx in views]
@@ -284,10 +287,32 @@ def job(x, net=0, keep=False):
     return (net, np.full(1, float(x)), np.ones(1), keep)
 
 
+def run_jobs(nets, jobs):
+    """``pool._encode`` of jobs ``(net, pixels, indices, keep)``, each job's
+    pixels its own crop, used as they are."""
+    return pool_mod._encode(BB, nets, [(pix, None) for _, pix, _, _ in jobs],
+                            [(net, c, idx, keep)
+                             for c, (net, _, idx, keep) in enumerate(jobs)])
+
+
 def draw_batch(state, records):
     pick = state.rng.choice(len(records), size=state.config.batch_size,
                             replace=False)
     return [records[i] for i in pick]
+
+
+def arrays_in(obj) -> list:
+    """Every numpy array in ``obj``, through tuples, lists, dict values and
+    dataclass fields."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if dataclasses.is_dataclass(obj):
+        obj = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    elif isinstance(obj, dict):
+        obj = list(obj.values())
+    elif not isinstance(obj, (tuple, list)):
+        return []
+    return [a for item in obj for a in arrays_in(item)]
 
 
 def record_sends(monkeypatch) -> list:
@@ -395,8 +420,7 @@ class TestParallelStep:
         monkeypatch.setattr(train_mod.enc, "encode_view",
                             functools.wraps(fake_encode_view)(
                                 lambda *a, **k: fake_encode_view(*a, **k)))
-        reps = pool_mod._encode(BB, [small_net()],
-                                 [job(i, keep=True) for i in range(4)])
+        reps = run_jobs([small_net()], [job(i, keep=True) for i in range(4)])
         assert [r[0] for r in reps] == [os.getpid()] * 4
         grads = pool_mod._encode_backward(BB, [2.0, 3.0])
         assert [g["w"].tolist() for g in grads] == \
@@ -409,15 +433,15 @@ class TestParallelStep:
         # the worker, forked under numpy's default errstate, divides by zero
         workers(2)
         jobs = [job(1.0), (0, np.full(3, 2.0), np.zeros(3), False)]
-        pool_mod._encode(BB, [small_net()], [job(0.0)] * 2)
+        run_jobs([small_net()], [job(0.0)] * 2)
         with warnings.catch_warnings(record=True) as caught, \
                 np.errstate(all=mode):
             warnings.simplefilter("always")
             if mode == "raise":
                 with pytest.raises(FloatingPointError):
-                    pool_mod._encode(BB, [small_net()], jobs)
+                    run_jobs([small_net()], jobs)
             else:
-                here, there = pool_mod._encode(BB, [small_net()], jobs)
+                here, there = run_jobs([small_net()], jobs)
                 assert np.isinf(there[2:]).all()
                 assert there[0] != here[0] == os.getpid()
         # a worker's warning is issued again in the caller
@@ -438,11 +462,10 @@ class TestParallelStep:
         monkeypatch.setattr(train_mod.enc, "encode_view", mark_then_fail)
         workers(2)
         with pytest.raises(ValueError, match="job 0"):
-            pool_mod._encode(BB, [small_net()], [job(i) for i in range(4)])
+            run_jobs([small_net()], [job(i) for i in range(4)])
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             [f"ended-{i}" for i in range(4)]
-        reps = pool_mod._encode(BB, [small_net()],
-                                 [job(i) for i in range(2, 7)])
+        reps = run_jobs([small_net()], [job(i) for i in range(2, 7)])
         assert [r[0] for r in reps] == [2, 3, 4, 5, 6]
 
     def test_a_lost_worker_fails_the_call_and_is_replaced(self, fake_encoder,
@@ -451,8 +474,8 @@ class TestParallelStep:
         jobs = [job(i, keep=True) for i in range(2)]
         lost = []
         for call in (lambda: pool_mod._encode_backward(BB, [1.0, 1.0]),
-                     lambda: pool_mod._encode(BB, [small_net()], jobs)):
-            assert pool_mod._encode(BB, [small_net()], jobs)
+                     lambda: run_jobs([small_net()], jobs)):
+            assert run_jobs([small_net()], jobs)
             (proc, _), = pool_mod._procs
             proc.kill()
             proc.join(timeout=10)
@@ -460,8 +483,7 @@ class TestParallelStep:
             with pytest.raises(RuntimeError, match="worker process ended"):
                 call()
             lost.append(proc.pid)
-        mine, theirs = (r[0] for r in
-                        pool_mod._encode(BB, [small_net()], jobs))
+        mine, theirs = (r[0] for r in run_jobs([small_net()], jobs))
         assert mine == os.getpid() and theirs not in [mine] + lost
 
     def test_workers_read_the_networks_as_they_are_at_each_encode(
@@ -470,9 +492,9 @@ class TestParallelStep:
         online = small_net()
         target = {name: 2.0 * a for name, a in online.items()}
         jobs = [job(0), job(0), job(0, net=1), job(0, net=1)]
-        first = pool_mod._encode(BB, [online, target], jobs)
+        first = run_jobs([online, target], jobs)
         online["w"] += 10.0                     # in place, between two encodes
-        second = pool_mod._encode(BB, [online, target], jobs)
+        second = run_jobs([online, target], jobs)
         assert [r[1] for r in first] == [19.0, 19.0, 38.0, 38.0]
         assert [r[1] for r in second] == [79.0, 79.0, 38.0, 38.0]
         here, there = second[0][0], second[1][0]
@@ -482,12 +504,12 @@ class TestParallelStep:
     def test_an_encode_that_outgrows_the_buffer_restarts_the_workers(
             self, fake_encoder, workers):
         workers(2)
-        assert pool_mod._encode(BB, [small_net()], [job(0)] * 2)[1][1] == 19.0
+        assert run_jobs([small_net()], [job(0)] * 2)[1][1] == 19.0
         (proc, _), = pool_mod._procs
         big = {"v": np.ones((3, 5)), "w": np.arange(200_000.0)}
         assert big["w"].nbytes > len(pool_mod._buffer)
-        mine, theirs, _ = pool_mod._encode(
-            BB, [big], [job(0, keep=True), job(0, keep=True), job(0)])
+        mine, theirs, _ = run_jobs([big], [job(0, keep=True),
+                                           job(0, keep=True), job(0)])
         (again, _), = pool_mod._procs
         assert not proc.is_alive() and again.pid == theirs[0] != proc.pid
         assert mine[0] == os.getpid()
@@ -515,58 +537,78 @@ class TestParallelStep:
         with pytest.raises(RuntimeError, match="worker process ended"):
             train_step(parallel, draw_batch(parallel, records))
         # the failed step drew its batch and views and changed nothing else
-        train_mod._draw_views(serial, draw_batch(serial, records))
+        train_mod._draw(serial, draw_batch(serial, records))
         train_step(parallel, draw_batch(parallel, records))
         serial_step(serial, draw_batch(serial, records))
         (again, _), = pool_mod._procs
         assert again.pid != proc.pid
         assert_same_bytes(parallel, serial)
 
+    def test_each_process_renders_the_crops_its_jobs_read_once(
+            self, fake_encoder, workers, monkeypatch, tmp_path):
+        def render(sources, draws):
+            with open(tmp_path / "renders", "a") as fh:
+                fh.write(f"{os.getpid()} {draws}\n")
+            return 10.0 * sources
+
+        monkeypatch.setattr(pool_mod.data, "render_views", render)
+        workers(2)
+        sent = record_sends(monkeypatch)
+        crops = [(np.full(1, float(x)), name)
+                 for x, name in ((1, "a"), (2, "b"), (3, "c"))]
+        jobs = [(0, c, np.ones(1), False) for c in (0, 1, 0, 1, 1)]
+        reps = pool_mod._encode(BB, [small_net()], crops, jobs)
+        assert [r[2] for r in reps] == [10.0, 20.0, 10.0, 20.0, 20.0]
+        here, there = int(reps[0][0]), int(reps[1][0])
+        # jobs 0, 2 and 4 ran here, 1 and 3 on the worker, which was sent
+        # crop 1 alone; crop 2, which no job reads, was never rendered
+        message, = [m for m in sent if m[0] == "encode"]
+        assert list(message[4]) == [1]
+        renders = (tmp_path / "renders").read_text().splitlines()
+        assert sorted(renders) == sorted([f"{here} a", f"{here} b",
+                                          f"{there} b"])
+
     @pytest.mark.parametrize("overrides", [{}, MULTIVIEW],
                              ids=["smoke", "multiview"])
     def test_a_step_sends_workers_no_parameters(self, workers, monkeypatch,
                                                 overrides):
-        # each encode message holds its jobs' pixels and patch indices, and
-        # beyond them only names, a layout and the like; the draw message
-        # holds the next batch's records, and beyond them only the config
-        # and a generator state
+        # a step sends one encode and one backward message; the encode holds
+        # the one crop its jobs read, the batch's sources and their draws,
+        # and patch indices, the backward the representations' gradients,
+        # and beyond their arrays each holds only names, a layout and the like
         workers(2)
         cfg = train_mod.smoke_config(total_steps=20, **overrides)
         records = load_dataset(cfg.dataset)
         state = init_train_state(cfg)
         train_step(state, draw_batch(state, records))   # workers started
         sent = record_sends(monkeypatch)
-        train_step(state, draw_batch(state, records), dataset=records)
-        encodes = [obj for obj in sent if obj[0] == "encode"]
-        assert len(encodes) == 1 and encodes[0][4]
-        for message in encodes:
-            arrays = {id(a): a for entry in message[4] for a in entry
-                      if isinstance(a, np.ndarray)}
+        train_step(state, draw_batch(state, records))
+        assert [obj[0] for obj in sent] == ["encode", "backward"]
+        for message in sent:
+            arrays = {id(a): a for a in arrays_in(message)}
             data = sum(a.nbytes for a in arrays.values())
             size = len(ForkingPickler.dumps(message))
             assert size <= data + 8 * 1024, (size, data)
-        draw, = [obj for obj in sent if obj[0] == "draw"]
-        batch = draw[4]
-        assert len(batch) == cfg.batch_size
-        assert all(any(r is d for d in records) for r in batch)
-        data = sum(r.pixels.nbytes for r in batch)
-        size = len(ForkingPickler.dumps(draw))
-        assert size <= data + 8 * 1024, (size, data)
+        # crop by crop, alternating: the worker renders crop 2 alone
+        sources, _ = sent[0][4][1]
+        assert list(sent[0][4]) == [1]
+        assert sources.shape == (cfg.batch_size, 16, 16, 3)
 
     def test_first_failing_view_in_order_names_the_block(self, workers,
                                                          monkeypatch):
-        # view 0 (crop 1) goes non-finite after block 2 and view 1 (crop 2)
-        # already after block 0; the serial loop reports view 0's block, and
-        # so must the parallel step, although view 1 fails sooner
+        # view 0 (crop 1) goes non-finite after block 2 and view 1 (crop 2,
+        # its sources poisoned) already after block 0; the serial loop
+        # reports view 0's block, and so must the parallel step, although
+        # view 1 fails sooner
         workers(2)
         cfg = tiny_config()
-        draw = train_mod._draw_views
+        draw = train_mod._draw
 
         def poisoned(state, batch):
-            pix1, pix2, *rest = draw(state, batch)
-            return (pix1, np.full_like(pix2, np.inf), *rest)
+            crop1, (sources, draws), *rest = draw(state, batch)
+            return (crop1, (np.full_like(sources, np.inf), draws), *rest)
 
-        monkeypatch.setattr(train_mod, "_draw_views", poisoned)
+        monkeypatch.setattr(train_mod, "_draw", poisoned)
         records = load_dataset(cfg.dataset)[:cfg.batch_size]
         messages = []
         for step in (serial_step, train_step):
@@ -591,8 +633,9 @@ def run_files(cfg, out) -> dict:
 PADDING = dict(sampler=SamplerConfig(s1=0.5, s2=0.5, gamma=3.0, n_views=4))
 
 
-class TestDrawAhead:
-    """The next step's views, drawn on a worker while a step ends."""
+class TestPooledRun:
+    """Whole runs on the pool, with the caller and a worker each rendering
+    the crops its encoder jobs read."""
 
     @pytest.mark.parametrize("overrides", [{}, MULTIVIEW],
                              ids=["smoke", "multiview"])
@@ -605,16 +648,14 @@ class TestDrawAhead:
         serial = run_files(cfg, tmp_path / "serial")
         workers(n)
         sent = record_sends(monkeypatch)
-        draws = count_calls(monkeypatch, "_draw_views")
         parallel = run_files(cfg, tmp_path / "parallel")
         assert list(serial) == ["dataset_manifest.txt", "final.ckpt",
                                 "metrics.csv", "step000002.ckpt",
                                 "step000004.ckpt"]
         assert parallel == serial
-        # every step but the first used the views drawn ahead for it
-        assert [obj[0] for obj in sent].count("draw") == cfg.total_steps - 1
-        assert len(draws) == 1
-        assert len(pool_mod._procs) == n - 1 and not pool_mod._ahead
+        # the workers ran encoder jobs and their backward, nothing else
+        assert {obj[0] for obj in sent} == {"encode", "backward"}
+        assert len(pool_mod._procs) == n - 1
 
     def test_a_resumed_run_equals_the_unbroken_run(self, workers, tmp_path):
         workers(2)
@@ -629,124 +670,23 @@ class TestDrawAhead:
                      "metrics.csv"):
             assert (resumed / name).read_bytes() == unbroken[name]
 
-    @pytest.mark.parametrize("stale", ["other-batch", "rng-moved"])
-    def test_a_stale_draw_is_dropped(self, workers, monkeypatch, stale):
-        workers(2)
-        cfg = tiny_config(**MULTIVIEW)
-        records = load_dataset(cfg.dataset)
-        parallel, serial = init_train_state(cfg), init_train_state(cfg)
-        train_step(parallel, draw_batch(parallel, records), dataset=records)
-        serial_step(serial, draw_batch(serial, records))
-        assert pool_mod._ahead
-        # the batch the draw was made for, then a generator that moved on
-        # after the pick, or a batch in another order
-        batches = [draw_batch(state, records) for state in (parallel, serial)]
-        for state in (parallel, serial):
-            if stale == "rng-moved":
-                state.rng.random()
-        if stale == "other-batch":
-            batches = [batch[::-1] for batch in batches]
-        draws = count_calls(monkeypatch, "_draw_views")
-        train_step(parallel, batches[0])
-        assert len(draws) == 1 and not pool_mod._ahead
-        serial_step(serial, batches[1])
-        assert_same_bytes(parallel, serial)
-
-    def test_a_draw_made_ahead_warns_in_the_step_that_uses_it(
-            self, workers, monkeypatch):
+    def test_a_padded_draw_warns_in_the_step_that_draws_it(self, workers):
         # four views at s = 0.5 leave the rows too few positive weights, so
         # the draw pads them and warns
         workers(2)
         cfg = tiny_config(**PADDING)
         records = load_dataset(cfg.dataset)
         parallel, serial = init_train_state(cfg), init_train_state(cfg)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            train_step(parallel, draw_batch(parallel, records),
-                       dataset=records)
-            serial_step(serial, draw_batch(serial, records))
-        draws = count_calls(monkeypatch, "_draw_views")
         caught = []
         for step, state in ((train_step, parallel), (serial_step, serial)):
             with warnings.catch_warnings(record=True) as got:
                 warnings.simplefilter("always")
                 step(state, draw_batch(state, records))
             caught.append([str(w.message) for w in got])
-        assert draws == ["_draw_views"]          # serial_step's own draw
         assert caught[0] == caught[1]
         assert any("padding" in message for message in caught[0])
-        assert_same_bytes(parallel, serial)
-
-    @pytest.mark.parametrize("lost", ["before-its-reply", "after-its-reply"])
-    def test_a_worker_lost_holding_a_draw_fails_one_step_only(
-            self, workers, monkeypatch, lost):
-        draw, caller = train_mod._draw, os.getpid()
-
-        def slow_on_a_worker(*args):
-            if os.getpid() != caller:
-                time.sleep(5.0)
-            return draw(*args)
-
-        if lost == "before-its-reply":
-            monkeypatch.setattr(train_mod, "_draw", slow_on_a_worker)
-        workers(2)
-        cfg = tiny_config(**MULTIVIEW)
-        records = load_dataset(cfg.dataset)
-        parallel, serial = init_train_state(cfg), init_train_state(cfg)
-        train_step(parallel, draw_batch(parallel, records), dataset=records)
-        serial_step(serial, draw_batch(serial, records))
-        if lost == "after-its-reply":
-            assert pool_mod._ahead["conn"].poll(10)
-        (proc, _), = pool_mod._procs
-        proc.kill()
-        proc.join(timeout=10)
-        assert not proc.is_alive()
-        with pytest.raises(RuntimeError, match="worker process ended"):
-            train_step(parallel, draw_batch(parallel, records),
-                       dataset=records)
-        # the failed step drew its batch and views and changed nothing else
-        train_mod._draw_views(serial, draw_batch(serial, records))
-        train_step(parallel, draw_batch(parallel, records))
-        serial_step(serial, draw_batch(serial, records))
-        assert_same_bytes(parallel, serial)
-
-    def test_an_encode_after_a_step_that_drew_ahead(self, workers,
-                                                    monkeypatch):
-        # the probe's encode reads the draw's reply first, and the next step
-        # still uses the draw
-        workers(2)
-        cfg = tiny_config(**MULTIVIEW)
-        records = load_dataset(cfg.dataset)
-        parallel, serial = init_train_state(cfg), init_train_state(cfg)
-        train_step(parallel, draw_batch(parallel, records), dataset=records)
-        serial_step(serial, draw_batch(serial, records))
-        assert "conn" in pool_mod._ahead
-        embedded = train_mod.embed_records(cfg, parallel.params, records)
-        params = {k: v.copy() for k, v in parallel.params.items()}
-        draws = count_calls(monkeypatch, "_draw_views")
-        train_step(parallel, draw_batch(parallel, records))
-        assert draws == []
-        serial_step(serial, draw_batch(serial, records))
-        assert_same_bytes(parallel, serial)
-        workers(1)
-        assert embedded.tobytes() == \
-            train_mod.embed_records(cfg, params, records).tobytes()
-
-    def test_no_draw_is_sent_while_the_encoder_is_wrapped(self, workers,
-                                                          monkeypatch):
-        workers(2)
-        cfg = tiny_config()
-        records = load_dataset(cfg.dataset)
-        state = init_train_state(cfg)
-        train_step(state, draw_batch(state, records))   # workers started
-        encode_view = train_mod.enc.encode_view
-        monkeypatch.setattr(train_mod.enc, "encode_view",
-                            functools.wraps(encode_view)(
-                                lambda *a, **k: encode_view(*a, **k)))
-        sent = record_sends(monkeypatch)
-        train_step(state, draw_batch(state, records), dataset=records)
-        assert sent == [] and not pool_mod._ahead
         assert pool_mod._procs
+        assert_same_bytes(parallel, serial)
 
 
 def mc_overlaps():
@@ -759,25 +699,20 @@ def mc_overlaps():
 class TestSharedPool:
     """The trainer and the analyzer run their jobs on one worker pool."""
 
-    def test_an_analyze_after_a_step_that_drew_ahead(self, workers,
-                                                     monkeypatch):
-        # the chunks wait for the draw's reply, and the next step still
-        # uses the draw
+    def test_an_analyze_between_steps(self, workers):
+        # the same workers run a step's encoder jobs, then the chunks, then
+        # the next step's jobs
         workers(1)
         expected = mc_overlaps()
         workers(2)
         cfg = tiny_config(**MULTIVIEW)
         records = load_dataset(cfg.dataset)
         parallel, serial = init_train_state(cfg), init_train_state(cfg)
-        train_step(parallel, draw_batch(parallel, records), dataset=records)
+        train_step(parallel, draw_batch(parallel, records))
         serial_step(serial, draw_batch(serial, records))
-        assert "conn" in pool_mod._ahead
         (proc, _), = pool_mod._procs
         assert mc_overlaps().tobytes() == expected.tobytes()
-        assert "reply" in pool_mod._ahead
-        draws = count_calls(monkeypatch, "_draw_views")
         train_step(parallel, draw_batch(parallel, records))
-        assert draws == []
         serial_step(serial, draw_batch(serial, records))
         assert_same_bytes(parallel, serial)
         (same, _), = pool_mod._procs
@@ -808,7 +743,7 @@ class TestRealizedOverlap:
         records = load_dataset(cfg.dataset)[:64]
         values = []
         for _ in range(64):
-            _, _, _, views2, profiles = train_mod._draw_views(state, records)
+            _, _, _, views2, profiles = train_mod._draw(state, records)
             values.append(np.take_along_axis(profiles, views2[0], axis=1)
                           .sum(axis=1) / 64)
         values = np.concatenate(values)
