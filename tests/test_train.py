@@ -544,6 +544,38 @@ class TestParallelStep:
         assert again.pid != proc.pid
         assert_same_bytes(parallel, serial)
 
+    def test_a_worker_lost_during_an_encode_fails_that_step_only(
+            self, workers, monkeypatch, tmp_path):
+        # once the flag is set, a worker ends in its first encoder job
+        encode_view, caller = train_mod.enc.encode_view, os.getpid()
+        flag = tmp_path / "end-in-the-encode"
+
+        def lost_when_flagged(*args, **kwargs):
+            if os.getpid() != caller and flag.exists():
+                os._exit(1)
+            return encode_view(*args, **kwargs)
+
+        monkeypatch.setattr(train_mod.enc, "encode_view", lost_when_flagged)
+        workers(2)
+        cfg = tiny_config(**MULTIVIEW)
+        records = load_dataset(cfg.dataset)
+        parallel, serial = init_train_state(cfg), init_train_state(cfg)
+        train_step(parallel, draw_batch(parallel, records))
+        serial_step(serial, draw_batch(serial, records))
+        (proc, _), = pool_mod._procs
+        flag.touch()
+        with pytest.raises(RuntimeError, match="worker process ended"):
+            train_step(parallel, draw_batch(parallel, records))
+        flag.unlink()
+        assert not proc.is_alive() and not pool_mod._procs
+        # the failed step drew its batch and views and changed nothing else
+        train_mod._draw(serial, draw_batch(serial, records))
+        train_step(parallel, draw_batch(parallel, records))
+        serial_step(serial, draw_batch(serial, records))
+        (again, _), = pool_mod._procs
+        assert again.pid != proc.pid
+        assert_same_bytes(parallel, serial)
+
     def test_each_process_renders_the_crops_its_jobs_read_once(
             self, fake_encoder, workers, monkeypatch, tmp_path):
         def render(sources, draws):
@@ -717,6 +749,27 @@ class TestSharedPool:
         assert_same_bytes(parallel, serial)
         (same, _), = pool_mod._procs
         assert same is proc
+
+    def test_an_encode_between_steps(self, workers):
+        # the probe's encode runs on the step's workers and leaves the next
+        # step as the serial step
+        workers(2)
+        cfg = tiny_config(**MULTIVIEW)
+        records = load_dataset(cfg.dataset)
+        parallel, serial = init_train_state(cfg), init_train_state(cfg)
+        train_step(parallel, draw_batch(parallel, records))
+        serial_step(serial, draw_batch(serial, records))
+        (proc, _), = pool_mod._procs
+        embedded = train_mod.embed_records(cfg, parallel.params, records)
+        params = {k: v.copy() for k, v in parallel.params.items()}
+        train_step(parallel, draw_batch(parallel, records))
+        serial_step(serial, draw_batch(serial, records))
+        assert_same_bytes(parallel, serial)
+        (same, _), = pool_mod._procs
+        assert same is proc
+        workers(1)
+        assert embedded.tobytes() == \
+            train_mod.embed_records(cfg, params, records).tobytes()
 
     def test_a_run_after_an_analyze_writes_the_serial_runs_bytes(
             self, workers, tmp_path):
