@@ -228,7 +228,7 @@ def _simulate_pair_overlaps(strategy, s1, s2, gamma, crop_model, grid_size,
     return np.concatenate(pool._chunks([
         (strategy, gamma, crop_model, k1, k2, area_range, aspect_range, n,
          min(chunk, trials - i * chunk), child)
-        for i, child in enumerate(seq.spawn(-(-trials // chunk)))], n ** 3))
+        for i, child in enumerate(seq.spawn(-(-trials // chunk)))]))
 
 
 _workspaces = {}   # (rows, n) -> the Workspace this process's chunks reuse

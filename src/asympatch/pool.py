@@ -7,14 +7,15 @@ A job is data; a worker runs only this package's own functions (see
 (:func:`_encode`) or its backward (:func:`_encode_backward`), or one Monte
 Carlo chunk of the analyzer (:func:`_chunks`). Job i of a call runs on
 process i % n, the caller being process 0, and the caller gathers the
-results in job order. There is one process per core the process may use,
-divided by the BLAS threads per call (:func:`_pool_size`), so jobs run in
-parallel only where BLAS is limited (say ``OPENBLAS_NUM_THREADS=1``) or, as
-for small chunks (:func:`_chunks`), runs them on one thread. They run in
-order on the caller when there is one process or one job, and while the
-encoder's functions are wrapped, as ``bench/tracer.py`` wraps them, since a
-span timed in a worker would stay there. Workers fork, and ``mmap`` and
-``multiprocessing`` load, at the first call that needs them.
+results in job order. There is one process per core the process may use
+(:func:`_processes`): the first call sets numpy's OpenBLAS to one thread,
+overriding ``OPENBLAS_NUM_THREADS``, so that the processes fill the cores
+and outputs do not depend on the environment; with another BLAS the jobs
+stay serial. They run in order on the caller when there is one process or
+one job, and while the encoder's functions are wrapped, as
+``bench/tracer.py`` wraps them, since a span timed in a worker would stay
+there. Workers fork, and ``mmap`` and ``multiprocessing`` load, at the
+first call that needs them.
 
 An encoder job names the crop it reads: sources and, for a training step's
 views, their augmentation draws. Each process renders the crops its own
@@ -40,39 +41,10 @@ import numpy as np
 from . import data
 from . import encoder as enc
 
-# The variables each BLAS family reads its thread count from at load, first
-# set positive one winning; with none set it takes every core.
-_BLAS_THREAD_VARS = {
-    "openblas": ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                 "OMP_NUM_THREADS"),
-    "mkl": ("MKL_NUM_THREADS", "OMP_NUM_THREADS"),
-}
-
-
-def _pool_size(blas: str, environ, cores: int) -> int:
-    """Processes that run jobs, the caller's included: as many BLAS thread
-    teams as fit the cores, for the BLAS named ``blas`` (numpy's build
-    configuration). Jobs that each start a whole team oversubscribe the
-    cores, so a BLAS of unknown family leaves the jobs serial. A limit set
-    at run time (say by threadpoolctl) is not seen here."""
-    family = next((f for f in _BLAS_THREAD_VARS if f in blas.lower()), None)
-    for var in _BLAS_THREAD_VARS.get(family, ()):
-        value = environ.get(var, "")
-        if value.isdigit() and int(value) > 0:
-            return max(1, cores // int(value))
-    return 1
-
-
-# processes that run small chunk jobs, then encoder jobs; workers are
-# forked, and where the platform cannot fork, every job runs serially
+# processes that run jobs; workers are forked, and where the platform cannot
+# fork, every job runs serially
 _CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
           else os.cpu_count() or 1) if hasattr(os, "fork") else 1
-_BLAS = (np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
-         .get("name", ""))
-_WORKERS = _pool_size(_BLAS, os.environ, _CORES)
-# m * n * k up to which OpenBLAS runs a matrix product on one thread (its
-# default GEMM_MULTITHREAD_THRESHOLD, 4, times 65,536): grid 64
-_ONE_THREAD_GEMM = 262_144
 _procs = []        # (process, connection) per worker, forked by the first parallel call
 _buffer = None     # the anonymous shared memory the workers were forked with
 _layout = {}       # name -> (shape, offset) of each array of a network in _buffer
@@ -85,6 +57,32 @@ _ALIGN = 64        # bytes; each array in the shared buffer starts on a multiple
 def _wrapped() -> bool:
     """Whether the encoder's functions are wrapped, as by a span tracer."""
     return hasattr(enc.encode_view, "__wrapped__")
+
+
+@functools.cache
+def _one_blas_thread() -> bool:
+    """Set numpy's OpenBLAS to one thread, in this process and in the workers
+    it forks from then on, whatever ``OPENBLAS_NUM_THREADS`` says; False,
+    setting nothing, where numpy links another BLAS. The setter is looked up
+    through a numpy extension (``_umath_linalg``, in numpy 1 and 2 alike),
+    whose handle also finds the symbols of the libraries it links."""
+    import ctypes
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for name in ("scipy_openblas_set_num_threads64_",
+                 "openblas_set_num_threads64_", "openblas_set_num_threads"):
+        if hasattr(lib, name):
+            getattr(lib, name)(1)
+            return True
+    return False
+
+
+def _processes(jobs: list) -> int:
+    """Processes that run ``jobs``, the caller's included: one per core, but
+    one where numpy links another BLAS, for fewer than two jobs and while
+    the encoder is wrapped. The first call sets OpenBLAS to one thread
+    (:func:`_one_blas_thread`) whatever the jobs."""
+    one_thread = _one_blas_thread()
+    return _CORES if one_thread and len(jobs) > 1 and not _wrapped() else 1
 
 
 def _at(buffer, layout: dict, base: int) -> dict:
@@ -263,7 +261,7 @@ def _encode(bb, nets: list, crops: list, jobs: list) -> list:
     """
     _kept.clear()
     _away.clear()
-    n = 1 if len(jobs) < 2 or _wrapped() else _WORKERS
+    n = _processes(jobs)
     if n > 1:
         _layout.clear()
         span = 0
@@ -324,16 +322,12 @@ def _chunk(i, *args):
     return _simulate_chunk(*args)
 
 
-def _chunks(jobs: list, gemm: int) -> list:
+def _chunks(jobs: list) -> list:
     """The pair overlaps of each Monte Carlo chunk, ``jobs[i]`` holding the
-    arguments of ``asymmetry._simulate_chunk``. A chunk's values depend on
-    its arguments alone, so not on the process that runs it. ``gemm`` is
-    m * n * k of a chunk's matrix products: up to ``_ONE_THREAD_GEMM`` on
-    OpenBLAS, each runs on one thread, so the chunks run on one process per
-    core, as many as there are chunks; otherwise they keep the BLAS rule."""
-    small = "openblas" in _BLAS.lower() and gemm <= _ONE_THREAD_GEMM
-    n = 1 if len(jobs) < 2 or _wrapped() else min(
-        _CORES if small else _WORKERS, len(jobs))
+    arguments of ``asymmetry._simulate_chunk``, on no more processes than
+    there are chunks. A chunk's values depend on its arguments alone, so not
+    on the process that runs it."""
+    n = min(_processes(jobs), len(jobs))
     if n > 1:
         _start_workers(0, n)
     messages = {}

@@ -1,3 +1,4 @@
+import ctypes
 import json
 import multiprocessing.connection
 import os
@@ -400,11 +401,10 @@ class TestTiledKernel:
 def processes(monkeypatch):
     """Set how many processes run chunk jobs, the caller's included (on
     fresh workers), so the parallel path runs whatever the host's core
-    count and BLAS."""
+    count."""
     def use(n):
         pool._stop_workers()
         monkeypatch.setattr(pool, "_CORES", n)
-        monkeypatch.setattr(pool, "_WORKERS", n)
     yield use
     pool._stop_workers()
 
@@ -464,27 +464,19 @@ class TestChunkPool:
         assert values[0].size == trials
         assert values[1].tobytes() == values[0].tobytes()
 
-    def test_chunk_jobs_run_on_every_core_whatever_the_blas_rule(
+    def test_the_first_call_sets_one_blas_thread_here_and_in_the_workers(
             self, processes, monkeypatch):
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        if not hasattr(lib, "scipy_openblas_get_num_threads64_"):
+            pytest.skip("numpy does not link scipy-openblas")
+        # as at load with the BLAS variables unset (at most the cores)
+        lib.scipy_openblas_set_num_threads64_(2)
+        pool._one_blas_thread.cache_clear()
+        monkeypatch.setattr(pool, "_chunk",
+                            lambda i: lib.scipy_openblas_get_num_threads64_())
         processes(2)
-        monkeypatch.setattr(pool, "_WORKERS", 1)   # as with BLAS unlimited
-        monkeypatch.setattr(pool, "_BLAS", "scipy-openblas")
-        sent = sent_chunks(monkeypatch)
-        pooled("selective", "random", 2500)
-        assert len(pool._procs) == 1 and sent == [[1]]
-
-    @pytest.mark.parametrize("blas,grid", [("scipy-openblas", 65), ("mkl", 8)],
-                             ids=["threaded-grid", "other-blas"])
-    def test_other_chunk_jobs_keep_the_blas_rule(self, processes, monkeypatch,
-                                                 blas, grid):
-        processes(2)
-        monkeypatch.setattr(pool, "_WORKERS", 1)
-        monkeypatch.setattr(pool, "_BLAS", blas)
-        sent = sent_chunks(monkeypatch)
-        values = asymmetry._simulate_pair_overlaps(
-            "selective", 0.25, 0.25, 3.0, "random", grid, 30, 13, 10,
-            DEFAULT_AREA_RANGE, DEFAULT_ASPECT_RANGE)
-        assert values.size == 30 and pool._procs == [] and sent == []
+        assert pool._chunks([(), ()]) == [1, 1]
+        assert len(pool._procs) == 1                # job 1 ran on a worker
 
     def test_no_more_processes_than_chunks(self, processes, monkeypatch):
         processes(4)
@@ -540,7 +532,7 @@ class TestChunkPool:
         script = (
             "import json, sys, time\n"
             "from asympatch import cli, pool\n"
-            "pool._CORES = pool._WORKERS = 2\n"
+            "pool._CORES = 2\n"
             "argv = ['analyze', '--config', sys.argv[1], '--out', sys.argv[2]]\n"
             "codes = [cli.main(argv)]\n"
             "pids = [proc.pid for proc, _ in pool._procs]\n"

@@ -326,6 +326,33 @@ class TestTrainAndProbe:
         assert done.stderr.count("\n") == 1
         assert "non-finite activations" in done.stderr
 
+    def test_outputs_do_not_depend_on_the_blas_thread_variables(self,
+                                                                tmp_path):
+        # OpenBLAS on several threads rounds some products differently;
+        # asympatch sets it to one thread, whatever the variables say
+        cfg = tmp_path / "train.ini"
+        cfg.write_text(open(self.write_train_config(tmp_path, total_steps=6))
+                       .read() + "views = 4\nclip = on\nmomentum_encoder = on\n")
+        runs = []
+        for threads in (None, "1"):
+            env = dict(os.environ)
+            env["PYTHONPATH"] = os.pathsep.join(p for p in (
+                os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+                env.pop(var, None)
+                if threads:
+                    env[var] = threads
+            out = tmp_path / f"threads-{threads}"
+            done = subprocess.run(
+                [sys.executable, "-m", "asympatch.cli", "train", "--config",
+                 str(cfg), "--out", str(out), "--seed", "0"],
+                capture_output=True, text=True, env=env, timeout=300)
+            assert done.returncode == 0, done.stderr
+            runs.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert sorted(runs[0]) == ["dataset_manifest.txt", "final.ckpt",
+                                   "metrics.csv", "probe_report.txt"]
+        assert runs[0] == runs[1]
+
     def test_probe_empty_checkpoint_header_fails_closed(self, tmp_path, capsys):
         header = b"{}"
         path = tmp_path / "empty.ckpt"

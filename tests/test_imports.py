@@ -1,12 +1,15 @@
 """What an ``asympatch`` process imports: the scipy subpackages in ``HEAVY``
 stay unloaded, at import and through a whole job, ``scipy.special`` is not
 loaded by analyze or demo, and ``mmap`` and ``multiprocessing`` are not
-loaded by a one-chunk analyze or by demo."""
+loaded by a one-chunk analyze or by demo; and ``import asympatch`` and demo
+leave numpy's BLAS threads as they were loaded."""
 
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -62,3 +65,31 @@ def test_jobs_leave_heavy_scipy_subpackages_unloaded(tmp_path):
     assert not {"mmap", "multiprocessing"} & set(result["before_train"])
     # the checks mean something only if scipy itself was loaded, by the GELU
     assert LAZY in result["modules"]
+
+
+BLAS_AT_LOAD = r"""
+import ctypes, json, os, sys
+import numpy as np
+lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+get = getattr(lib, "scipy_openblas_get_num_threads64_", lambda: None)
+loaded = get()
+import asympatch
+from asympatch import cli
+code = cli.main(["demo", "--out", os.path.join(sys.argv[1], "d")])
+print(json.dumps({"code": code, "loaded": loaded, "after": get()}))
+"""
+
+
+def test_import_and_demo_leave_the_blas_threads_as_loaded(tmp_path):
+    # only a pool call sets OpenBLAS to one thread (see asympatch.pool)
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", BLAS_AT_LOAD, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    if result["loaded"] is None:
+        pytest.skip("numpy does not link scipy-openblas")
+    assert result["code"] == 0 and result["after"] == result["loaded"]

@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import functools
 import multiprocessing.connection
@@ -196,7 +197,6 @@ def workers(monkeypatch):
     the host's core count."""
     def use(n):
         pool_mod._stop_workers()
-        monkeypatch.setattr(pool_mod, "_WORKERS", n)
         monkeypatch.setattr(pool_mod, "_CORES", n)
     yield use
     pool_mod._stop_workers()
@@ -391,27 +391,6 @@ class TestParallelStep:
             assert same_bytes(
                 {k: c.ema_grad for k, c in parallel.clip.items()},
                 {k: c.ema_grad for k, c in serial.clip.items()})
-
-    @pytest.mark.parametrize("blas,environ,cores,expected", [
-        ("scipy-openblas", {}, 2, 1),                 # BLAS takes every core
-        ("scipy-openblas", {"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
-        ("openblas", {"OMP_NUM_THREADS": "1"}, 4, 4),
-        ("openblas", {"GOTO_NUM_THREADS": "2"}, 4, 2),
-        ("openblas", {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"},
-         4, 2),
-        ("openblas", {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"},
-         2, 2),
-        ("openblas", {"MKL_NUM_THREADS": "1"}, 2, 1),   # not OpenBLAS's
-        ("mkl", {"MKL_NUM_THREADS": "2"}, 4, 2),
-        ("mkl", {"OPENBLAS_NUM_THREADS": "1"}, 2, 1),   # not MKL's
-        ("accelerate", {"OMP_NUM_THREADS": "1"}, 2, 1),  # unknown family
-        ("openblas", {"OPENBLAS_NUM_THREADS": "x"}, 2, 1),
-        ("openblas", {"OPENBLAS_NUM_THREADS": "8"}, 2, 1),
-        ("openblas", {"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
-    ])
-    def test_pool_leaves_room_for_the_linked_blas_threads(
-            self, blas, environ, cores, expected):
-        assert pool_mod._pool_size(blas, environ, cores) == expected
 
     def test_tasks_stay_on_the_caller_while_the_encoder_is_wrapped(
             self, fake_encoder, workers, monkeypatch):
@@ -750,6 +729,20 @@ class TestSharedPool:
         (same, _), = pool_mod._procs
         assert same is proc
 
+    def test_without_an_openblas_setter_jobs_fork_no_worker(
+            self, fake_encoder, workers, monkeypatch):
+        # another BLAS may run each product on every core: jobs stay serial
+        workers(2)
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
+        pool_mod._one_blas_thread.cache_clear()
+        try:
+            reps = run_jobs([small_net()], [job(i) for i in range(4)])
+            overlaps = mc_overlaps()
+        finally:
+            pool_mod._one_blas_thread.cache_clear()
+        assert [r[0] for r in reps] == [os.getpid()] * 4
+        assert overlaps.size == 2500 and pool_mod._procs == []
+
     def test_an_encode_between_steps(self, workers):
         # the probe's encode runs on the step's workers and leaves the next
         # step as the serial step
@@ -1059,7 +1052,7 @@ class TestKnnProbe:
         ref, held = probe_split(records, cfg)
         parallel = knn_probe(cfg, state.params, ref, held)
         assert pool_mod._procs
-        monkeypatch.setattr(pool_mod, "_WORKERS", 1)
+        monkeypatch.setattr(pool_mod, "_CORES", 1)
         assert knn_probe(cfg, state.params, ref, held) == parallel
 
     def test_k_larger_than_reference_rejected(self):
