@@ -392,6 +392,46 @@ class TestParallelStep:
                 {k: c.ema_grad for k, c in parallel.clip.items()},
                 {k: c.ema_grad for k, c in serial.clip.items()})
 
+    @pytest.mark.parametrize("setter,environ,cores,expected", [
+        ("scipy_openblas_set_num_threads64_", {}, 2, 2),
+        ("scipy_openblas_set_num_threads64_", {"OPENBLAS_NUM_THREADS": "1"},
+         2, 2),
+        ("openblas_set_num_threads", {"OMP_NUM_THREADS": "1"}, 4, 4),
+        ("openblas_set_num_threads", {"GOTO_NUM_THREADS": "2"}, 4, 4),
+        ("openblas_set_num_threads64_",
+         {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 4),
+        ("openblas_set_num_threads64_",
+         {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 2),
+        ("openblas_set_num_threads", {"MKL_NUM_THREADS": "1"}, 2, 2),
+        (None, {"MKL_NUM_THREADS": "2"}, 4, 1),         # MKL: serial
+        (None, {"OPENBLAS_NUM_THREADS": "1"}, 2, 1),
+        (None, {"OMP_NUM_THREADS": "1"}, 2, 1),          # unknown family
+        ("openblas_set_num_threads", {"OPENBLAS_NUM_THREADS": "x"}, 2, 2),
+        ("openblas_set_num_threads", {"OPENBLAS_NUM_THREADS": "8"}, 2, 2),
+        ("openblas_set_num_threads", {"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
+    ])
+    def test_pool_fills_the_cores_whatever_the_blas_variables(
+            self, monkeypatch, setter, environ, cores, expected):
+        # each OpenBLAS setter name is set to one thread and the jobs run on
+        # every core; with none found they stay serial
+        calls = []
+        lib = type("Lib", (), {} if setter is None else
+                   {setter: staticmethod(calls.append)})()
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: lib)
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                    "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in environ.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(pool_mod, "_CORES", cores)
+        pool_mod._one_blas_thread.cache_clear()
+        try:
+            assert pool_mod._processes([(), ()]) == expected
+            assert pool_mod._processes([()]) == 1
+        finally:
+            pool_mod._one_blas_thread.cache_clear()
+        assert calls == ([] if setter is None else [1])
+
     def test_tasks_stay_on_the_caller_while_the_encoder_is_wrapped(
             self, fake_encoder, workers, monkeypatch):
         # a span-timing wrapper keeps its spans in the calling process
