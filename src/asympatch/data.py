@@ -132,6 +132,8 @@ def synth_dataset(n_per_class: int, n_classes: int, image_size: int,
         raise ValueError("n_per_class must be >= 1")
     if n_classes < 1:
         raise ValueError("n_classes must be >= 1")
+    if image_size < 1:
+        raise ValueError("image_size must be >= 1")
     rng = np.random.default_rng(seed)
     yy, xx = np.mgrid[0:image_size, 0:image_size] / image_size
     records = []

@@ -1,11 +1,11 @@
 """Desk-scale vision transformer over sparse patch-token sequences, with
 projection/prediction heads and exact manual backpropagation.
 
-Parameters live in a flat ``dict[str, np.ndarray]`` (float64); batch-norm
-running statistics live in a separate dict so the optimizer never touches
-them. Every forward returns the caches its backward needs; backwards return
-exact analytic gradients, verified against central finite differences in the
-test suite.
+Parameters live in a flat ``dict[str, np.ndarray]`` (float64); the heads'
+batch norms use the batch's own statistics and keep no running ones, since
+only the backbone is evaluated after pretraining. Every forward returns the
+caches its backward needs; backwards return exact analytic gradients,
+verified against central finite differences in the test suite.
 
 Token sequences are ``(B, L, D)`` with ``L = sampled patch count + 1``: a
 learned class token is prepended and the class-token output of the final
@@ -26,7 +26,6 @@ import numpy as np
 
 LN_EPS = 1e-6
 BN_EPS = 1e-5
-BN_MOMENTUM = 0.1
 INIT_STD = 0.02
 
 
@@ -158,21 +157,21 @@ def _position_table(cfg: BackboneConfig, params: dict) -> np.ndarray:
 
 
 def init_params(cfg: BackboneConfig, heads: HeadConfig,
-                rng: np.random.Generator) -> tuple[dict, dict]:
-    """Fresh parameter and batch-norm-statistics dictionaries."""
+                rng: np.random.Generator) -> dict:
+    """A fresh parameter dictionary."""
     return _make_params(cfg, heads, lambda shape: trunc_normal(rng, shape),
                         np.zeros, np.ones)
 
 
-def param_shapes(cfg: BackboneConfig, heads: HeadConfig) -> tuple[dict, dict]:
-    """The shape of every parameter and of every batch-norm statistic, keyed
-    and ordered as :func:`init_params` makes them, without drawing any."""
+def param_shapes(cfg: BackboneConfig, heads: HeadConfig) -> dict:
+    """The shape of every parameter, keyed and ordered as :func:`init_params`
+    makes them, without drawing any."""
     return _make_params(cfg, heads, tuple, tuple, tuple)
 
 
 def _make_params(cfg: BackboneConfig, heads: HeadConfig, normal, zeros, ones):
-    """Parameters and batch-norm statistics, each made by calling ``normal``,
-    ``zeros`` or ``ones`` with its shape."""
+    """Parameters, each made by calling ``normal``, ``zeros`` or ``ones``
+    with its shape."""
     d = cfg.token_dim
     p = {}
     p["embed.w"] = normal((cfg.patch_dim, d))
@@ -197,7 +196,6 @@ def _make_params(cfg: BackboneConfig, heads: HeadConfig, normal, zeros, ones):
         p[f"{pre}.mlp.b2"] = zeros((d,))
     p["norm.g"] = ones((d,))
     p["norm.b"] = zeros((d,))
-    bn = {}
     for name, in_dim, dims in (("proj", d, heads.proj_dims),
                                ("pred", heads.proj_dims[-1], heads.pred_dims)):
         # no bias on the linear maps: each is followed by a batch norm whose
@@ -208,10 +206,8 @@ def _make_params(cfg: BackboneConfig, heads: HeadConfig, normal, zeros, ones):
             if i < len(dims) - 1:
                 p[f"{name}.bn{i}.g"] = ones((width,))
                 p[f"{name}.bn{i}.b"] = zeros((width,))
-            bn[f"{name}.bn{i}.mean"] = zeros((width,))
-            bn[f"{name}.bn{i}.var"] = ones((width,))
             prev = width
-    return p, bn
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -294,41 +290,21 @@ def relu_backward(dy, mask):
     return dy * mask
 
 
-def batchnorm_forward(x, g, b, stats_key, bn_stats, train: bool):
-    """Batch norm over the batch axis of a (B, F) matrix.
-
-    Training uses current-batch statistics (variance floored by ``BN_EPS``)
-    and advances the running statistics; inference mode reads the stored
-    statistics and leaves them untouched, so it is idempotent. ``g``/``b``
-    are None for the non-learnable variant.
+def batchnorm_forward(x, g, b):
+    """Batch norm over the batch axis of a (B, F) matrix, with the batch's
+    own statistics (variance floored by ``BN_EPS``). ``g``/``b`` are None
+    for the non-learnable variant.
     """
-    if train:
-        mu = x.mean(axis=0)
-        var = x.var(axis=0)
-        m = bn_stats[f"{stats_key}.mean"]
-        v = bn_stats[f"{stats_key}.var"]
-        n = x.shape[0]
-        var_run = var * n / (n - 1) if n > 1 else var
-        m *= 1.0 - BN_MOMENTUM
-        m += BN_MOMENTUM * mu
-        v *= 1.0 - BN_MOMENTUM
-        v += BN_MOMENTUM * var_run
-    else:
-        mu = bn_stats[f"{stats_key}.mean"]
-        var = bn_stats[f"{stats_key}.var"]
+    mu = x.mean(axis=0)
+    var = x.var(axis=0)
     inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (x - mu) * inv
     y = xhat if g is None else g * xhat + b
-    return y, (x, mu, inv, xhat, g, train)
+    return y, (x, mu, inv, xhat, g)
 
 
 def batchnorm_backward(dy, cache):
-    x, mu, inv, xhat, g, train = cache
-    if not train:
-        scale = inv if g is None else g * inv
-        dg = None if g is None else (dy * xhat).sum(axis=0)
-        db = None if g is None else dy.sum(axis=0)
-        return dy * scale, dg, db
+    x, mu, inv, xhat, g = cache
     n = x.shape[0]
     dxhat = dy if g is None else dy * g
     xc = x - mu
@@ -531,7 +507,7 @@ def encode_backward(cfg: BackboneConfig, drep: np.ndarray, cache):
 # ---------------------------------------------------------------------------
 # heads
 
-def _head_forward(name, dims, params, bn_stats, x, train):
+def _head_forward(name, dims, params, x):
     caches = []
     h = x
     for i in range(len(dims)):
@@ -539,7 +515,7 @@ def _head_forward(name, dims, params, bn_stats, x, train):
         h, lin_c = matmul_forward(h, params[f"{name}.{i}.w"])
         g = None if last else params[f"{name}.bn{i}.g"]
         b = None if last else params[f"{name}.bn{i}.b"]
-        h, bn_c = batchnorm_forward(h, g, b, f"{name}.bn{i}", bn_stats, train)
+        h, bn_c = batchnorm_forward(h, g, b)
         if last:
             caches.append((lin_c, bn_c, None))
         else:
@@ -562,20 +538,18 @@ def _head_backward(name, dims, dy, caches, grads):
     return dy
 
 
-def project(heads: HeadConfig, params: dict, bn_stats: dict, rep: np.ndarray,
-            train: bool = True):
+def project(heads: HeadConfig, params: dict, rep: np.ndarray):
     """Projection MLP producing the contrastive target embedding z."""
-    return _head_forward("proj", heads.proj_dims, params, bn_stats, rep, train)
+    return _head_forward("proj", heads.proj_dims, params, rep)
 
 
 def project_backward(heads: HeadConfig, dz: np.ndarray, caches, grads: dict):
     return _head_backward("proj", heads.proj_dims, dz, caches, grads)
 
 
-def predict(heads: HeadConfig, params: dict, bn_stats: dict, z: np.ndarray,
-            train: bool = True):
+def predict(heads: HeadConfig, params: dict, z: np.ndarray):
     """Prediction MLP mapping z to the online-branch embedding q."""
-    return _head_forward("pred", heads.pred_dims, params, bn_stats, z, train)
+    return _head_forward("pred", heads.pred_dims, params, z)
 
 
 def predict_backward(heads: HeadConfig, dq: np.ndarray, caches, grads: dict):
@@ -585,10 +559,9 @@ def predict_backward(heads: HeadConfig, dq: np.ndarray, caches, grads: dict):
 # ---------------------------------------------------------------------------
 # full branch: pixels -> tokens -> rep -> z -> q
 #
-# A branch is an encoder half (pixels -> rep), which reads the parameters
-# only, and a head half (rep -> z -> q), whose batch norms advance the
-# running statistics in place. The encoder halves of different views are
-# therefore independent and may run concurrently; the head halves may not.
+# A branch is an encoder half (pixels -> rep) and a head half (rep -> z -> q).
+# Both read the parameters only, so the encoder halves of different views are
+# independent and may run concurrently.
 
 def encode_view(cfg: BackboneConfig, params: dict, pixels: np.ndarray,
                 indices: np.ndarray, cache: bool = True):
@@ -609,11 +582,10 @@ def encode_view_backward(cfg: BackboneConfig, drep: np.ndarray, cache) -> dict:
     return grads
 
 
-def heads_forward(heads: HeadConfig, params: dict, bn_stats: dict,
-                  rep: np.ndarray, train: bool = True):
+def heads_forward(heads: HeadConfig, params: dict, rep: np.ndarray):
     """Head half of one view's forward pass. Returns (z, q, cache)."""
-    z, proj_c = project(heads, params, bn_stats, rep, train)
-    q, pred_c = predict(heads, params, bn_stats, z, train)
+    z, proj_c = project(heads, params, rep)
+    q, pred_c = predict(heads, params, z)
     return z, q, (proj_c, pred_c)
 
 
@@ -627,8 +599,7 @@ def heads_backward(heads: HeadConfig, cache, dq: np.ndarray):
 
 
 def forward_branch(cfg: BackboneConfig, heads: HeadConfig, params: dict,
-                   bn_stats: dict, pixels: np.ndarray, indices: np.ndarray,
-                   train: bool = True):
+                   pixels: np.ndarray, indices: np.ndarray):
     """Full forward pass of one view. Returns (z, q, cache).
 
     No training path calls it: a step runs :func:`encode_view` as a pool job
@@ -636,7 +607,7 @@ def forward_branch(cfg: BackboneConfig, heads: HeadConfig, params: dict,
     ``tests/test_train.py`` checks the pooled step against, bit for bit, and
     that the finite-difference gradient checks differentiate."""
     rep, enc_c = encode_view(cfg, params, pixels, indices)
-    z, q, head_c = heads_forward(heads, params, bn_stats, rep, train)
+    z, q, head_c = heads_forward(heads, params, rep)
     return z, q, (enc_c, head_c)
 
 

@@ -7,15 +7,15 @@ A job is data; a worker runs only this package's own functions (see
 (:func:`_encode`) or its backward (:func:`_encode_backward`), or one Monte
 Carlo chunk of the analyzer (:func:`_chunks`). Job i of a call runs on
 process i % n, the caller being process 0, and the caller gathers the
-results in job order. There is one process per core the process may use
-(:func:`_processes`): the first call sets numpy's OpenBLAS to one thread,
-overriding ``OPENBLAS_NUM_THREADS``, so that the processes fill the cores
-and outputs do not depend on the environment; with another BLAS the jobs
-stay serial. They run in order on the caller when there is one process or
-one job, and while the encoder's functions are wrapped, as
-``bench/tracer.py`` wraps them, since a span timed in a worker would stay
-there. Workers fork, and ``mmap`` and ``multiprocessing`` load, at the
-first call that needs them.
+results in job order. There is one process per core the process may use,
+at most one per job (:func:`_processes`): the first call sets numpy's
+OpenBLAS to one thread, overriding ``OPENBLAS_NUM_THREADS``, so that the
+processes fill the cores and outputs do not depend on the environment; with
+another BLAS the jobs stay serial. They run in order on the caller when
+there is one process or one job, and while the encoder's functions are
+wrapped, as ``bench/tracer.py`` wraps them, since a span timed in a worker
+would stay there. Workers fork, and ``mmap`` and ``multiprocessing`` load,
+at the first call that needs them.
 
 An encoder job names the crop it reads: sources and, for a training step's
 views, their augmentation draws. Each process renders the crops its own
@@ -77,12 +77,13 @@ def _one_blas_thread() -> bool:
 
 
 def _processes(jobs: list) -> int:
-    """Processes that run ``jobs``, the caller's included: one per core, but
-    one where numpy links another BLAS, for fewer than two jobs and while
-    the encoder is wrapped. The first call sets OpenBLAS to one thread
-    (:func:`_one_blas_thread`) whatever the jobs."""
-    one_thread = _one_blas_thread()
-    return _CORES if one_thread and len(jobs) > 1 and not _wrapped() else 1
+    """Processes that run ``jobs``, the caller's included: one per core, at
+    most one per job, but one where numpy links another BLAS, for fewer than
+    two jobs and while the encoder is wrapped. The first call sets OpenBLAS
+    to one thread (:func:`_one_blas_thread`) whatever the jobs."""
+    if _one_blas_thread() and len(jobs) > 1 and not _wrapped():
+        return min(_CORES, len(jobs))
+    return 1
 
 
 def _at(buffer, layout: dict, base: int) -> dict:
@@ -94,12 +95,10 @@ def _at(buffer, layout: dict, base: int) -> dict:
 
 def _pixels(crops):
     """``pixels(c)``: the pixels of crop ``crops[c]``, ``(sources, draws)``,
-    rendered by :func:`~asympatch.data.render_views` at the first call, or
-    the sources as they are where the draws are None."""
+    rendered by :func:`~asympatch.data.render_views` at the first call."""
     @functools.cache
     def pixels(c):
-        sources, draws = crops[c]
-        return sources if draws is None else data.render_views(sources, draws)
+        return data.render_views(*crops[c])
     return pixels
 
 
@@ -176,12 +175,14 @@ def _worker(conn, inherited, buffer) -> None:
 
 
 def _start_workers(size: int, n: int) -> None:
-    """Fork ``n - 1`` workers that share a buffer of ``size`` bytes, unless
-    that many, or more, run with as large a buffer; otherwise those that run
-    are ended first."""
+    """Have ``n - 1`` workers or more, sharing a buffer of ``size`` bytes or
+    more. A restart keeps the larger count and buffer, so calls that need
+    different sizes in turn (a probe's and a step's) keep the same workers."""
     global _buffer
-    if _procs and len(_procs) >= n - 1 and len(_buffer) >= size:
-        return
+    if _procs:
+        if len(_procs) >= n - 1 and len(_buffer) >= size:
+            return
+        n, size = max(n, len(_procs) + 1), max(size, len(_buffer))
     _stop_workers()
     # imported here: a process that forks no worker need not load them
     import mmap
@@ -324,10 +325,9 @@ def _chunk(i, *args):
 
 def _chunks(jobs: list) -> list:
     """The pair overlaps of each Monte Carlo chunk, ``jobs[i]`` holding the
-    arguments of ``asymmetry._simulate_chunk``, on no more processes than
-    there are chunks. A chunk's values depend on its arguments alone, so not
-    on the process that runs it."""
-    n = min(_processes(jobs), len(jobs))
+    arguments of ``asymmetry._simulate_chunk``. A chunk's values depend on
+    its arguments alone, so not on the process that runs it."""
+    n = _processes(jobs)
     if n > 1:
         _start_workers(0, n)
     messages = {}

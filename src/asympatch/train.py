@@ -19,13 +19,13 @@ patches, and the loss averages over ordered cross-branch pairs only
 
 The views meet only in the loss, so each view's encoder pass, and each chunk
 of the kNN probe's embeddings, runs as one encoder job on the worker pool
-(:mod:`asympatch.pool`); the heads, whose batch norms update running
-statistics in place, the gradient sum and the optimizer stay on the caller
-in view order. A job names its crop, the batch's sources and that crop's
-slice of the draws, and the process that runs it renders the crop's pixels
-(:func:`~asympatch.data.render_views`); the jobs alternate crop by crop, so
-with two processes the caller renders crop 1 and the worker crop 2. Every
-value is byte-identical to the serial loop, whatever the process count.
+(:mod:`asympatch.pool`); the heads, the gradient sum and the optimizer
+stay on the caller in view order. A job names its crop, the batch's sources
+and that crop's slice of the draws, and the process that runs it renders
+the crop's pixels (:func:`~asympatch.data.render_views`); the jobs
+alternate crop by crop, so with two processes the caller renders crop 1 and
+the worker crop 2. Every value is byte-identical to the serial loop,
+whatever the process count.
 """
 
 from __future__ import annotations
@@ -38,8 +38,9 @@ import numpy as np
 
 from . import encoder as enc
 from . import pool
-from .data import (AugmentParams, ImageRecord, cifar_augment_params,
-                   draw_views, load_cifar, synth_dataset, synth_manifest)
+from .data import (AugmentParams, ImageRecord, ViewDraws, cifar_augment_params,
+                   draw_views, identity_augment_params, load_cifar,
+                   synth_dataset, synth_manifest)
 from .objective import multiview_loss
 from .optim import (AdamWState, ClipState, EmaSchedule, adamw_step,
                     clip_update, cosine_lr, momentum_encoder_update)
@@ -183,13 +184,11 @@ class TrainState:
     config: TrainConfig
     step: int
     params: dict
-    bn_stats: dict
     opt: AdamWState
     clip: dict
     rng: np.random.Generator
     metrics: list
     target_params: dict | None = None
-    target_bn: dict | None = None
 
 
 def clip_group_of(param_name: str) -> str:
@@ -206,13 +205,12 @@ def clip_group_of(param_name: str) -> str:
 
 def init_train_state(config: TrainConfig) -> TrainState:
     rng = np.random.default_rng(config.seed)
-    params, bn_stats = enc.init_params(config.backbone_config(),
-                                       config.head_config(), rng)
+    params = enc.init_params(config.backbone_config(), config.head_config(),
+                             rng)
     state = TrainState(
         config=config,
         step=0,
         params=params,
-        bn_stats=bn_stats,
         opt=AdamWState(betas=config.betas, weight_decay=config.weight_decay),
         clip={},
         rng=rng,
@@ -220,7 +218,6 @@ def init_train_state(config: TrainConfig) -> TrainState:
     )
     if config.momentum_encoder:
         state.target_params = {k: v.copy() for k, v in params.items()}
-        state.target_bn = {k: v.copy() for k, v in bn_stats.items()}
     return state
 
 
@@ -263,14 +260,12 @@ def train_step(state: TrainState, batch_records, dump_path=None) -> float:
 
     pairs, head_caches = [], []      # (q, z_for_targets), heads' caches
     for j in job_of:
-        z, q, head_c = enc.heads_forward(hc, state.params, state.bn_stats,
-                                         reps[j], train=True)
+        z, q, head_c = enc.heads_forward(hc, state.params, reps[j])
         pairs.append((q, z))
         head_caches.append(head_c)
     if cfg.momentum_encoder:
         for v, j in enumerate(job_of):
-            z_t, _ = enc.project(hc, state.target_params, state.target_bn,
-                                 reps[len(views) + j], train=True)
+            z_t, _ = enc.project(hc, state.target_params, reps[len(views) + j])
             pairs[v] = (pairs[v][0], z_t)
 
     ids1 = range(len(views1))
@@ -347,14 +342,22 @@ def embed_records(config: TrainConfig, params: dict, records,
                   batch: int = 16) -> np.ndarray:
     """Full-image (all patches kept) class-token representations.
 
+    Each image is rendered whole, unflipped and uncoloured, at the
+    backbone's input size (bit for bit the image where the sizes agree).
     Records are encoded in chunks of ``batch``, one encoder job per chunk.
     No encoder operation mixes records, so the result does not depend on
     ``batch``.
     """
     bb = config.backbone_config()
+    whole = identity_augment_params(bb.image_size)
     all_idx = np.arange(bb.n_patches)
     chunks = [records[i:i + batch] for i in range(0, len(records), batch)]
-    crops = [(np.stack([r.pixels for r in chunk]), None) for chunk in chunks]
+    crops = []
+    for chunk in chunks:
+        src = np.stack([r.pixels for r in chunk])
+        n, height, width = src.shape[:3]
+        box = np.tile([[0.0], [0.0], [width], [height]], n)
+        crops.append((src, ViewDraws(whole, box, np.zeros(n, bool), ())))
     return np.concatenate(pool._encode(bb, [params], crops, [
         (0, c, np.broadcast_to(all_idx, (len(chunk), bb.n_patches)), False)
         for c, chunk in enumerate(chunks)]), axis=0)
@@ -435,19 +438,12 @@ def config_from_meta(meta: dict) -> TrainConfig:
 
 
 def checkpoint_save(state: TrainState, path) -> None:
-    arrays = {}
-    for name, a in state.params.items():
-        arrays[f"params.{name}"] = a
-    for name, a in state.bn_stats.items():
-        arrays[f"bn.{name}"] = a
+    arrays = {f"params.{name}": a for name, a in state.params.items()}
     for name, a in state.opt.m.items():
         arrays[f"opt.m.{name}"] = a
         arrays[f"opt.v.{name}"] = state.opt.v[name]
-    if state.target_params is not None:
-        for name, a in state.target_params.items():
-            arrays[f"target.{name}"] = a
-        for name, a in state.target_bn.items():
-            arrays[f"target_bn.{name}"] = a
+    for name, a in (state.target_params or {}).items():
+        arrays[f"target.{name}"] = a
     for gname, cs in state.clip.items():
         arrays[f"clip.{gname}"] = cs.ema_grad
     if state.metrics:
@@ -464,13 +460,12 @@ def checkpoint_save(state: TrainState, path) -> None:
 def _check_arrays(path, arrays: dict, config: TrainConfig, step: int) -> None:
     """Raise :class:`CheckpointError` unless ``arrays`` are the float64
     arrays, by name and shape, that :func:`checkpoint_save` writes for
-    ``config`` at ``step``: the parameters and batch-norm statistics; from
+    ``config`` at ``step``: the parameters; from
     the first step on, the AdamW moments and, with clipping on, each clip
     group's EMA; with the momentum encoder on, the target network's; and
     the metrics."""
-    params, bn = enc.param_shapes(config.backbone_config(), config.head_config())
+    params = enc.param_shapes(config.backbone_config(), config.head_config())
     want = {f"params.{k}": s for k, s in params.items()}
-    want.update({f"bn.{k}": s for k, s in bn.items()})
     if step:
         want.update({f"opt.{m}.{k}": s for m in "mv" for k, s in params.items()})
     if step and config.clip_enabled:
@@ -480,7 +475,6 @@ def _check_arrays(path, arrays: dict, config: TrainConfig, step: int) -> None:
         want.update({f"clip.{g}": (n,) for g, n in sizes.items()})
     if config.momentum_encoder:
         want.update({f"target.{k}": s for k, s in params.items()})
-        want.update({f"target_bn.{k}": s for k, s in bn.items()})
     if "metrics" in arrays:
         want["metrics"] = arrays["metrics"].shape[:1] + (len(METRIC_FIELDS),)
     wrong = {
@@ -501,10 +495,12 @@ def _check_arrays(path, arrays: dict, config: TrainConfig, step: int) -> None:
 def checkpoint_load(path) -> TrainState:
     """A state saved by :func:`checkpoint_save`. The config fixes each clip
     group's m and alpha and whether a target network is present, and each
-    step makes exactly one optimizer step; meta keys beyond ``kind``,
-    ``config``, ``step`` and ``rng_state``, as older checkpoints carry, are
-    ignored. Arrays that do not match the config and step, by name, shape
-    or dtype, raise :class:`CheckpointError`."""
+    step makes exactly one optimizer step. Meta keys beyond ``kind``,
+    ``config``, ``step`` and ``rng_state``, and the heads' batch-norm
+    running statistics, online (arrays named ``bn.*``) and target, which
+    older checkpoints carry, are ignored. Any other array that does not
+    match the config and step, by name, shape or dtype, raises
+    :class:`CheckpointError`."""
     arrays, meta = load_arrays(path)
     if meta.get("kind") != "train_state":
         raise CheckpointError(f"{path} is not a training checkpoint")
@@ -519,6 +515,8 @@ def checkpoint_load(path) -> TrainState:
     if not (type(step) is int and step >= 0):
         raise CheckpointError(f"{path}: step must be a non-negative int")
 
+    arrays = {k: v for k, v in arrays.items()
+              if not k.removeprefix("target_").startswith("bn.")}
     _check_arrays(path, arrays, config, step)
 
     def group(prefix):
@@ -536,13 +534,10 @@ def checkpoint_load(path) -> TrainState:
     except (TypeError, KeyError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"{path}: bad rng_state: {exc!r}") from exc
     # as Python floats: a numpy scalar's repr would reach metrics.csv
-    metrics = [tuple(row) for row in
-               arrays.get("metrics", np.empty((0, 5))).tolist()]
-    state = TrainState(
-        config=config, step=step, params=group("params."),
-        bn_stats=group("bn."), opt=opt, clip=clip, rng=rng, metrics=metrics,
+    rows = arrays.get("metrics", np.empty((0, len(METRIC_FIELDS))))
+    metrics = [tuple(row) for row in rows.tolist()]
+    return TrainState(
+        config=config, step=step, params=group("params."), opt=opt,
+        clip=clip, rng=rng, metrics=metrics,
+        target_params=group("target.") if config.momentum_encoder else None,
     )
-    if config.momentum_encoder:
-        state.target_params = group("target.")
-        state.target_bn = group("target_bn.")
-    return state

@@ -53,8 +53,8 @@ def fd_directional(value_fn, params, name, direction, h=1e-5):
 def micro_model(seed=0):
     bb = BACKBONES["vit-micro"]
     hc = HEADS["micro"]
-    params, bn = init_params(bb, hc, np.random.default_rng(seed))
-    return bb, hc, params, bn
+    params = init_params(bb, hc, np.random.default_rng(seed))
+    return bb, hc, params
 
 
 def micro_batch(seed=1, batch=2, ratio=0.25):

@@ -38,6 +38,15 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def src_env() -> dict:
+    """This process's environment, with the package source on the path of a
+    child interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
 class TestPixmaps:
     def test_round_trip(self, tmp_path):
         img = np.linspace(0, 1, 4 * 5 * 3).reshape(4, 5, 3)
@@ -157,12 +166,9 @@ class TestAnalyze:
         importlib.import_module("asympatch.__main__")
 
     def test_runs_as_a_module(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
         done = subprocess.run(
             [sys.executable, "-m", "asympatch", "analyze", "--help"],
-            capture_output=True, text=True, env=env, timeout=120)
+            capture_output=True, text=True, env=src_env(), timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("usage: asympatch analyze")
 
@@ -314,13 +320,10 @@ class TestTrainAndProbe:
         cfg = tmp_path / "diverge.ini"
         cfg.write_text(open(self.write_train_config(tmp_path, total_steps=3))
                        .read() + "lr = 1e300\n")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
         done = subprocess.run(
             [sys.executable, "-m", "asympatch.cli", "train", "--config",
              str(cfg), "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, env=env, timeout=300)
+            capture_output=True, text=True, env=src_env(), timeout=300)
         assert done.returncode == 1
         assert done.stderr.startswith("error: ")
         assert done.stderr.count("\n") == 1
@@ -335,9 +338,7 @@ class TestTrainAndProbe:
                        .read() + "views = 4\nclip = on\nmomentum_encoder = on\n")
         runs = []
         for threads in (None, "1"):
-            env = dict(os.environ)
-            env["PYTHONPATH"] = os.pathsep.join(p for p in (
-                os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+            env = src_env()
             for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
                 env.pop(var, None)
                 if threads:
@@ -352,6 +353,30 @@ class TestTrainAndProbe:
         assert sorted(runs[0]) == ["dataset_manifest.txt", "final.ckpt",
                                    "metrics.csv", "probe_report.txt"]
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("command", ["demo", "train"])
+    def test_image_size_below_one_is_one_error_line(self, tmp_path, command):
+        # a separate process, as above: numpy's warnings must not show
+        cfg = tmp_path / "zero.ini"
+        cfg.write_text(f"[{command}]\nimage_size = 0\n")
+        done = subprocess.run(
+            [sys.executable, "-m", "asympatch.cli", command, "--config",
+             str(cfg), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=src_env(), timeout=300)
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: ")
+        assert done.stderr.count("\n") == 1
+        assert "image_size" in done.stderr
+
+    def test_probe_renders_images_at_the_backbones_size(self, tmp_path):
+        # 8-pixel images on the 16-pixel vit-micro: the probe encodes each
+        # whole image resized, as training encodes its crops
+        cfg = tmp_path / "small.ini"
+        cfg.write_text(open(self.write_train_config(tmp_path, total_steps=2))
+                       .read().replace("image_size = 16", "image_size = 8"))
+        out = tmp_path / "out"
+        assert run_cli("train", "--config", str(cfg), "--out", str(out)) == 0
+        assert (out / "probe_report.txt").exists()
 
     def test_probe_empty_checkpoint_header_fails_closed(self, tmp_path, capsys):
         header = b"{}"

@@ -68,10 +68,9 @@ class TestConfigs:
         ids=["micro", "sincos"])
     def test_param_shapes_are_init_params_shapes_in_order(self, bb):
         hc = HeadConfig(proj_dims=(8, 6), pred_dims=(6,))
-        params, bn = init_params(bb, hc, np.random.default_rng(0))
-        shapes, bn_shapes = param_shapes(bb, hc)
+        params = init_params(bb, hc, np.random.default_rng(0))
+        shapes = param_shapes(bb, hc)
         assert list(shapes.items()) == [(k, a.shape) for k, a in params.items()]
-        assert list(bn_shapes.items()) == [(k, a.shape) for k, a in bn.items()]
 
     def test_shapes_fully_determined_by_config(self):
         for name, cfg in BACKBONES.items():
@@ -82,7 +81,7 @@ class TestConfigs:
 
 class TestPatchify:
     def test_full_sampling_token_count(self):
-        bb, hc, params, _ = micro_model()
+        bb, hc, params = micro_model()
         pixels, _ = micro_batch(batch=1)
         idx = np.arange(bb.n_patches)[None, :]
         tokens, _ = patchify(bb, params, pixels, idx)
@@ -90,7 +89,7 @@ class TestPatchify:
 
     def test_quarter_sampling_on_16x16_grid(self):
         cfg = BACKBONES["vit-tiny-2"]          # 16x16 grid of 2-pixel patches
-        params, _ = init_params(cfg, HEADS["cifar"], np.random.default_rng(0))
+        params = init_params(cfg, HEADS["cifar"], np.random.default_rng(0))
         rng = np.random.default_rng(1)
         pixels = rng.random((1, 32, 32, 3))
         idx = rng.choice(256, size=64, replace=False)[None, :]
@@ -98,7 +97,7 @@ class TestPatchify:
         assert tokens.shape[1] == 65
 
     def test_shared_patch_same_token_and_position(self):
-        bb, hc, params, _ = micro_model()
+        bb, hc, params = micro_model()
         pixels, _ = micro_batch(batch=1)
         a = np.array([[0, 5, 9]])
         b = np.array([[5, 20, 33]])
@@ -107,7 +106,7 @@ class TestPatchify:
         assert np.array_equal(ta[0, 2], tb[0, 1])     # patch 5 in both
 
     def test_index_out_of_grid(self):
-        bb, hc, params, _ = micro_model()
+        bb, hc, params = micro_model()
         pixels, _ = micro_batch(batch=1)
         with pytest.raises(IndexError):
             patchify(bb, params, pixels, np.array([[bb.n_patches]]))
@@ -120,7 +119,7 @@ class TestPatchify:
 
 class TestEncode:
     def test_zero_output_projections_give_identity_residual(self):
-        bb, hc, params, _ = micro_model()
+        bb, hc, params = micro_model()
         for i in range(bb.n_blocks):
             params[f"blocks.{i}.attn.w_out"][:] = 0.0
             params[f"blocks.{i}.attn.b_out"][:] = 0.0
@@ -138,7 +137,7 @@ class TestEncode:
         assert np.allclose(rep, expected, atol=1e-12)
 
     def test_token_permutation_leaves_cls_output_unchanged(self):
-        bb, hc, params, _ = micro_model()
+        bb, hc, params = micro_model()
         pixels, indices = micro_batch()
         rep_a, _ = encode(bb, params, patchify(bb, params, pixels, indices)[0])
         perm = np.random.default_rng(3).permutation(indices.shape[1])
@@ -147,7 +146,7 @@ class TestEncode:
         assert np.allclose(rep_a, rep_b, atol=1e-10)
 
     def test_bitwise_determinism(self):
-        bb, hc, params, _ = micro_model()
+        bb, hc, params = micro_model()
         pixels, indices = micro_batch()
         tokens, _ = patchify(bb, params, pixels, indices)
         rep_a, _ = encode(bb, params, tokens)
@@ -155,7 +154,7 @@ class TestEncode:
         assert np.array_equal(rep_a, rep_b)
 
     def test_non_finite_diagnostic_names_block(self):
-        bb, hc, params, _ = micro_model()
+        bb, hc, params = micro_model()
         params["blocks.2.mlp.w2"][0, 0] = np.nan
         pixels, indices = micro_batch()
         tokens, _ = patchify(bb, params, pixels, indices)
@@ -165,7 +164,7 @@ class TestEncode:
 
     @pytest.mark.parametrize("ratio", [0.25, 1.0])
     def test_rep_without_caches_is_byte_equal(self, ratio):
-        bb, hc, params, _ = micro_model()
+        bb, hc, params = micro_model()
         pixels, indices = micro_batch(batch=5, ratio=ratio)
         rep, cache = encode_view(bb, params, pixels, indices)
         bare, none = encode_view(bb, params, pixels, indices, cache=False)
@@ -174,7 +173,7 @@ class TestEncode:
         assert bare.tobytes() == rep.tobytes()
 
     def test_a_pass_without_caches_holds_one_block_at_a_time(self):
-        bb, hc, params, _ = micro_model()
+        bb, hc, params = micro_model()
         pixels, indices = micro_batch(batch=16, ratio=1.0)
         tokens, _ = patchify(bb, params, pixels, indices)
         peaks = []
@@ -196,7 +195,7 @@ class TestClassTokenLastBlock:
                        image_size=32),
     ], ids=["vit-micro", "vit-tiny-3-blocks"])
     def test_matches_full_block_reference(self, bb):
-        params, _ = init_params(bb, HEADS["micro"], np.random.default_rng(0))
+        params = init_params(bb, HEADS["micro"], np.random.default_rng(0))
         rng = np.random.default_rng(1)
         tokens = rng.normal(size=(4, 1 + bb.n_patches // 4, bb.token_dim))
         drep = rng.normal(size=(4, bb.token_dim))
@@ -258,46 +257,25 @@ class TestClassTokenLastBlock:
 
 class TestHeads:
     def test_identical_rows_collapse_to_zero(self):
-        bb, hc, params, bn = micro_model()
+        bb, hc, params = micro_model()
         rep = np.tile(np.linspace(-1, 1, bb.token_dim), (3, 1))
-        z, _ = project(hc, params, {k: v.copy() for k, v in bn.items()}, rep)
+        z, _ = project(hc, params, rep)
         assert np.allclose(z, 0.0)
 
     def test_output_widths_per_preset(self):
         assert HEADS["cifar"].proj_dims[-1] == 128
         assert HEADS["cifar"].pred_dims[-1] == 128
         assert HEADS["imagenet"].proj_dims[-1] == 256
-        bb, hc, params, bn = micro_model()
+        bb, hc, params = micro_model()
         pixels, indices = micro_batch()
-        z, q, _ = forward_branch(bb, hc, params, bn, pixels, indices)
+        z, q, _ = forward_branch(bb, hc, params, pixels, indices)
         assert z.shape[1] == hc.proj_dims[-1]
         assert q.shape[1] == hc.pred_dims[-1]
-
-    def test_eval_mode_idempotent(self):
-        bb, hc, params, bn = micro_model()
-        rng = np.random.default_rng(4)
-        rep = rng.normal(size=(6, bb.token_dim))
-        # train once to move the running stats off their init
-        project(hc, params, bn, rep, train=True)
-        frozen = {k: v.copy() for k, v in bn.items()}
-        z1, _ = project(hc, params, bn, rep, train=False)
-        z2, _ = project(hc, params, bn, rep, train=False)
-        assert np.array_equal(z1, z2)
-        for k in frozen:
-            assert np.array_equal(bn[k], frozen[k])
-
-    def test_train_mode_updates_running_stats(self):
-        bb, hc, params, bn = micro_model()
-        rep = np.random.default_rng(5).normal(size=(6, bb.token_dim))
-        before = {k: v.copy() for k, v in bn.items()}
-        project(hc, params, bn, rep, train=True)
-        assert any(not np.array_equal(bn[k], before[k])
-                   for k in bn if k.startswith("proj."))
 
 
 class TestGradients:
     def test_encoder_gradients_match_finite_differences(self):
-        bb, hc, params, _ = micro_model()
+        bb, hc, params = micro_model()
         pixels, indices = micro_batch()
         rng = np.random.default_rng(6)
         probe = rng.normal(size=(pixels.shape[0], bb.token_dim))
@@ -321,20 +299,18 @@ class TestGradients:
         assert worst < 1e-4
 
     def test_head_gradients_match_finite_differences(self):
-        bb, hc, params, bn = micro_model()
+        bb, hc, params = micro_model()
         rng = np.random.default_rng(7)
         rep = rng.normal(size=(4, bb.token_dim))
         probe = rng.normal(size=(4, hc.pred_dims[-1]))
 
         def value(p):
-            bnc = {k: v.copy() for k, v in bn.items()}
-            z, zc = project(hc, p, bnc, rep)
-            q, qc = predict(hc, p, bnc, z)
+            z, zc = project(hc, p, rep)
+            q, qc = predict(hc, p, z)
             return float((q * probe).sum())
 
-        bnc = {k: v.copy() for k, v in bn.items()}
-        z, proj_c = project(hc, params, bnc, rep)
-        q, pred_c = predict(hc, params, bnc, z)
+        z, proj_c = project(hc, params, rep)
+        q, pred_c = predict(hc, params, z)
         grads = {}
         from asympatch.encoder import predict_backward, project_backward
         dz = predict_backward(hc, probe, pred_c, grads)
@@ -348,10 +324,9 @@ class TestGradients:
         assert worst < 1e-4
 
     def test_backward_linearity_and_zero(self):
-        bb, hc, params, bn = micro_model()
+        bb, hc, params = micro_model()
         pixels, indices = micro_batch()
-        bnc = {k: v.copy() for k, v in bn.items()}
-        z, q, cache = forward_branch(bb, hc, params, bnc, pixels, indices)
+        z, q, cache = forward_branch(bb, hc, params, pixels, indices)
         rng = np.random.default_rng(8)
         dq = rng.normal(size=q.shape)
         g1 = backward_branch(bb, hc, cache, dq)
@@ -374,12 +349,12 @@ class TestGradients:
         depths = HEADS[heads]
         hc = HeadConfig(proj_dims=(8,) * len(depths.proj_dims),
                         pred_dims=(8,) * len(depths.pred_dims))
-        params, bn = init_params(bb, hc, np.random.default_rng(0))
+        params = init_params(bb, hc, np.random.default_rng(0))
         rng = np.random.default_rng(1)
         pixels = rng.random((4, bb.image_size, bb.image_size, 3))
         indices = np.stack([rng.choice(bb.n_patches, size=bb.n_patches // 4,
                                        replace=False) for _ in range(4)])
-        _, q, cache = forward_branch(bb, hc, params, bn, pixels, indices)
+        _, q, cache = forward_branch(bb, hc, params, pixels, indices)
         grads = backward_branch(bb, hc, cache, np.ones_like(q))
         assert {k: g.shape for k, g in grads.items()} == \
             {k: p.shape for k, p in params.items()}
@@ -393,12 +368,12 @@ class TestForwardSweep:
     def test_presets_forward_consistent_shapes(self, bname, hname):
         bb = BACKBONES[bname]
         hc = HEADS[hname]
-        params, bn = init_params(bb, hc, np.random.default_rng(0))
+        params = init_params(bb, hc, np.random.default_rng(0))
         rng = np.random.default_rng(1)
         pixels = rng.random((2, bb.image_size, bb.image_size, 3))
         k = max(1, bb.n_patches // 4)
         idx = np.stack([rng.choice(bb.n_patches, size=k, replace=False)
                         for _ in range(2)])
-        z, q, _ = forward_branch(bb, hc, params, bn, pixels, idx)
+        z, q, _ = forward_branch(bb, hc, params, pixels, idx)
         assert z.shape == (2, hc.proj_dims[-1])
         assert q.shape == (2, hc.pred_dims[-1])

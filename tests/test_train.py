@@ -65,10 +65,8 @@ def assert_same_state(a, b):
     assert a.metrics == b.metrics
     assert a.rng.bit_generator.state == b.rng.bit_generator.state
     assert (a.target_params is None) == (b.target_params is None)
-    for x, y in [(a.params, b.params), (a.bn_stats, b.bn_stats),
-                 (a.opt.m, b.opt.m), (a.opt.v, b.opt.v),
-                 (a.target_params or {}, b.target_params or {}),
-                 (a.target_bn or {}, b.target_bn or {})]:
+    for x, y in [(a.params, b.params), (a.opt.m, b.opt.m), (a.opt.v, b.opt.v),
+                 (a.target_params or {}, b.target_params or {})]:
         assert x.keys() == y.keys()
         assert all(np.array_equal(x[k], y[k]) for k in x)
     assert a.clip.keys() == b.clip.keys()
@@ -211,14 +209,13 @@ def serial_step(state, batch):
     crop1, crop2, views1, views2, _ = train_mod._draw(state, batch)
     pix1, pix2 = render_views(*crop1), render_views(*crop2)
     views = [(pix1, idx) for idx in views1] + [(pix2, idx) for idx in views2]
-    branch = [list(forward_branch(bb, hc, state.params, state.bn_stats,
-                                  pix, idx)) for pix, idx in views]
+    branch = [list(forward_branch(bb, hc, state.params, pix, idx))
+              for pix, idx in views]
     if cfg.momentum_encoder:
         for entry, (pix, idx) in zip(branch, views):
             tokens, _ = patchify(bb, state.target_params, pix, idx)
             rep, _ = encode(bb, state.target_params, tokens)
-            entry[0], _ = project(hc, state.target_params, state.target_bn,
-                                  rep, train=True)
+            entry[0], _ = project(hc, state.target_params, rep)
     n1 = len(views1)
     ordered = [(j, k) for j in range(n1) for k in range(n1, len(views))]
     ordered += [(k, j) for j, k in ordered]
@@ -270,8 +267,11 @@ def fake_encode_view_backward(bb, drep, cache):
 
 @pytest.fixture
 def fake_encoder(monkeypatch):
-    """Encoder jobs run the fakes above, in the caller and, forked with
-    them, in the workers; jobs are data, so the fakes are never pickled."""
+    """Encoder jobs run the fakes above, on their crops' sources as they
+    are, in the caller and, forked with them, in the workers; jobs are data,
+    so the fakes are never pickled."""
+    monkeypatch.setattr(pool_mod.data, "render_views",
+                        lambda sources, draws: sources)
     monkeypatch.setattr(train_mod.enc, "encode_view", fake_encode_view)
     monkeypatch.setattr(train_mod.enc, "encode_view_backward",
                         fake_encode_view_backward)
@@ -289,7 +289,7 @@ def job(x, net=0, keep=False):
 
 def run_jobs(nets, jobs):
     """``pool._encode`` of jobs ``(net, pixels, indices, keep)``, each job's
-    pixels its own crop, used as they are."""
+    pixels its own crop, used as they are under :func:`fake_encoder`."""
     return pool_mod._encode(BB, nets, [(pix, None) for _, pix, _, _ in jobs],
                             [(net, c, idx, keep)
                              for c, (net, _, idx, keep) in enumerate(jobs)])
@@ -346,11 +346,9 @@ def assert_same_bytes(parallel, serial):
     assert parallel.metrics == serial.metrics
     assert parallel.rng.bit_generator.state == serial.rng.bit_generator.state
     for a, b in [(parallel.params, serial.params),
-                 (parallel.bn_stats, serial.bn_stats),
                  (parallel.opt.m, serial.opt.m),
                  (parallel.opt.v, serial.opt.v),
                  (parallel.target_params or {}, serial.target_params or {}),
-                 (parallel.target_bn or {}, serial.target_bn or {}),
                  ({k: c.ema_grad for k, c in parallel.clip.items()},
                   {k: c.ema_grad for k, c in serial.clip.items()})]:
         assert same_bytes(a, b)
@@ -380,12 +378,10 @@ class TestParallelStep:
         assert len(pool_mod._procs) == n - 1       # the workers ran jobs
         assert parallel.metrics == serial.metrics
         assert same_bytes(parallel.params, serial.params)
-        assert same_bytes(parallel.bn_stats, serial.bn_stats)
         assert same_bytes(parallel.opt.m, serial.opt.m)
         assert same_bytes(parallel.opt.v, serial.opt.v)
         if cfg.momentum_encoder:
             assert same_bytes(parallel.target_params, serial.target_params)
-            assert same_bytes(parallel.target_bn, serial.target_bn)
         if cfg.clip_enabled:
             assert any(row[4] for row in serial.metrics)
             assert same_bytes(
@@ -426,7 +422,8 @@ class TestParallelStep:
         monkeypatch.setattr(pool_mod, "_CORES", cores)
         pool_mod._one_blas_thread.cache_clear()
         try:
-            assert pool_mod._processes([(), ()]) == expected
+            assert pool_mod._processes([()] * cores) == expected
+            assert pool_mod._processes([(), ()]) == min(expected, 2)
             assert pool_mod._processes([()]) == 1
         finally:
             pool_mod._one_blas_thread.cache_clear()
@@ -468,7 +465,7 @@ class TestParallelStep:
             ([RuntimeWarning] if mode == "warn" else [])
 
     def test_encode_raises_the_first_error_in_job_order_after_all_end(
-            self, workers, monkeypatch, tmp_path):
+            self, fake_encoder, workers, monkeypatch, tmp_path):
         def mark_then_fail(bb, params, pixels, indices, cache=True):
             # job i waits (job 1 least), leaves a file, fails if i < 2
             i = int(pixels[0])
@@ -563,18 +560,20 @@ class TestParallelStep:
         assert again.pid != proc.pid
         assert_same_bytes(parallel, serial)
 
+    @pytest.mark.parametrize("name", ["encode_view", "encode_view_backward"])
     def test_a_worker_lost_during_an_encode_fails_that_step_only(
-            self, workers, monkeypatch, tmp_path):
-        # once the flag is set, a worker ends in its first encoder job
-        encode_view, caller = train_mod.enc.encode_view, os.getpid()
+            self, workers, monkeypatch, tmp_path, name):
+        # once the flag is set, a worker ends in its first encoder job of
+        # that kind: the forward, or the backward after the heads have run
+        fn, caller = getattr(train_mod.enc, name), os.getpid()
         flag = tmp_path / "end-in-the-encode"
 
         def lost_when_flagged(*args, **kwargs):
             if os.getpid() != caller and flag.exists():
                 os._exit(1)
-            return encode_view(*args, **kwargs)
+            return fn(*args, **kwargs)
 
-        monkeypatch.setattr(train_mod.enc, "encode_view", lost_when_flagged)
+        monkeypatch.setattr(train_mod.enc, name, lost_when_flagged)
         workers(2)
         cfg = tiny_config(**MULTIVIEW)
         records = load_dataset(cfg.dataset)
@@ -704,9 +703,10 @@ class TestPooledRun:
                                 "metrics.csv", "step000002.ckpt",
                                 "step000004.ckpt"]
         assert parallel == serial
-        # the workers ran encoder jobs and their backward, nothing else
+        # the workers ran encoder jobs and their backward, nothing else; a
+        # smoke step's two jobs take two processes
         assert {obj[0] for obj in sent} == {"encode", "backward"}
-        assert len(pool_mod._procs) == n - 1
+        assert len(pool_mod._procs) == (n - 1 if overrides else 1)
 
     def test_a_resumed_run_equals_the_unbroken_run(self, workers, tmp_path):
         workers(2)
@@ -804,6 +804,24 @@ class TestSharedPool:
         assert embedded.tobytes() == \
             train_mod.embed_records(cfg, params, records).tobytes()
 
+    def test_a_process_per_job_and_the_pool_never_shrinks(self, workers):
+        # on four cores a 2-view step forks one worker and a probe over four
+        # chunks three, which the next step keeps
+        workers(4)
+        cfg = train_mod.smoke_config(total_steps=20)
+        records = load_dataset(cfg.dataset)
+        parallel, serial = init_train_state(cfg), init_train_state(cfg)
+        train_step(parallel, draw_batch(parallel, records))
+        serial_step(serial, draw_batch(serial, records))
+        assert len(pool_mod._procs) == 1
+        train_mod.embed_records(cfg, parallel.params, records[:64])
+        pids = [proc.pid for proc, _ in pool_mod._procs]
+        assert len(pids) == 3
+        train_step(parallel, draw_batch(parallel, records))
+        serial_step(serial, draw_batch(serial, records))
+        assert [proc.pid for proc, _ in pool_mod._procs] == pids
+        assert_same_bytes(parallel, serial)
+
     def test_a_run_after_an_analyze_writes_the_serial_runs_bytes(
             self, workers, tmp_path):
         cfg = tiny_config(total_steps=3, checkpoint_every=2)
@@ -858,10 +876,8 @@ class TestDegenerateAnchor:
                                            full, n, cfg.sampler)
         idx = np.tile(np.arange(bb.n_patches), (4, 1))
         assert set1.tolist() == set2.tolist() == idx.tolist()
-        bn1 = {k: v.copy() for k, v in state.bn_stats.items()}
-        bn2 = {k: v.copy() for k, v in state.bn_stats.items()}
-        z1, q1, _ = forward_branch(bb, hc, state.params, bn1, pix, idx)
-        z2, q2, _ = forward_branch(bb, hc, state.params, bn2, pix, idx)
+        z1, q1, _ = forward_branch(bb, hc, state.params, pix, idx)
+        z2, q2, _ = forward_branch(bb, hc, state.params, pix, idx)
         full = contrastive_loss(q1, z1, q2, z2, cfg.tau)
         mv = multiview_loss([(q1, z1), (q2, z2)], cfg.tau)
         assert mv.value == pytest.approx(full.value / 2.0, rel=1e-12)
@@ -876,11 +892,10 @@ class TestDegenerateAnchor:
         idx = np.stack([rng.choice(bb.n_patches, 16, replace=False)
                         for _ in range(6)])
         def loss_of(order):
-            bn = {k: v.copy() for k, v in state.bn_stats.items()}
-            z1, q1, _ = forward_branch(bb, hc, state.params, bn,
-                                       pix[order], idx[order])
-            z2, q2, _ = forward_branch(bb, hc, state.params, bn,
-                                       pix[order][::-1], idx[order][::-1])
+            z1, q1, _ = forward_branch(bb, hc, state.params, pix[order],
+                                       idx[order])
+            z2, q2, _ = forward_branch(bb, hc, state.params, pix[order][::-1],
+                                       idx[order][::-1])
             # fixed pairing: row i of view 1 with row i of view 2
             return contrastive_loss(q1, z1, q2[::-1], z2[::-1], cfg.tau).value
         base = loss_of(np.arange(6))
@@ -932,6 +947,32 @@ class TestCheckpointing:
         checkpoint_save(loaded, tmp_path / "again.ckpt")
         assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
+    def test_batch_norm_statistics_older_checkpoints_carry_are_dropped(
+            self, tmp_path):
+        # older versions also saved each head batch norm's running mean and
+        # variance, online (bn.*) and target (target_bn.*), which no code read
+        cfg = tiny_config(total_steps=6, clip_enabled=True,
+                          momentum_encoder=True)
+        full_state, full_losses = run_steps(cfg, 6)
+        state, first = run_steps(cfg, 3)
+        path = tmp_path / "x.ckpt"
+        checkpoint_save(state, path)
+        arrays, meta = load_arrays(path)
+        hc = cfg.head_config()
+        for prefix in ("bn", "target_bn"):
+            for head, dims in (("proj", hc.proj_dims), ("pred", hc.pred_dims)):
+                for i, width in enumerate(dims):
+                    arrays[f"{prefix}.{head}.bn{i}.mean"] = np.zeros(width)
+                    arrays[f"{prefix}.{head}.bn{i}.var"] = np.ones(width)
+        save_arrays(tmp_path / "old.ckpt", arrays, meta)
+        loaded = checkpoint_load(tmp_path / "old.ckpt")
+        assert_same_state(loaded, state)
+        checkpoint_save(loaded, tmp_path / "again.ckpt")
+        assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+        resumed, second = run_steps(cfg, 3, state=loaded)
+        assert first + second == full_losses
+        assert_same_state(resumed, full_state)
+
     def test_corrupt_and_mismatched_files(self, tmp_path):
         state, _ = run_steps(tiny_config(), 1)
         path = tmp_path / "x.ckpt"
@@ -978,10 +1019,8 @@ class TestCheckpointing:
 
     @pytest.mark.parametrize("change,steps,message", [
         ("del params.embed.w", 1, "missing params.embed.w"),
-        ("del bn.proj.bn0.mean", 1, "missing bn.proj.bn0.mean"),
         ("del opt.v.cls", 1, "missing opt.v.cls"),
         ("del target.pos", 1, "missing target.pos"),
-        ("del target_bn.pred.bn2.var", 1, "missing target_bn.pred.bn2.var"),
         ("del clip.block1", 1, "missing clip.block1"),
         ("add params.extra", 1, "unexpected params.extra"),
         ("add opt.m.cls", 0, "unexpected opt.m.cls"),
