@@ -12,7 +12,7 @@ from .asymmetry import (AsymmetryReport, expected_overlap_naive,
                         expected_overlap_selective, mechanism_expectation,
                         monte_carlo_overlap, pdf_normalization,
                         selective_density)
-from .data import (AugmentParams, ImageRecord, augment, augment_batch,
+from .data import (AugmentParams, ImageRecord, augment_batch,
                    cifar_augment_params, identity_augment_params,
                    load_cifar, synth_dataset)
 from .encoder import (BACKBONES, HEADS, BackboneConfig, HeadConfig, encode,

@@ -10,12 +10,12 @@ The closed forms:
 * the normalization identity: the density integrates to ``s1`` over
   ``r in [0, 1]`` for every ``gamma >= 0``.
 
-The Monte Carlo estimator simulates the actual pipeline (random or identical
-crops, uniform view-1 sampling, weighted view-2 sampling without
-replacement) and reports the mean pair overlap ``sum_i r_i / N`` over
-view-2's sampled patches: the fraction of the view-2 crop covered by both
-sampled views. Under identical crops this makes the naive estimator an
-exact, unbiased probe of ``s1 * s2``.
+The Monte Carlo estimator simulates the actual pipeline (identical crops or
+the trainer's random crops, uniform view-1 sampling, weighted view-2
+sampling without replacement) and reports the mean pair overlap
+``sum_i r_i / N`` over view-2's sampled patches: the fraction of the view-2
+crop covered by both sampled views. Under identical crops this makes the
+naive estimator an exact, unbiased probe of ``s1 * s2``.
 """
 
 from __future__ import annotations
@@ -28,11 +28,6 @@ import numpy as np
 from . import pool, sampling
 
 CROP_MODELS = ("identical", "random")
-
-# random-resized-crop distribution used by the simulated views (CIFAR-style):
-# crop area fraction uniform in [0.15, 1], aspect ratio log-uniform in [3/4, 4/3]
-DEFAULT_AREA_RANGE = (0.15, 1.0)
-DEFAULT_ASPECT_RANGE = (0.75, 4.0 / 3.0)
 
 _SIDE = 32.0  # simulated source image side; the profile is scale-invariant
 # cells per row tile of the Monte Carlo kernel: 64 rows at grid 32, so each
@@ -141,15 +136,13 @@ def reports_to_table(reports) -> str:
 
 def monte_carlo_overlap(strategy: str, s1: float, s2: float, gamma: float,
                         crop_model: str, grid_size: int, trials: int,
-                        seed=0, chunk: int = 4096,
-                        area_range=DEFAULT_AREA_RANGE,
-                        aspect_range=DEFAULT_ASPECT_RANGE) -> AsymmetryReport:
+                        seed=0, chunk: int = 4096) -> AsymmetryReport:
     """Estimate the expected pair overlap ratio of a sampling strategy.
 
     Args:
         strategy: "naive" (uniform view 2) or "selective" (overlap-weighted).
         crop_model: "identical" (both views share the full-image crop) or
-            "random" (independent random-resized crops for each view).
+            "random" (independent crops from the trainer's crop law).
         grid_size: patches per side of both view grids.
         trials: number of simulated positive pairs (>= 1000).
         seed: int or ``numpy.random.SeedSequence``; trials run on spawned
@@ -173,9 +166,7 @@ def monte_carlo_overlap(strategy: str, s1: float, s2: float, gamma: float,
     if trials < 1000:
         raise ValueError("at least 1000 trials are required")
     values = _simulate_pair_overlaps(
-        strategy, s1, s2, gamma, crop_model, grid_size, trials, seed, chunk,
-        area_range, aspect_range,
-    )
+        strategy, s1, s2, gamma, crop_model, grid_size, trials, seed, chunk)
     analytic = (expected_overlap_naive(s1, s2) if strategy == "naive"
                 else expected_overlap_selective(s1, s2, gamma))
     return AsymmetryReport(
@@ -194,9 +185,7 @@ def monte_carlo_overlap(strategy: str, s1: float, s2: float, gamma: float,
 
 def mechanism_expectation(s1: float, s2: float, gamma: float, crop_model: str,
                           grid_size: int, trials: int, seed=0,
-                          chunk: int = 4096,
-                          area_range=DEFAULT_AREA_RANGE,
-                          aspect_range=DEFAULT_ASPECT_RANGE) -> float:
+                          chunk: int = 4096) -> float:
     """Selective expectation by direct integration over simulated geometry.
 
     Instead of drawing view 2, integrates the mean-field inclusion model
@@ -210,13 +199,12 @@ def mechanism_expectation(s1: float, s2: float, gamma: float, crop_model: str,
     """
     values = _simulate_pair_overlaps(
         "mean-field", s1, s2, gamma, crop_model, grid_size, trials, seed,
-        chunk, area_range, aspect_range,
-    )
+        chunk)
     return float(values.mean())
 
 
 def _simulate_pair_overlaps(strategy, s1, s2, gamma, crop_model, grid_size,
-                            trials, seed, chunk, area_range, aspect_range):
+                            trials, seed, chunk):
     sampling._check_ratio("s1", s1)
     sampling._check_ratio("s2", s2)
     n = int(grid_size)
@@ -226,7 +214,7 @@ def _simulate_pair_overlaps(strategy, s1, s2, gamma, crop_model, grid_size,
     seq = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
     return np.concatenate(pool._chunks([
-        (strategy, gamma, crop_model, k1, k2, area_range, aspect_range, n,
+        (strategy, gamma, crop_model, k1, k2, n,
          min(chunk, trials - i * chunk), child)
         for i, child in enumerate(seq.spawn(-(-trials // chunk)))]))
 
@@ -234,8 +222,7 @@ def _simulate_pair_overlaps(strategy, s1, s2, gamma, crop_model, grid_size,
 _workspaces = {}   # (rows, n) -> the Workspace this process's chunks reuse
 
 
-def _simulate_chunk(strategy, gamma, crop_model, k1, k2, area_range,
-                    aspect_range, n, c, seed):
+def _simulate_chunk(strategy, gamma, crop_model, k1, k2, n, c, seed):
     """One chunk's ``c`` pair overlaps on ``n``-square grids, one row tile
     at a time; a worker job (see :mod:`asympatch.pool`).
 
@@ -252,7 +239,7 @@ def _simulate_chunk(strategy, gamma, crop_model, k1, k2, area_range,
         _workspaces[shape] = sampling.Workspace(*shape)
     work, out = _workspaces[shape], np.empty(c)
     rng = np.random.default_rng(seed)
-    box1, box2 = _chunk_crops(rng, c, crop_model, area_range, aspect_range)
+    box1, box2 = _chunk_crops(rng, c, crop_model)
     u1 = _fork(rng, c * big_n)
     u2 = _fork(rng, c * big_n) if strategy == "naive" else None
     short = []
@@ -297,15 +284,16 @@ def _fork(rng, skip):
     return np.random.Generator(bits)
 
 
-def _chunk_crops(rng, c, crop_model, area_range, aspect_range):
-    """Both views' crop boxes for a chunk: (4, c) arrays of x0, y0, w, h."""
+def _chunk_crops(rng, c, crop_model):
+    """Both views' crop boxes for a chunk: (4, c) arrays of x0, y0, w, h;
+    random ones follow the trainer's crop law (``sampling.CROP_*``)."""
     if crop_model == "identical":
         full = np.zeros((4, c))
         full[2:] = _SIDE
         return full, full
-    box1 = sampling.random_crops(rng, c, _SIDE, _SIDE, area_range, aspect_range)
-    box2 = sampling.random_crops(rng, c, _SIDE, _SIDE, area_range, aspect_range)
-    return box1, box2
+    law = (sampling.CROP_AREA_RANGE, sampling.CROP_ASPECT_RANGE)
+    return (sampling.random_crops(rng, c, _SIDE, _SIDE, *law),
+            sampling.random_crops(rng, c, _SIDE, _SIDE, *law))
 
 
 def _uniform_masks(uniforms, k, work, t):

@@ -27,6 +27,7 @@ from . import asymmetry
 from .data import (ImageRecord, augment_batch, cifar_augment_params,
                    synth_dataset)
 from .sampling import SamplerConfig, sample_views
+from .serialize import write_atomic
 from .train import (TrainConfig, checkpoint_load, knn_probe, load_dataset,
                     probe_split, run_training, smoke_config)
 
@@ -119,9 +120,7 @@ def write_ppm(path, img: np.ndarray) -> None:
     if img.ndim == 2:
         img = np.repeat(img[:, :, None], 3, axis=2)
     h, w = img.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode())
-        fh.write(img.tobytes())
+    write_atomic(path, f"P6\n{w} {h}\n255\n".encode() + img.tobytes())
 
 
 def read_ppm(path) -> np.ndarray:
@@ -144,6 +143,9 @@ def read_ppm(path) -> np.ndarray:
         fields.append(int(data[start:pos]))
     pos += 1   # single whitespace after maxval
     w, h, maxval = fields
+    if not 1 <= maxval <= 255:
+        raise UsageError(f"{path}: maxval {maxval} is not in 1-255 (only "
+                         f"8-bit pixmaps are read)")
     raw = np.frombuffer(data[pos:pos + w * h * 3], dtype=np.uint8)
     if raw.size != w * h * 3:
         raise UsageError(f"{path}: truncated pixel data")
@@ -183,19 +185,17 @@ def cmd_analyze(args) -> int:
     elapsed = time.perf_counter() - start
     n_trials = trials * len(reports)
 
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "analyze_report.csv"), "w") as fh:
-        fh.write(asymmetry.reports_to_csv(reports))
-    with open(os.path.join(args.out, "analyze_report.txt"), "w") as fh:
-        fh.write(asymmetry.reports_to_table(reports))
+    table = asymmetry.reports_to_table(reports)
     rs = np.linspace(0.0, 1.0, points)
-    with open(os.path.join(args.out, "density_curves.csv"), "w") as fh:
-        fh.write("gamma,s1,r,p_sel\n")
-        for gamma in gammas:
-            dens = asymmetry.selective_density(rs, gamma, s1)
-            for r, p in zip(rs, dens):
-                fh.write(f"{gamma!r},{s1!r},{r!r},{p!r}\n")
-    print(asymmetry.reports_to_table(reports), end="")
+    curves = "gamma,s1,r,p_sel\n" + "".join(
+        f"{gamma!r},{s1!r},{r!r},{p!r}\n" for gamma in gammas
+        for r, p in zip(rs, asymmetry.selective_density(rs, gamma, s1)))
+    os.makedirs(args.out, exist_ok=True)
+    for name, text in (("analyze_report.csv", asymmetry.reports_to_csv(reports)),
+                       ("analyze_report.txt", table),
+                       ("density_curves.csv", curves)):
+        write_atomic(os.path.join(args.out, name), text.encode())
+    print(table, end="")
     # wall-clock, so stdout only: the report files stay byte-deterministic
     print(f"{n_trials} trials in {elapsed:.2f} s "
           f"({elapsed / n_trials * 1e6:.1f} µs/trial)")
@@ -288,8 +288,8 @@ def _probe_report(state, out: str, k: int) -> float:
     ref, held = probe_split(load_dataset(config.dataset), config)
     acc = knn_probe(config, state.params, ref, held, k=k)
     os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "probe_report.txt"), "w") as fh:
-        fh.write(f"steps={state.step}\nknn_accuracy={acc!r}\n")
+    write_atomic(os.path.join(out, "probe_report.txt"),
+                 f"steps={state.step}\nknn_accuracy={acc!r}\n".encode())
     return acc
 
 
@@ -306,7 +306,6 @@ def cmd_train(args) -> int:
         print(f"lr={config.base_lr} tau={config.tau} "
               f"weight_decay={config.weight_decay} seed={config.seed}")
         return 0
-    os.makedirs(args.out, exist_ok=True)
     # a diverging run is reported by the explicit finite checks (activations,
     # loss, gradients) as one error line; numpy's warnings would precede it
     with np.errstate(all="ignore"):

@@ -5,17 +5,17 @@ Two sources are supported: the classic 3073-byte-record binary image format
 a deterministic synthetic generator of class-distinguishable grating images,
 which is the default at desk scale — nothing is ever downloaded.
 
-``augment`` implements random-resized-crop with bilinear resampling plus the
-usual photometric ops, and crucially returns the :class:`~asympatch.geometry.CropBox`
-alongside the pixels: patch-overlap geometry depends only on the crop rect
-and flip flag, never on color ops. Crop coordinates are continuous
-(sub-pixel); the identity configuration (full-image crop at native size, all
-probabilities zero) reproduces the source pixels exactly. ``augment_batch``
-makes many views at once in two parts: :func:`draw_views` draws every random
-quantity as an array over all views, crops from the shared law of
+The augmentation is random-resized-crop with bilinear resampling, a
+horizontal flip, colour jitter and grayscale. ``augment_batch`` makes many
+views at once and returns each view's crop box and flip next to its pixels:
+patch-overlap geometry depends only on those, never on colour ops. It works
+in two parts: :func:`draw_views` draws every random quantity as an array
+over all views, crops from the one crop law of
 :func:`asympatch.sampling.random_crops`, and :func:`render_views` does the
 pixel work in array ops, view by view, so any subset of the views renders
-to the same bytes as the whole; ``augment`` is its one-view call.
+to the same bytes as the whole. Crop coordinates are continuous
+(sub-pixel); the identity configuration (full-image crop at native size,
+all probabilities zero) reproduces the source pixels exactly.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CropBox, Rect
-from .sampling import random_crops
+from .sampling import CROP_AREA_RANGE, CROP_ASPECT_RANGE, random_crops
 
 CIFAR_RECORD_BYTES = 3073
 CIFAR_SIDE = 32
@@ -44,15 +43,15 @@ class ImageRecord:
 class AugmentParams:
     """Augmentation knobs for one view family.
 
-    The CIFAR-style preset: crop area fraction in [0.15, 1.0], aspect ratio
-    in [3/4, 4/3], flip 0.5, color jitter 0.8 with max intensities
-    0.4/0.4/0.4/0.1 (brightness/contrast/saturation/hue), grayscale 0.2, no
-    blur, no solarization.
+    The CIFAR-style preset: the crop law of :mod:`asympatch.sampling`
+    (area fraction in [0.15, 1.0], aspect ratio in [3/4, 4/3]), flip 0.5,
+    color jitter 0.8 with max intensities 0.4/0.4/0.4/0.1
+    (brightness/contrast/saturation/hue), grayscale 0.2.
     """
 
     view_size: int
-    area_range: tuple[float, float] = (0.15, 1.0)
-    aspect_range: tuple[float, float] = (0.75, 4.0 / 3.0)
+    area_range: tuple[float, float] = CROP_AREA_RANGE
+    aspect_range: tuple[float, float] = CROP_ASPECT_RANGE
     flip_prob: float = 0.5
     jitter_prob: float = 0.8
     brightness: float = 0.4
@@ -60,18 +59,13 @@ class AugmentParams:
     saturation: float = 0.4
     hue: float = 0.1
     grayscale_prob: float = 0.2
-    blur_prob: float = 0.0
-    blur_sigma: tuple[float, float] = (0.1, 2.0)
-    solarize_prob: float = 0.0
-    solarize_threshold: float = 0.5
 
     def __post_init__(self):
         if not 0.0 < self.area_range[0] <= self.area_range[1] <= 1.0:
             raise ValueError("area range must satisfy 0 < lo <= hi <= 1")
         if not 0.0 < self.aspect_range[0] <= self.aspect_range[1]:
             raise ValueError("invalid aspect ratio range")
-        for name in ("flip_prob", "jitter_prob", "grayscale_prob",
-                     "blur_prob", "solarize_prob"):
+        for name in ("flip_prob", "jitter_prob", "grayscale_prob"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be a probability, got {v}")
@@ -173,24 +167,6 @@ def synth_manifest(n_per_class: int, n_classes: int, image_size: int,
 # ---------------------------------------------------------------------------
 # augmentation
 
-def augment(record: ImageRecord, params: AugmentParams,
-            rng: np.random.Generator) -> tuple[np.ndarray, CropBox]:
-    """Random-resized-crop + photometric ops; returns (pixels, crop box).
-
-    All randomness flows through ``rng``. The returned box carries the crop
-    rect in source coordinates, the flip flag, and the view size, the input
-    of the per-patch geometry in :mod:`asympatch.geometry`; the batched
-    sampler takes the ``(4, N)`` boxes and flips of :func:`augment_batch`
-    instead. A one-view call of :func:`augment_batch`.
-    """
-    views, box, flip = augment_batch([record], params, rng)
-    x0, y0, w, h = (float(v) for v in box[:, 0])
-    h_img, w_img = np.shape(record.pixels)[:2]
-    return views[0], CropBox(rect=Rect(x0, y0, x0 + w, y0 + h),
-                             flip=bool(flip[0]), view_size=params.view_size,
-                             source_size=(float(w_img), float(h_img)))
-
-
 @dataclass(frozen=True)
 class ViewDraws:
     """Every random quantity of N augmented views, one entry per view along
@@ -244,8 +220,7 @@ def render_views(src: np.ndarray, draws: ViewDraws) -> np.ndarray:
         if fired.size:
             x[fired] = _color_op(
                 op, x[fired],
-                None if factors is None else factors[fired, None, None, None],
-                draws.params)
+                None if factors is None else factors[fired, None, None, None])
     return x
 
 
@@ -314,7 +289,7 @@ def _luma(x: np.ndarray) -> np.ndarray:
 # photometric ops in application order; the four jitter ops share one gate
 # probability and draw a factor around 1 (a hue shift around 0)
 _JITTER_OPS = ("brightness", "contrast", "saturation", "hue")
-_COLOR_OPS = _JITTER_OPS + ("grayscale", "blur", "solarize")
+_COLOR_OPS = _JITTER_OPS + ("grayscale",)
 
 
 def _op_law(params: AugmentParams, op: str):
@@ -324,19 +299,17 @@ def _op_law(params: AugmentParams, op: str):
         centre = 0.0 if op == "hue" else 1.0
         prob = params.jitter_prob if amount > 0.0 else 0.0
         return prob, (centre - amount, centre + amount)
-    if op == "blur":
-        return params.blur_prob, params.blur_sigma
-    return getattr(params, op + "_prob"), None
+    return params.grayscale_prob, None
 
 
-def _color_op(op: str, x: np.ndarray, a, params: AugmentParams) -> np.ndarray:
+def _color_op(op: str, x: np.ndarray, a) -> np.ndarray:
     """Apply one op to views ``x`` (M, S, S, 3) with factors ``a``."""
     if op == "brightness":
         return np.clip(x * a, 0.0, 1.0)
     if op == "contrast":
         # sum each view's luma column by column: the order a one-view
-        # bilinear resize's column-major result is summed in, so batched and
-        # one-view augmentation stay bit-identical
+        # bilinear resize's column-major result is summed in, so a batched
+        # view and the same view rendered alone stay bit-identical
         mean = _luma(x).transpose(0, 2, 1).reshape(len(x), -1).mean(axis=1)
         mean = mean[:, None, None, None]
         return np.clip((x - mean) * a + mean, 0.0, 1.0)
@@ -345,20 +318,7 @@ def _color_op(op: str, x: np.ndarray, a, params: AugmentParams) -> np.ndarray:
         return np.clip((x - l) * a + l, 0.0, 1.0)
     if op == "hue":
         return _shift_hue(x, a[..., 0])
-    if op == "grayscale":
-        return np.repeat(_luma(x)[..., None], 3, axis=-1)
-    if op == "blur":
-        # imported here: no recipe or CLI key turns blur on, and
-        # scipy.ndimage (with the scipy.special it pulls in) costs ~0.35-0.45 s
-        # and ~27 MB
-        from scipy import ndimage
-        out = np.stack([
-            np.stack([ndimage.gaussian_filter(v[..., c], sigma)
-                      for c in range(3)], axis=-1)
-            for v, sigma in zip(x, a.ravel())
-        ])
-        return np.clip(out, 0.0, 1.0)
-    return np.where(x >= params.solarize_threshold, 1.0 - x, x)   # solarize
+    return np.repeat(_luma(x)[..., None], 3, axis=-1)   # grayscale
 
 
 def _shift_hue(x: np.ndarray, shift: float) -> np.ndarray:

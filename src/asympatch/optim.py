@@ -32,10 +32,6 @@ class ClipState:
         if not (np.isfinite(self.alpha) and self.alpha > 0.0):
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
 
-    @property
-    def initialized(self) -> bool:
-        return self.ema_grad is not None
-
 
 def clip_update(state: ClipState, g: np.ndarray) -> np.ndarray:
     """Adaptively clip one flattened gradient vector and advance the EMA.

@@ -70,6 +70,12 @@ def sample_count(ratio: float, n: int) -> int:
 # ---------------------------------------------------------------------------
 # batched kernels
 
+# the one crop law of the trainer's views and the analyzer's simulated ones:
+# area fraction uniform in [0.15, 1], aspect ratio log-uniform in [3/4, 4/3]
+CROP_AREA_RANGE = (0.15, 1.0)
+CROP_ASPECT_RANGE = (0.75, 4.0 / 3.0)
+
+
 def random_crops(rng: np.random.Generator, n: int, width: float, height: float,
                  area_range, aspect_range) -> np.ndarray:
     """``n`` random-resized-crop boxes (x0, y0, w, h) in a ``width`` x

@@ -114,23 +114,27 @@ def _check_entry(entry) -> tuple:
     return name, dtype, shape, entry["offset"], entry["nbytes"]
 
 
-def save_arrays(path, arrays: dict, meta: dict | None = None) -> None:
+def write_atomic(path, data: bytes) -> None:
     """Write atomically: a sibling temp file replaces ``path`` only once whole.
 
     A write that fails or a process that dies mid-write leaves any previous
     file whole. There is no fsync, so after a power loss the new file may
     not be on disk yet.
     """
-    blob = pack_arrays(arrays, meta)
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(blob)
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+def save_arrays(path, arrays: dict, meta: dict | None = None) -> None:
+    """Write :func:`pack_arrays` bytes with :func:`write_atomic`."""
+    write_atomic(path, pack_arrays(arrays, meta))
 
 
 def load_arrays(path) -> tuple[dict, dict]:

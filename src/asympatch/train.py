@@ -45,7 +45,7 @@ from .objective import multiview_loss
 from .optim import (AdamWState, ClipState, EmaSchedule, adamw_step,
                     clip_update, cosine_lr, momentum_encoder_update)
 from .sampling import SamplerConfig, sample_views
-from .serialize import CheckpointError, load_arrays, save_arrays
+from .serialize import CheckpointError, load_arrays, save_arrays, write_atomic
 
 METRIC_FIELDS = ("step", "lr", "loss", "grad_norm", "clip_triggered")
 
@@ -66,6 +66,9 @@ class DatasetSpec:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
         if self.kind == "cifar" and not self.path:
             raise ValueError("cifar dataset needs a path")
+        for name in ("n_classes", "n_per_class", "image_size"):
+            if self.kind == "synthetic" and getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 def load_dataset(spec: DatasetSpec) -> list[ImageRecord]:
@@ -107,6 +110,10 @@ class TrainConfig:
                              f"{', '.join(enc.HEADS)}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
+        size = self.dataset.n_classes * self.dataset.n_per_class
+        if self.dataset.kind == "synthetic" and size < self.batch_size:
+            raise ValueError(f"synthetic dataset of {size} images is smaller "
+                             f"than one batch of {self.batch_size}")
         if not (np.isfinite(self.base_lr) and self.base_lr > 0.0):
             raise ValueError(f"base_lr must be finite and > 0, got "
                              f"{self.base_lr}")
@@ -401,15 +408,17 @@ def run_training(config: TrainConfig, out_dir=None,
                  state: TrainState | None = None,
                  steps: int | None = None) -> TrainState:
     """Run (or continue) training; writes metrics and checkpoints under
-    ``out_dir`` when given."""
+    ``out_dir`` when given, creating it once the dataset has loaded."""
     records = load_dataset(config.dataset)
     if len(records) < config.batch_size:
         raise ValueError("dataset smaller than one batch")
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
     if out_dir and config.dataset.kind == "synthetic":
         ds = config.dataset
-        with open(os.path.join(out_dir, "dataset_manifest.txt"), "w") as fh:
-            fh.write(synth_manifest(ds.n_per_class, ds.n_classes,
-                                    ds.image_size, ds.seed))
+        write_atomic(os.path.join(out_dir, "dataset_manifest.txt"),
+                     synth_manifest(ds.n_per_class, ds.n_classes,
+                                    ds.image_size, ds.seed).encode())
     if state is None:
         state = init_train_state(config)
     stop = min(config.total_steps, state.step + steps) if steps else config.total_steps
@@ -423,8 +432,8 @@ def run_training(config: TrainConfig, out_dir=None,
             checkpoint_save(state, os.path.join(out_dir,
                                                 f"step{state.step:06d}.ckpt"))
     if out_dir:
-        with open(os.path.join(out_dir, "metrics.csv"), "w") as fh:
-            fh.write(metrics_csv(state.metrics))
+        write_atomic(os.path.join(out_dir, "metrics.csv"),
+                     metrics_csv(state.metrics).encode())
         checkpoint_save(state, os.path.join(out_dir, "final.ckpt"))
     return state
 

@@ -11,12 +11,12 @@ import pytest
 from scipy import integrate
 
 from asympatch import asymmetry, cli, pool, sampling
-from asympatch.asymmetry import (DEFAULT_AREA_RANGE, DEFAULT_ASPECT_RANGE,
-                                 AsymmetryReport, expected_overlap_naive,
+from asympatch.asymmetry import (AsymmetryReport, expected_overlap_naive,
                                  expected_overlap_selective,
                                  mechanism_expectation, monte_carlo_overlap,
                                  pdf_normalization, reports_to_csv,
                                  reports_to_table, selective_density)
+from asympatch.data import cifar_augment_params, draw_views
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +93,8 @@ def _reference_padded_draw(w, k, rng):
 
 
 def _reference_random_crops(rng, c, side):
-    lo, hi = DEFAULT_AREA_RANGE
-    alo, ahi = DEFAULT_ASPECT_RANGE
+    lo, hi = sampling.CROP_AREA_RANGE
+    alo, ahi = sampling.CROP_ASPECT_RANGE
     w = np.full(c, side * 0.9)
     h = np.full(c, side * 0.9)
     need = np.ones(c, dtype=bool)
@@ -156,8 +156,7 @@ def _tiled(case, monkeypatch=None, rows=None):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         return asymmetry._simulate_pair_overlaps(
-            strategy, s1, s2, gamma, crop_model, grid, trials, 11, chunk,
-            DEFAULT_AREA_RANGE, DEFAULT_ASPECT_RANGE)
+            strategy, s1, s2, gamma, crop_model, grid, trials, 11, chunk)
 
 
 def _reference(case):
@@ -311,6 +310,14 @@ class TestMonteCarlo:
                                    seed=5)
         assert mf == pytest.approx(mc.estimate, rel=0.2)
 
+    def test_random_crops_follow_the_trainers_law(self):
+        # the analyzer simulates the crops a 32-pixel CIFAR view draws
+        n = 500
+        box, _ = asymmetry._chunk_crops(np.random.default_rng(9), n, "random")
+        draws = draw_views(n, 32, 32, cifar_augment_params(32),
+                           np.random.default_rng(9))
+        assert box.tobytes() == draws.box.tobytes()
+
     def test_identical_selective_avoids_everything(self):
         # discrete r in {0,1}: positive gamma zeroes every overlapped weight
         rep = monte_carlo_overlap("selective", 0.25, 0.25, 3.0, "identical",
@@ -389,8 +396,7 @@ class TestTiledKernel:
         strategy, s1, s2, gamma, crop_model, grid, trials, chunk = case
         with pytest.warns(RuntimeWarning, match="padding") as record:
             asymmetry._simulate_pair_overlaps(
-                strategy, s1, s2, gamma, crop_model, grid, trials, 11, chunk,
-                DEFAULT_AREA_RANGE, DEFAULT_ASPECT_RANGE)
+                strategy, s1, s2, gamma, crop_model, grid, trials, 11, chunk)
         assert low <= len(record) / trials <= high
 
 
@@ -415,8 +421,7 @@ def pooled(strategy, crop_model, trials, gamma=3.0):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         return asymmetry._simulate_pair_overlaps(
-            strategy, 0.25, 0.25, gamma, crop_model, 8, trials, 13, 1000,
-            DEFAULT_AREA_RANGE, DEFAULT_ASPECT_RANGE)
+            strategy, 0.25, 0.25, gamma, crop_model, 8, trials, 13, 1000)
 
 
 def sent_chunks(monkeypatch) -> list:

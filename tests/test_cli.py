@@ -93,6 +93,24 @@ class TestAnalyze:
         for name in ("analyze_report.csv", "density_curves.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_a_failed_rewrite_leaves_the_old_files_whole(self, tmp_path,
+                                                         capsys, monkeypatch):
+        cfg = self.write_config(tmp_path, "[analyze]\ntrials = 1500\ngrid = 8\n")
+        out = tmp_path / "out"
+        assert run_cli("analyze", "--config", cfg, "--out", str(out),
+                       "--seed", "7") == 0
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+        capsys.readouterr()
+
+        def fails(src, dst):
+            raise OSError("disk full")
+        monkeypatch.setattr(os, "replace", fails)
+        assert run_cli("analyze", "--config", cfg, "--out", str(out),
+                       "--seed", "8") == 1
+        err = capsys.readouterr().err
+        assert err == "error: disk full\n"
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+
     def test_zero_trials_usage_error(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, "[analyze]\ntrials = 0\n")
         code = run_cli("analyze", "--config", cfg, "--out", str(tmp_path / "o"))
@@ -215,11 +233,29 @@ class TestDemo:
         assert "scale must be >= 1" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("maxval,sample", [(65535, b"\xff\xff"),
+                                               (0, b"\x00")])
+    def test_maxval_outside_one_byte_fails_closed(self, tmp_path, capsys,
+                                                  maxval, sample):
+        image = tmp_path / "in.ppm"
+        image.write_bytes(f"P6\n4 4\n{maxval}\n".encode() + sample * 48)
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[demo]\nimage = {image}\npatch = 1\n")
+        out = tmp_path / "demo"
+        assert run_cli("demo", "--config", str(cfg), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"maxval {maxval}" in err
+        assert not out.exists()
+
     def test_unreadable_input_fails(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text("[demo]\nimage = /does/not/exist.ppm\n")
         assert run_cli("demo", "--config", str(cfg),
                        "--out", str(tmp_path / "o")) != 0
+
+
+MISSING_CIFAR = "dataset = cifar\ncifar_path = no/such/data_batch.bin"
 
 
 class TestTrainAndProbe:
@@ -299,6 +335,12 @@ class TestTrainAndProbe:
         ("clip_m = 1", "momentum m must lie in [0, 1)"),
         ("clip_m = nan", "momentum m must lie in [0, 1)"),
         ("dataset = cifra", "unknown dataset kind 'cifra'"),
+        ("image_size = 0", "image_size must be >= 1"),
+        ("classes = 0", "n_classes must be >= 1"),
+        ("per_class = 0", "n_per_class must be >= 1"),
+        ("per_class = 3", "synthetic dataset of 6 images is smaller than one "
+                          "batch of 8"),
+        (MISSING_CIFAR, "No such file or directory"),
     ])
     def test_bad_train_config_fails_closed(self, tmp_path, capsys, line,
                                            message):
@@ -308,11 +350,16 @@ class TestTrainAndProbe:
         bad, found = re.subn(rf"^{key} = .*$", line, good, flags=re.M)
         cfg.write_text(bad if found else good + line + "\n")
         out = tmp_path / "out"
-        assert run_cli("train", "--config", str(cfg), "--out", str(out)) != 0
+        assert run_cli("train", "--config", str(cfg), "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
         assert not out.exists()
+        # a dry run builds the config but reads no data file
+        if line != MISSING_CIFAR:
+            assert run_cli("train", "--config", str(cfg), "--out", str(out),
+                           "--dry-run") == 1
+            assert not out.exists()
 
     def test_diverging_run_is_one_error_line(self, tmp_path):
         # a separate process: pytest records warnings itself, so in-process

@@ -3,11 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import ndimage
 
 from asympatch.data import (AugmentParams, _hsv_to_rgb, _luma, _rgb_to_hsv,
-                            _shift_hue, augment,
-                            augment_batch, cifar_augment_params, draw_views,
+                            _shift_hue, augment_batch, cifar_augment_params, draw_views,
                             identity_augment_params, load_cifar,
                             render_views, synth_dataset, synth_manifest)
 from asympatch.sampling import random_crops
@@ -104,25 +102,25 @@ class TestAugment:
     def test_identity_configuration_exact(self):
         rec = synth_dataset(1, 1, 16, seed=2)[0]
         params = identity_augment_params(view_size=16)
-        view, box = augment(rec, params, np.random.default_rng(0))
-        assert np.array_equal(view, rec.pixels)
-        assert (box.rect.x0, box.rect.y0, box.rect.x1, box.rect.y1) \
-            == (0.0, 0.0, 16.0, 16.0)
-        assert box.flip is False
+        views, box, flip = augment_batch([rec], params,
+                                         np.random.default_rng(0))
+        assert np.array_equal(views[0], rec.pixels)
+        assert box[:, 0].tolist() == [0.0, 0.0, 16.0, 16.0]   # x0, y0, w, h
+        assert flip.tolist() == [False]
 
     def test_forced_flip_mirrors_pixels(self):
         rec = synth_dataset(1, 1, 16, seed=3)[0]
         params = identity_augment_params(16)
         params = AugmentParams(**{**params.__dict__, "flip_prob": 1.0})
-        view, box = augment(rec, params, np.random.default_rng(0))
-        assert box.flip is True
-        assert np.allclose(view, rec.pixels[:, ::-1, :])
+        views, _, flip = augment_batch([rec], params, np.random.default_rng(0))
+        assert flip.tolist() == [True]
+        assert np.allclose(views[0], rec.pixels[:, ::-1, :])
 
     def test_grayscale_equalizes_channels(self):
         rec = synth_dataset(1, 1, 16, seed=4)[0]
         params = identity_augment_params(16)
         params = AugmentParams(**{**params.__dict__, "grayscale_prob": 1.0})
-        view, _ = augment(rec, params, np.random.default_rng(0))
+        (view,), _, _ = augment_batch([rec], params, np.random.default_rng(0))
         assert np.allclose(view[..., 0], view[..., 1])
         assert np.allclose(view[..., 1], view[..., 2])
 
@@ -131,10 +129,10 @@ class TestAugment:
         params = cifar_augment_params(32)
         rng = np.random.default_rng(6)
         for _ in range(50):
-            _, box = augment(rec, params, rng)
-            r = box.rect
-            assert 0.0 <= r.x0 < r.x1 <= 32.0
-            assert 0.0 <= r.y0 < r.y1 <= 32.0
+            _, box, _ = augment_batch([rec], params, rng)
+            x0, y0, w, h = box[:, 0]
+            assert 0.0 <= x0 < x0 + w <= 32.0
+            assert 0.0 <= y0 < y0 + h <= 32.0
 
     def test_color_ops_never_change_the_box(self):
         # the geometric draws precede the photometric ones, so two parameter
@@ -144,18 +142,19 @@ class TestAugment:
         no_color = AugmentParams(**{
             **base.__dict__, "jitter_prob": 0.0, "grayscale_prob": 0.0,
         })
-        _, box_a = augment(rec, base, np.random.default_rng(11))
-        _, box_b = augment(rec, no_color, np.random.default_rng(11))
-        assert box_a.rect == box_b.rect
-        assert box_a.flip == box_b.flip
+        _, box_a, flip_a = augment_batch([rec], base, np.random.default_rng(11))
+        _, box_b, flip_b = augment_batch([rec], no_color,
+                                         np.random.default_rng(11))
+        assert box_a.tobytes() == box_b.tobytes()
+        assert np.array_equal(flip_a, flip_b)
 
     def test_determinism_under_seed(self):
         rec = synth_dataset(1, 1, 32, seed=8)[0]
         params = cifar_augment_params(32)
-        va, ba = augment(rec, params, np.random.default_rng(5))
-        vb, bb = augment(rec, params, np.random.default_rng(5))
+        va, ba, fa = augment_batch([rec], params, np.random.default_rng(5))
+        vb, bb, fb = augment_batch([rec], params, np.random.default_rng(5))
         assert np.array_equal(va, vb)
-        assert ba == bb
+        assert np.array_equal(ba, bb) and np.array_equal(fa, fb)
 
     def test_cifar_preset_values(self):
         p = cifar_augment_params()
@@ -164,16 +163,6 @@ class TestAugment:
         assert (p.flip_prob, p.jitter_prob, p.grayscale_prob) == (0.5, 0.8, 0.2)
         assert (p.brightness, p.contrast, p.saturation, p.hue) \
             == (0.4, 0.4, 0.4, 0.1)
-        assert p.blur_prob == 0.0 and p.solarize_prob == 0.0
-
-    def test_blur_and_solarize_paths_run(self):
-        rec = synth_dataset(1, 1, 32, seed=9)[0]
-        rng = np.random.default_rng(12)
-        for params in (asymmetric_view_params(32, 1.0, 0.0),
-                       asymmetric_view_params(32, 0.0, 1.0)):
-            view, _ = augment(rec, params, rng)
-            assert view.shape == (32, 32, 3)
-            assert view.min() >= 0.0 and view.max() <= 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -187,12 +176,11 @@ class TestAugment:
 # the plain one-image pixel maths that augment_batch must reproduce bit for
 # bit
 
-def asymmetric_view_params(view_size, blur_prob, solarize_prob):
-    """The asymmetric two-view recipe's parameter shape: a wider area range,
-    a 0.2 saturation cap, and per-view blur and solarization."""
+def wide_area_params(view_size):
+    """A preset off the CIFAR defaults: a wider area range and a 0.2
+    saturation cap."""
     return AugmentParams(view_size=view_size, area_range=(0.08, 1.0),
-                         saturation=0.2, blur_prob=blur_prob,
-                         solarize_prob=solarize_prob)
+                         saturation=0.2)
 
 
 def reference_crops(rng, n, width, height, params):
@@ -223,7 +211,7 @@ def reference_crops(rng, n, width, height, params):
 
 
 def reference_color_draws(params, n, rng):
-    """Per view: op -> factor (None for grayscale/solarize) of each fired op."""
+    """Per view: op -> factor (None for grayscale) of each fired op."""
     laws = []
     for op in ("brightness", "contrast", "saturation", "hue"):
         amount = getattr(params, op)
@@ -231,9 +219,7 @@ def reference_color_draws(params, n, rng):
         if params.jitter_prob > 0.0 and amount > 0.0:
             laws.append((op, params.jitter_prob,
                          (centre - amount, centre + amount)))
-    laws += [("grayscale", params.grayscale_prob, None),
-             ("blur", params.blur_prob, params.blur_sigma),
-             ("solarize", params.solarize_prob, None)]
+    laws.append(("grayscale", params.grayscale_prob, None))
     views = [{} for _ in range(n)]
     for op, prob, span in laws:
         if prob > 0.0:
@@ -268,7 +254,7 @@ def _resize_bilinear(src, box, view_size, flip):
     return top * (1.0 - fy) + bot * fy
 
 
-def _color_ops(view, params, draws):
+def _color_ops(view, draws):
     x = view
     if "brightness" in draws:
         x = np.clip(x * draws["brightness"], 0.0, 1.0)
@@ -282,12 +268,6 @@ def _color_ops(view, params, draws):
         x = _shift_hue(x, draws["hue"])
     if "grayscale" in draws:
         x = np.repeat(_luma(x)[..., None], 3, axis=2)
-    if "blur" in draws:
-        x = np.stack([ndimage.gaussian_filter(x[..., c], draws["blur"])
-                      for c in range(3)], axis=2)
-        x = np.clip(x, 0.0, 1.0)
-    if "solarize" in draws:
-        x = np.where(x >= params.solarize_threshold, 1.0 - x, x)
     return x
 
 
@@ -300,21 +280,20 @@ def reference_augment_batch(records, params, rng):
     draws = reference_color_draws(params, n, rng)
     views = np.stack([
         _color_ops(_resize_bilinear(s, box[:, i], params.view_size, flip[i]),
-                   params, draws[i])
+                   draws[i])
         for i, s in enumerate(src)])
     return views, box, flip
 
 
 def _every_gate_fires(view_size):
-    return replace(asymmetric_view_params(view_size, 1.0, 1.0),
-                   jitter_prob=1.0, grayscale_prob=1.0)
+    return replace(wide_area_params(view_size), jitter_prob=1.0,
+                   grayscale_prob=1.0)
 
 
 BATCH_PRESETS = {
     "cifar": cifar_augment_params(16),
     "cifar-down": cifar_augment_params(8),
-    "imagenet-view1": asymmetric_view_params(16, 1.0, 0.0),
-    "imagenet-view2": asymmetric_view_params(16, 0.1, 0.2),
+    "wide-area": wide_area_params(16),
     "every-gate": _every_gate_fires(16),
 }
 
@@ -334,19 +313,6 @@ class TestAugmentBatch:
         assert box.tobytes() == box_ref.tobytes()
         assert np.array_equal(flip, flip_ref)
         assert rng_batch.bit_generator.state == rng_ref.bit_generator.state
-
-    def test_augment_is_the_one_view_call(self):
-        rec = synth_dataset(1, 1, 16, seed=4)[0]
-        params = _every_gate_fires(16)
-        view, crop = augment(rec, params, np.random.default_rng(8))
-        views, box, flip = augment_batch([rec], params,
-                                         np.random.default_rng(8))
-        x0, y0, w, h = box[:, 0]
-        assert view.tobytes() == views[0].tobytes()
-        assert (crop.rect.x0, crop.rect.y0, crop.rect.x1, crop.rect.y1) \
-            == (x0, y0, x0 + w, y0 + h)
-        assert crop.flip == flip[0]
-        assert crop.source_size == (16.0, 16.0) and crop.view_size == 16
 
     def test_binary_record_layout_matches_reference(self, tmp_path):
         # load_cifar pixels are plane-major in memory; the result must not

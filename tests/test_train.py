@@ -743,8 +743,7 @@ class TestPooledRun:
 def mc_overlaps():
     """Three chunks of grid-8 selective pair overlaps."""
     return asymmetry._simulate_pair_overlaps(
-        "selective", 0.25, 0.25, 3.0, "random", 8, 2500, 21, 1000,
-        asymmetry.DEFAULT_AREA_RANGE, asymmetry.DEFAULT_ASPECT_RANGE)
+        "selective", 0.25, 0.25, 3.0, "random", 8, 2500, 21, 1000)
 
 
 class TestSharedPool:
