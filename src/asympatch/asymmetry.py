@@ -10,12 +10,13 @@ The closed forms:
 * the normalization identity: the density integrates to ``s1`` over
   ``r in [0, 1]`` for every ``gamma >= 0``.
 
-The Monte Carlo estimator simulates the actual pipeline (identical crops or
-the trainer's random crops, uniform view-1 sampling, weighted view-2
-sampling without replacement) and reports the mean pair overlap
+The Monte Carlo estimator runs the trainer's sampler,
+:func:`asympatch.sampling.sample_views`, on simulated crop pairs (identical
+crops or the trainer's random crops) and reports the mean pair overlap
 ``sum_i r_i / N`` over view-2's sampled patches: the fraction of the view-2
-crop covered by both sampled views. Under identical crops this makes the
-naive estimator an exact, unbiased probe of ``s1 * s2``.
+crop covered by both sampled views. The naive view 2 is the same race at
+``gamma = 0``, a uniform draw without replacement. Under identical crops
+this makes the naive estimator an exact, unbiased probe of ``s1 * s2``.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ CROP_MODELS = ("identical", "random")
 _SIDE = 32.0  # simulated source image side; the profile is scale-invariant
 # cells per row tile of the Monte Carlo kernel: 64 rows at grid 32, so each
 # float64 work array is 0.5 MB and the few one operation touches fit a 2 MB
-# L2 cache (larger and smaller tiles measured slower); the tile height never
-# moves a value
+# L2 cache (larger and smaller tiles measured slower). Each tile draws its
+# own views, so the tile height is part of the estimator, as the chunk is
 _TILE_CELLS = 65_536
 
 
@@ -148,13 +149,13 @@ def monte_carlo_overlap(strategy: str, s1: float, s2: float, gamma: float,
         seed: int or ``numpy.random.SeedSequence``; trials run on spawned
             child streams, one per chunk, so partitioned (parallel-style) and
             serial execution of the same master seed agree in distribution.
-        chunk: trials per child stream. ``chunk`` and ``seed`` alone fix every
-            per-trial value: the array work runs in row tiles of 65,536
-            cells (64 rows at grid 32, each work array 0.5 MB), and the
-            tiling never changes a value. Chunk i runs on process i % n of
-            the worker pool (:mod:`asympatch.pool`), and the estimate is
-            taken over all trials in chunk order, so no value depends on
-            where a chunk runs.
+        chunk: trials per child stream. A chunk draws its crops, then runs
+            in row tiles of ``_TILE_CELLS`` = 65,536 cells (64 rows at grid
+            32), each tile one :func:`sampling.sample_views` call. ``chunk``,
+            the tile height and ``seed`` fix every per-trial value. Chunk i
+            runs on process i % n of the worker pool
+            (:mod:`asympatch.pool`), and the estimate is taken over all
+            trials in chunk order, so no value depends on where a chunk runs.
 
     Returns an :class:`AsymmetryReport` holding both the analytic expectation
     of the strategy's idealized model and the empirical estimate.
@@ -205,83 +206,52 @@ def mechanism_expectation(s1: float, s2: float, gamma: float, crop_model: str,
 
 def _simulate_pair_overlaps(strategy, s1, s2, gamma, crop_model, grid_size,
                             trials, seed, chunk):
-    sampling._check_ratio("s1", s1)
-    sampling._check_ratio("s2", s2)
+    # the naive view 2 is the race at gamma = 0: a uniform draw without
+    # replacement
+    config = sampling.SamplerConfig(s1, s2, 0.0 if strategy == "naive"
+                                    else gamma)
     n = int(grid_size)
     if n < 2:
         raise ValueError("grid_size must be at least 2")
-    k1, k2 = sampling.sample_count(s1, n * n), sampling.sample_count(s2, n * n)
     seq = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
+    # the tile height travels with the job: a worker forked earlier may
+    # hold another _TILE_CELLS
+    rows = max(1, _TILE_CELLS // (n * n))
     return np.concatenate(pool._chunks([
-        (strategy, gamma, crop_model, k1, k2, n,
-         min(chunk, trials - i * chunk), child)
+        (strategy, config, crop_model, n, rows, min(chunk, trials - i * chunk),
+         child)
         for i, child in enumerate(seq.spawn(-(-trials // chunk)))]))
 
 
 _workspaces = {}   # (rows, n) -> the Workspace this process's chunks reuse
 
 
-def _simulate_chunk(strategy, gamma, crop_model, k1, k2, n, c, seed):
-    """One chunk's ``c`` pair overlaps on ``n``-square grids, one row tile
-    at a time; a worker job (see :mod:`asympatch.pool`).
+def _simulate_chunk(strategy, config, crop_model, n, rows, c, seed):
+    """One chunk's ``c`` pair overlaps on ``n``-square grids, in tiles of
+    ``rows`` trials; a worker job (see :mod:`asympatch.pool`).
 
-    ``default_rng(seed)`` is read in the order of a single whole-chunk pass,
-    so no value depends on the tile height: both views' crops, the view-1
-    mask uniforms (``c * N`` doubles), the view-2 mask uniforms (naive only,
-    another ``c * N``), the exponential keys of the positive weights in
-    row-major order (selective only), then the padding draws of rows with
-    fewer than ``k2`` positive weights.
+    ``default_rng(seed)`` draws both views' crops for the whole chunk, then
+    each tile's views in one :func:`sampling.sample_views` call, so the tile
+    height, with ``seed``, fixes which draws feed which trial.
     """
     big_n = n * n
-    shape = (max(1, _TILE_CELLS // big_n), n)
-    if shape not in _workspaces:
-        _workspaces[shape] = sampling.Workspace(*shape)
-    work, out = _workspaces[shape], np.empty(c)
+    if (rows, n) not in _workspaces:
+        _workspaces[rows, n] = sampling.Workspace(rows, n)
+    work, out = _workspaces[rows, n], np.empty(c)
     rng = np.random.default_rng(seed)
     box1, box2 = _chunk_crops(rng, c, crop_model)
-    u1 = _fork(rng, c * big_n)
-    u2 = _fork(rng, c * big_n) if strategy == "naive" else None
-    short = []
-    for a in range(0, c, work.rows):
-        b = min(a + work.rows, c)
-        t = b - a
-        m = _uniform_masks(u1, k1, work, t)
-        r = sampling.overlap_profiles(box1[:, a:b], box2[:, a:b], m, work)
-        if strategy == "naive":
-            r *= _uniform_masks(u2, k2, work, t)
-            out[a:b] = r.sum(axis=1) / big_n
-            continue
-        w = sampling.selective_weights(r, gamma, out=work.w[:t])
-        if strategy == "selective":
-            keys, n_pos = sampling.race_keys(w, rng, work)
-            take = sampling.rank_chunks(keys, k2)
-            out[a:b] = np.take_along_axis(r, take, axis=1).sum(axis=1) / big_n
-            for i in np.flatnonzero(n_pos < k2):
-                short.append((a + i, keys[i].copy(), r[i].copy()))
-        else:  # mean-field integration, no draw
+    k2 = sampling.sample_count(config.s2, big_n)
+    for a in range(0, c, rows):
+        b = min(a + rows, c)
+        _, (view2,), r = sampling.sample_views(
+            rng, box1[:, a:b], box2[:, a:b], n, config, work=work)
+        if strategy == "mean-field":    # integrates the weights, not view 2
+            w = sampling.selective_weights(r, config.gamma, out=work.w[:b - a])
             out[a:b] = k2 * (w * r).sum(axis=1) / w.sum(axis=1) / big_n
-    # rare degenerate rows: every positive-weight patch is kept, summed in
-    # index order, then the padding patches
-    for i, keys_i, r_i in short:
-        kept = np.flatnonzero(keys_i < np.inf)
-        pad = sampling.padded_race_order(keys_i, rng)[kept.size:k2]
-        out[i] = r_i[np.concatenate([kept, pad])].sum() / big_n
+        else:
+            out[a:b] = np.take_along_axis(r, view2, axis=1).sum(axis=1) / big_n
     return out
-
-
-def _fork(rng, skip):
-    """Split off ``rng``'s next ``skip`` doubles into a generator of their own.
-
-    ``Generator.random`` turns exactly one 64-bit PCG64 output into each
-    float64, so advancing the bit generator by ``skip`` outputs leaves ``rng``
-    where drawing ``skip`` doubles would have, and the fork can hand those
-    doubles out a tile at a time.
-    """
-    bits = np.random.PCG64()
-    bits.state = rng.bit_generator.state
-    rng.bit_generator.advance(skip)
-    return np.random.Generator(bits)
 
 
 def _chunk_crops(rng, c, crop_model):
@@ -295,22 +265,3 @@ def _chunk_crops(rng, c, crop_model):
     return (sampling.random_crops(rng, c, _SIDE, _SIDE, *law),
             sampling.random_crops(rng, c, _SIDE, _SIDE, *law))
 
-
-def _uniform_masks(uniforms, k, work, t):
-    """0/1 rows marking ``k`` uniformly random cells of each of ``t`` rows,
-    from the next ``t * N`` doubles of ``uniforms``; a view of ``work.mask``.
-
-    A row marks its uniforms up to its k-th smallest, found by partitioning
-    a copy in ``work.keys``: the ``k`` cells ``sampling.rank_chunks`` picks.
-    A row tied at that value marks more, and is redone by ``rank_chunks``.
-    """
-    u, m = uniforms.random(out=work.u[:t]), work.mask[:t]
-    part = work.keys[:t]
-    part[...] = u
-    part.partition(k - 1, axis=1)
-    np.less_equal(u, part[:, k - 1:k], out=m)
-    tied = np.flatnonzero(m.sum(axis=1) != k)
-    if tied.size:
-        m[tied] = sampling.index_masks(sampling.rank_chunks(u[tied], k),
-                                       np.empty((tied.size, u.shape[1])))
-    return m

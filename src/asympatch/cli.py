@@ -140,6 +140,9 @@ def read_ppm(path) -> np.ndarray:
         start = pos
         while pos < len(data) and not data[pos:pos + 1].isspace():
             pos += 1
+        if not data[start:pos].isdigit():
+            name = ("width", "height", "maxval")[len(fields)]
+            raise UsageError(f"{path}: pixmap header has no decimal {name}")
         fields.append(int(data[start:pos]))
     pos += 1   # single whitespace after maxval
     w, h, maxval = fields
@@ -297,6 +300,7 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config, "train") if args.config else {}
     config = _train_config(cfg, args.seed)
     if args.dry_run:
+        load_dataset(config.dataset)    # fails as the real run would
         print("dry run: no training performed")
         print(f"backbone={config.backbone} heads={config.heads}")
         print(f"dataset={config.dataset.kind} batch={config.batch_size}")

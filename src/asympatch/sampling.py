@@ -224,18 +224,6 @@ def race_keys(weights: np.ndarray, rng: np.random.Generator, work=None):
     return keys, n_pos
 
 
-def padded_race_order(keys: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Race order of one row of keys with too few positive weights: the
-    positive-weight indices by key, then the zero-weight ones (key +inf) in
-    uniformly random order. Warns, since the draw is padded."""
-    warnings.warn("too few positive weights for the draw; padding uniformly "
-                  "from zero-weight indices", RuntimeWarning, stacklevel=3)
-    finite = keys < np.inf
-    chosen = np.flatnonzero(finite)
-    chosen = chosen[np.argsort(keys[chosen], kind="stable")]
-    return np.concatenate([chosen, rng.permutation(np.flatnonzero(~finite))])
-
-
 def selective_race(weights: np.ndarray, k: int, n_views: int,
                    rng: np.random.Generator, work=None) -> np.ndarray:
     """Disjoint weighted samples without replacement of ``k`` of each row's
@@ -243,24 +231,37 @@ def selective_race(weights: np.ndarray, k: int, n_views: int,
 
     Consecutive chunks of the race order continue the sequential weighted
     draws, so view ``v`` is drawn from the pool left by views ``0..v-1``.
-    Draws: every row's keys, then the padding permutation of each row with
-    fewer than ``n_views * k`` positive weights, row by row.
+    Draws: every row's keys, then, row by row, a uniform permutation of the
+    zero-weight indices (key +inf) of each row with fewer than
+    ``n_views * k`` positive weights, which pad its positive-weight indices
+    in key order. A padded row warns.
     """
     keys, n_pos = race_keys(weights, rng, work)
     need = n_views * k
     order = rank_chunks(keys, k, n_views)
     for i in np.flatnonzero(n_pos < need):
-        order[i] = padded_race_order(keys[i], rng)[:need]
+        warnings.warn("too few positive weights for the draw; padding "
+                      "uniformly from zero-weight indices", RuntimeWarning,
+                      stacklevel=2)
+        finite = keys[i] < np.inf
+        chosen = np.flatnonzero(finite)
+        chosen = chosen[np.argsort(keys[i, chosen], kind="stable")]
+        order[i] = np.concatenate(
+            [chosen, rng.permutation(np.flatnonzero(~finite))])[:need]
     return order
 
 
 def sample_views(rng: np.random.Generator, box1: np.ndarray, box2: np.ndarray,
-                 n: int, config: SamplerConfig, flip1=None, flip2=None):
+                 n: int, config: SamplerConfig, flip1=None, flip2=None,
+                 work=None):
     """Every sampled view of a batch of crop pairs on ``n``-square grids:
     disjoint uniform crop-1 views, then disjoint selective crop-2 views
     weighted against the union of the crop-1 views. Draws: (B, N) uniforms,
     then :func:`selective_race`. Returns ``(views1, views2, profiles)``: per
-    view a (B, k) array of sorted indices, and crop 2's (B, N) profiles.
+    view a (B, k) array of sorted indices, and crop 2's (B, N) profiles, a
+    view of ``work.r``. ``work`` is a :class:`Workspace` of at least B rows
+    on ``n``-square grids, which a caller reuses across batches; by default
+    a fresh one of B rows.
     """
     n1 = (config.n_views + 1) // 2      # the odd view goes to crop 1, and
     n2 = max(config.n_views - n1, 1)    # n_views = 1 still draws one of each
@@ -270,11 +271,12 @@ def sample_views(rng: np.random.Generator, box1: np.ndarray, box2: np.ndarray,
         if k < 1 or views * k > big_n:
             raise ValueError(f"cannot draw {views} disjoint views of {k} "
                              f"patches from a {big_n}-patch grid")
-    work = Workspace(box1.shape[1], n)
-    first = rank_chunks(rng.random((work.rows, big_n)), k1, n1)
-    profiles = overlap_profiles(box1, box2, index_masks(first, work.mask), work,
-                                flip1, flip2)
-    w = selective_weights(profiles, config.gamma, out=work.w)
+    t = box1.shape[1]
+    work = Workspace(t, n) if work is None else work
+    first = rank_chunks(rng.random(out=work.u[:t]), k1, n1)
+    profiles = overlap_profiles(box1, box2, index_masks(first, work.mask[:t]),
+                                work, flip1, flip2)
+    w = selective_weights(profiles, config.gamma, out=work.w[:t])
     second = selective_race(w, k2, n2, rng, work)
     split = lambda idx, k, v: [np.sort(idx[:, j * k:(j + 1) * k], axis=1)
                                for j in range(v)]

@@ -17,79 +17,49 @@ from asympatch.asymmetry import (AsymmetryReport, expected_overlap_naive,
                                  pdf_normalization, reports_to_csv,
                                  reports_to_table, selective_density)
 from asympatch.data import cifar_augment_params, draw_views
+from test_sampling import reference_sample_views
 
 
 # ---------------------------------------------------------------------------
-# whole-chunk reference: the Monte Carlo kernel before it was tiled. Every
-# intermediate spans the whole chunk; the tiled kernel must match it byte for
-# byte.
+# per-trial reference of the Monte Carlo kernel: the same draws (a chunk's
+# crops, then per row tile the per-sample reference of sample_views), with
+# each trial's overlap summed on its own. The kernel must match it byte for
+# byte at every tile height.
 
 def _reference_simulate(strategy, s1, s2, gamma, crop_model, grid_size,
-                        trials, seed, chunk):
+                        trials, seed, chunk, rows):
     n = int(grid_size)
     big_n = n * n
-    k1 = int(np.floor(s1 * big_n + 0.5))
+    cfg = sampling.SamplerConfig(s1, s2, 0.0 if strategy == "naive" else gamma)
     k2 = int(np.floor(s2 * big_n + 0.5))
     seq = np.random.SeedSequence(seed)
-    n_chunks = (trials + chunk - 1) // chunk
-    streams = [np.random.default_rng(s) for s in seq.spawn(n_chunks)]
-    out = np.empty(trials)
-    done = 0
-    for rng in streams:
-        c = min(chunk, trials - done)
-        r = _reference_chunk_profiles(rng, c, n, k1, crop_model)
-        if strategy == "naive":
-            sel = _reference_uniform_masks(rng, c, big_n, k2)
-            vals = (r * sel).sum(axis=1) / big_n
-        elif strategy == "selective":
-            w = np.power(1.0 - r, gamma)
-            keys = np.full((c, big_n), np.inf)
-            pos = w > 0.0
-            keys[pos] = rng.standard_exponential(int(pos.sum())) / w[pos]
-            enough = pos.sum(axis=1) >= k2
-            take = np.argpartition(keys, k2 - 1, axis=1)[:, :k2]
-            vals = np.take_along_axis(r, take, axis=1).sum(axis=1) / big_n
-            for i in np.flatnonzero(~enough):
-                idx = _reference_padded_draw(w[i], k2, rng)
-                vals[i] = r[i, idx].sum() / big_n
-        else:
-            w = np.power(1.0 - r, gamma)
-            vals = k2 * (w * r).sum(axis=1) / w.sum(axis=1) / big_n
-        out[done:done + c] = vals
-        done += c
-    return out
+    out = []
+    for child in seq.spawn((trials + chunk - 1) // chunk):
+        rng = np.random.default_rng(child)
+        c = min(chunk, trials - len(out))
+        box1, box2 = _reference_crops(rng, c, crop_model)
+        for a in range(0, c, rows):
+            b = min(a + rows, c)
+            no_flip = np.zeros(b - a, dtype=bool)
+            _, (view2,), r = reference_sample_views(
+                rng, box1[:, a:b], box2[:, a:b], n, cfg, no_flip, no_flip)
+            for r_i, view2_i in zip(r, view2):
+                if strategy == "mean-field":
+                    w = (1.0 - r_i) ** gamma
+                    out.append(k2 * (w * r_i).sum() / w.sum() / big_n)
+                else:
+                    out.append(r_i[view2_i].sum() / big_n)
+    return np.array(out)
 
 
-def _reference_chunk_profiles(rng, c, n, k1, crop_model):
+def _reference_crops(rng, c, crop_model):
     side = 32.0
     if crop_model == "identical":
-        x0a = np.zeros(c); y0a = np.zeros(c)
-        wa = np.full(c, side); ha = np.full(c, side)
-        x0b, y0b, wb, hb = x0a, y0a, wa, ha
-    else:
-        x0a, y0a, wa, ha = _reference_random_crops(rng, c, side)
-        x0b, y0b, wb, hb = _reference_random_crops(rng, c, side)
-    j = np.arange(n)
-    xs1 = x0a[:, None] + j * (wa[:, None] / n)
-    ys1 = y0a[:, None] + j * (ha[:, None] / n)
-    xs2 = x0b[:, None] + j * (wb[:, None] / n)
-    ys2 = y0b[:, None] + j * (hb[:, None] / n)
-    ox = _reference_pair_overlap(xs2, wb / n, xs1, wa / n)
-    oy = _reference_pair_overlap(ys2, hb / n, ys1, ha / n)
-    m = _reference_uniform_masks(rng, c, n * n, k1).reshape(c, n, n)
-    areas = (oy @ m) @ np.swapaxes(ox, 1, 2)
-    patch2 = (wb / n) * (hb / n)
-    return np.clip(areas / patch2[:, None, None], 0.0, 1.0).reshape(c, n * n)
-
-
-def _reference_padded_draw(w, k, rng):
-    # a row with fewer than k positive weights keeps them all, in index
-    # order, and pads uniformly from the zero-weight indices
-    pos = w > 0.0
-    rng.standard_exponential(int(pos.sum()))
-    pad = rng.choice(np.flatnonzero(~pos), size=k - int(pos.sum()),
-                     replace=False)
-    return np.concatenate([np.flatnonzero(pos), pad])
+        full = np.zeros((4, c))
+        full[2:] = side
+        return full, full
+    return (np.stack(_reference_random_crops(rng, c, side)),
+            np.stack(_reference_random_crops(rng, c, side)))
 
 
 def _reference_random_crops(rng, c, side):
@@ -114,21 +84,6 @@ def _reference_random_crops(rng, c, side):
     x0 = rng.random(c) * (side - w)
     y0 = rng.random(c) * (side - h)
     return x0, y0, w, h
-
-
-def _reference_pair_overlap(starts2, len2, starts1, len1):
-    lo = np.maximum(starts2[:, :, None], starts1[:, None, :])
-    hi = np.minimum((starts2 + len2[:, None])[:, :, None],
-                    (starts1 + len1[:, None])[:, None, :])
-    return np.clip(hi - lo, 0.0, None)
-
-
-def _reference_uniform_masks(rng, c, big_n, k):
-    u = rng.random((c, big_n))
-    part = np.argpartition(u, k - 1, axis=1)[:, :k]
-    m = np.zeros((c, big_n))
-    np.put_along_axis(m, part, 1.0, axis=1)
-    return m
 
 
 # (strategy, s1, s2, gamma, crop_model, grid, trials, chunk): every strategy
@@ -159,12 +114,13 @@ def _tiled(case, monkeypatch=None, rows=None):
             strategy, s1, s2, gamma, crop_model, grid, trials, 11, chunk)
 
 
-def _reference(case):
+def _reference(case, rows=None):
     strategy, s1, s2, gamma, crop_model, grid, trials, chunk = case
+    rows = rows or max(1, asymmetry._TILE_CELLS // (grid * grid))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         return _reference_simulate(strategy, s1, s2, gamma, crop_model, grid,
-                                   trials, 11, chunk)
+                                   trials, 11, chunk, rows)
 
 
 class TestClosedForms:
@@ -324,6 +280,19 @@ class TestMonteCarlo:
                                   16, 5000, seed=6)
         assert rep.estimate == 0.0
 
+    @pytest.mark.parametrize("estimate", [
+        lambda: monte_carlo_overlap("naive", 0.25, 0.001, 0.0, "random", 8,
+                                    1000),
+        lambda: monte_carlo_overlap("selective", 0.25, 0.001, 3.0, "random",
+                                    8, 1000),
+        lambda: mechanism_expectation(0.25, 0.001, 3.0, "random", 8, 1000),
+    ], ids=["naive", "selective", "mean-field"])
+    def test_a_ratio_that_rounds_to_no_patch_fails_closed(self, estimate):
+        # round(0.001 * 64) = 0 patches for view 2
+        with pytest.raises(ValueError, match="cannot draw 1 disjoint views of "
+                                             "0 patches from a 64-patch grid"):
+            estimate()
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             monte_carlo_overlap("bogus", 0.25, 0.25, 0.0, "identical", 16, 5000)
@@ -331,48 +300,6 @@ class TestMonteCarlo:
             monte_carlo_overlap("naive", 0.25, 0.25, 0.0, "diagonal", 16, 5000)
         with pytest.raises(ValueError):
             monte_carlo_overlap("naive", 0.25, 0.25, 0.0, "identical", 16, 10)
-
-
-class FixedUniforms:
-    """A uniforms source that hands out ``values`` in order, as
-    ``Generator.random`` hands out its doubles."""
-
-    def __init__(self, values):
-        self.values = values
-
-    def random(self, size=None, out=None):
-        if out is None:
-            return self.values.reshape(size).copy()
-        out[...] = self.values.reshape(out.shape)
-        return out
-
-
-class TestUniformMasks:
-    """``asymmetry._uniform_masks`` marks each row's uniforms up to its k-th
-    smallest, and redoes by argpartition only a row tied at that value."""
-
-    @pytest.mark.parametrize("tie,redone", [(5, [1]), (1, [])],
-                             ids=["tie-at-kth", "tie-below-kth"])
-    def test_masks_match_the_reference(self, tie, redone, monkeypatch):
-        k, t, big_n = 5, 3, 16
-        u = np.random.default_rng(3).random((t, big_n))
-        rank = np.argsort(u[1])
-        u[1, rank[tie]] = u[1, rank[tie - 1]]   # ranks tie-1 and tie equal
-        ranked = []
-        rank_chunks = sampling.rank_chunks
-
-        def spy(keys, *args):
-            ranked.append(keys.copy())
-            return rank_chunks(keys, *args)
-
-        monkeypatch.setattr(sampling, "rank_chunks", spy)
-        mask = asymmetry._uniform_masks(FixedUniforms(u), k,
-                                        sampling.Workspace(4, 4), t)
-        expected = _reference_uniform_masks(FixedUniforms(u), t, big_n, k)
-        assert mask.tobytes() == expected.tobytes()
-        assert (mask.sum(axis=1) == k).all()
-        assert [r.tobytes() for r in ranked] == \
-            ([u[redone].tobytes()] if redone else [])
 
 
 class TestTiledKernel:
@@ -385,9 +312,16 @@ class TestTiledKernel:
     @pytest.mark.parametrize("case", [KERNEL_CASES[1], KERNEL_CASES[2],
                                       KERNEL_CASES[6], KERNEL_CASES[8]],
                              ids=["naive", "selective", "padded", "some-padded"])
-    def test_tile_height_never_moves_a_value(self, case, rows, monkeypatch):
-        expected = _reference(case).tobytes()
-        assert _tiled(case, monkeypatch, rows).tobytes() == expected
+    def test_each_tile_height_matches_its_reference(self, case, rows,
+                                                    monkeypatch):
+        # the tile height decides which draws feed which trial: each height
+        # has its own bytes, and its estimate agrees with the default's
+        default = _tiled(case)
+        got = _tiled(case, monkeypatch, rows)
+        assert got.tobytes() == _reference(case, rows).tobytes()
+        sigma = np.hypot(*(v.std(ddof=1) / np.sqrt(v.size)
+                           for v in (got, default)))
+        assert abs(got.mean() - default.mean()) <= 3 * sigma
 
     @pytest.mark.parametrize("case,low,high", [(KERNEL_CASES[6], 1.0, 1.0),
                                                (KERNEL_CASES[8], 0.2, 0.5)],
@@ -499,6 +433,16 @@ class TestChunkPool:
         processes(1)
         assert many.tobytes() == pooled("selective", "random", 4500).tobytes()
 
+    def test_a_worker_forked_earlier_draws_at_the_callers_tile_height(
+            self, processes, monkeypatch):
+        processes(2)
+        pooled("selective", "random", 1700)          # forks the worker
+        monkeypatch.setattr(asymmetry, "_TILE_CELLS", 100 * 8 * 8)
+        pooled_now = pooled("selective", "random", 1700)
+        processes(1)
+        assert pooled_now.tobytes() == \
+            pooled("selective", "random", 1700).tobytes()
+
     def test_analyze_files_do_not_depend_on_the_process_count(
             self, processes, tmp_path, monkeypatch):
         processes(1)
@@ -513,7 +457,7 @@ class TestChunkPool:
         simulate_chunk, caller = asymmetry._simulate_chunk, os.getpid()
 
         def fails_on_a_worker(*args):
-            if os.getpid() != caller and args[1] == 7.0:     # gamma
+            if os.getpid() != caller and args[1].gamma == 7.0:
                 raise ZeroDivisionError("chunk failed on a worker")
             return simulate_chunk(*args)
 

@@ -20,15 +20,15 @@ from asympatch.train import smoke_config
 
 GOLDEN_ANALYZE_CSV = """\
 strategy,crop_model,s1,s2,gamma,grid,trials,analytic,estimate,std_error
-naive,identical,0.25,0.25,0.0,32,8192,0.0625,0.06255447864532471,6.518579410733891e-05
-selective,random,0.25,0.25,0.0,32,8192,0.03125,0.04216327995917135,0.00018238069173739943
-selective,random,0.25,0.25,1.0,32,8192,0.020833333333333332,0.021847613343549448,8.7664684117096e-05
-selective,random,0.25,0.25,2.0,32,8192,0.015625,0.014304021568880453,6.021478573088665e-05
-selective,random,0.25,0.25,3.0,32,8192,0.0125,0.010153294751191989,4.513045029279988e-05
-selective,random,0.25,0.25,4.0,32,8192,0.010416666666666666,0.007654425039064735,3.5064692769352126e-05
+naive,identical,0.25,0.25,0.0,32,8192,0.0625,0.06259775161743164,6.508372036175316e-05
+selective,random,0.25,0.25,0.0,32,8192,0.03125,0.042242317313714306,0.0001822872665948795
+selective,random,0.25,0.25,1.0,32,8192,0.020833333333333332,0.021832505432187344,8.707511912023837e-05
+selective,random,0.25,0.25,2.0,32,8192,0.015625,0.014309779022674576,6.023374567107832e-05
+selective,random,0.25,0.25,3.0,32,8192,0.0125,0.010158567651723068,4.487382769229542e-05
+selective,random,0.25,0.25,4.0,32,8192,0.010416666666666666,0.007653132586885453,3.4816247917273794e-05
 """
 GOLDEN_ANALYZE_TXT_SHA256 = (
-    "955d7a5a69bf8ded624fa7f7f79572d09387b8506126d44ea1403c2afc53df6f")
+    "c6685758da0d31916dc8bfb1c655e11a97f58f19924b74471a61d8346bc77668")
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -147,7 +147,7 @@ class TestAnalyze:
 
     def test_golden_default_report(self, tmp_path, capsys):
         # default analyze at seed 0 with 8192 trials (two full chunks per
-        # configuration); bytes recorded before the kernel was tiled
+        # configuration)
         cfg = self.write_config(tmp_path, "[analyze]\ntrials = 8192\n")
         out = tmp_path / "out"
         assert run_cli("analyze", "--config", cfg, "--out", str(out),
@@ -159,6 +159,17 @@ class TestAnalyze:
         assert re.fullmatch(r"49152 trials in \d+\.\d\d s "
                             r"\(\d+\.\d µs/trial\)", last)
         assert "trials in" not in (out / "analyze_report.txt").read_text()
+
+    def test_a_ratio_that_rounds_to_no_patch_is_one_error_line(self, tmp_path,
+                                                               capsys):
+        cfg = self.write_config(tmp_path,
+                                "[analyze]\ngrid = 8\ntrials = 1000\ns2 = 0.001\n")
+        out = tmp_path / "o"
+        assert run_cli("analyze", "--config", cfg, "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "error: cannot draw 1 disjoint views of 0 patches from a "
+            "64-patch grid\n")
+        assert not out.exists()
 
     def test_unknown_section_rejected(self, tmp_path):
         cfg = self.write_config(tmp_path, "[mystery]\nx = 1\n")
@@ -246,6 +257,22 @@ class TestDemo:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"maxval {maxval}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("header,name", [(b"P6\n4 4\n", "maxval"),
+                                             (b"P6\n4\n", "height"),
+                                             (b"P6\n4 x 255\n", "height")],
+                             ids=["no-maxval", "no-height", "non-numeric"])
+    def test_bad_header_names_the_file_and_the_field(self, tmp_path, capsys,
+                                                     header, name):
+        image = tmp_path / "in.ppm"
+        image.write_bytes(header)
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[demo]\nimage = {image}\npatch = 1\n")
+        out = tmp_path / "demo"
+        assert run_cli("demo", "--config", str(cfg), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {image}: pixmap header has no decimal {name}\n"
         assert not out.exists()
 
     def test_unreadable_input_fails(self, tmp_path):
@@ -355,11 +382,10 @@ class TestTrainAndProbe:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
         assert not out.exists()
-        # a dry run builds the config but reads no data file
-        if line != MISSING_CIFAR:
-            assert run_cli("train", "--config", str(cfg), "--out", str(out),
-                           "--dry-run") == 1
-            assert not out.exists()
+        # a dry run builds the config and reads the data, as the run does
+        assert run_cli("train", "--config", str(cfg), "--out", str(out),
+                       "--dry-run") == 1
+        assert not out.exists()
 
     def test_diverging_run_is_one_error_line(self, tmp_path):
         # a separate process: pytest records warnings itself, so in-process
